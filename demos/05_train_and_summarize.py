@@ -9,7 +9,7 @@ from dgsum.compressor import CompressorConfig
 from dgsum.corpus import Document, DocumentCluster, build_vocab, tokenize
 from dgsum.embeddings import EmbeddingTable
 from dgsum.mgat import MgatConfig
-from dgsum.rouge import rouge_l_summary
+from dgsum.rouge import corpus_rouge
 from dgsum.text_model import TextModelConfig
 from dgsum.training import (ModelConfig, Resources, TrainConfig, fit,
                             prepare_bundle, summarize_bundle)
@@ -65,6 +65,6 @@ print("\ngenerated vs reference (beam width 5):")
 for bundle in bundles:
     hyp = summarize_bundle(bundle, result.params, model_cfg, vocab, beam_width=5)
     ref = bundle.ref_tokens
-    rl = rouge_l_summary([hyp], [ref]).f1
+    rl = corpus_rouge({"c": " ".join(hyp)}, {"c": " ".join(ref)})["rl"]  # as dgsum eval
     mark = "=" if hyp == ref else "~"
     print(f"  [{mark}] R-L {rl:.2f} | {' '.join(hyp)}")

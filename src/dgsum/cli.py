@@ -21,14 +21,14 @@ from pathlib import Path
 from . import numeric as nm
 from . import rouge
 from .compressor import CompressorConfig
-from .corpus import Vocab, build_vocab, load_clusters, tokenize
+from .corpus import Vocab, build_vocab, load_clusters
 from .embeddings import EmbeddingTable, MeanWordEmbedder, PrecomputedEmbedder
 from .errors import ConfigError, DataError, DgsumError, NumericError, ShapeError
 from .hetgraph import GraphConfig, build_hetero_graph, validate_graph
 from .mgat import MgatConfig
 from .text_model import TextModelConfig
 from .training import (ModelConfig, Resources, TrainConfig, fit, prepare_bundle,
-                       summarize_bundle)
+                       score_summaries, summarize_bundle)
 
 log = logging.getLogger("dgsum.cli")
 
@@ -178,19 +178,21 @@ def _read_summaries(path) -> dict[str, str]:
                 raise DataError(f"{p}:{lineno}: malformed record: {e}")
             if "id" not in rec or "summary" not in rec:
                 raise DataError(f"{p}:{lineno}: record needs 'id' and 'summary'")
-            out[str(rec["id"])] = str(rec["summary"])
+            cid = str(rec["id"])
+            if cid in out:
+                raise DataError(f"{p}:{lineno}: duplicate id {cid!r}")
+            out[cid] = str(rec["summary"])
     return out
 
 
 # --- commands ------------------------------------------------------------
 
-def cmd_train(cfg: RunConfig) -> int:
-    if not cfg.data or not cfg.out:
-        raise ConfigError("train requires --data and --out")
-    nm.set_precision(cfg.precision)
-    out_dir = Path(cfg.out)
-    clusters = load_clusters(cfg.data)
-    train_set = [c for c in clusters if c.summary]
+def _train_model(cfg: RunConfig):
+    """Vocabulary, resources and parameters from ``cfg``, then ``fit`` on the
+    clusters of ``--data`` that have summaries, selecting on ``--dev`` (or the
+    training set). Returns (training clusters, vocab, resources, model
+    config, fit result)."""
+    train_set = [c for c in load_clusters(cfg.data) if c.summary]
     if not train_set:
         raise DataError(f"{cfg.data}: no clusters with summaries to train on")
     dev_set = ([c for c in load_clusters(cfg.dev) if c.summary]
@@ -200,6 +202,15 @@ def cmd_train(cfg: RunConfig) -> int:
     model_cfg = cfg.model_config()
     params = model_cfg.build_params(len(vocab), cfg.seed)
     result = fit(train_set, dev_set, params, model_cfg, cfg.train_config(), resources)
+    return train_set, vocab, resources, model_cfg, result
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    if not cfg.data or not cfg.out:
+        raise ConfigError("train requires --data and --out")
+    nm.set_precision(cfg.precision)
+    out_dir = Path(cfg.out)
+    _, vocab, _, _, result = _train_model(cfg)
 
     echo_config(cfg, out_dir)
     result.params.save(out_dir / "checkpoint.npz")
@@ -257,34 +268,10 @@ def cmd_summarize(cfg: RunConfig, model_dir: str,
     return 0
 
 
-def corpus_rouge(generated: dict[str, str], references: dict[str, str]) -> dict:
-    """Corpus means of R-1/R-2/R-L F1 plus mean token length; summaries are
-    sentence-split with the package tokenizer for summary-level R-L."""
-    missing = sorted(set(references) - set(generated))
-    extra = sorted(set(generated) - set(references))
-    if missing or extra:
-        raise DataError(f"id mismatch: missing {missing[:5]}, unexpected {extra[:5]}")
-    r1s, r2s, rls, lengths = [], [], [], []
-    for cid, ref_text in references.items():
-        hyp_sents = [s.lower for s in tokenize(generated[cid])]
-        ref_sents = [s.lower for s in tokenize(ref_text)]
-        hyp_flat = [t for s in hyp_sents for t in s]
-        ref_flat = [t for s in ref_sents for t in s]
-        r1s.append(rouge.rouge_n(hyp_flat, ref_flat, 1).f1)
-        r2s.append(rouge.rouge_n(hyp_flat, ref_flat, 2).f1)
-        rls.append(rouge.rouge_l_summary(hyp_sents, ref_sents).f1)
-        lengths.append(len(hyp_flat))
-    n = max(len(r1s), 1)
-    return {
-        "r1": sum(r1s) / n, "r2": sum(r2s) / n, "rl": sum(rls) / n,
-        "mean_length": sum(lengths) / n, "count": len(r1s),
-    }
-
-
 def cmd_eval(cfg: RunConfig, generated_path: str, references_path: str) -> int:
     generated = _read_summaries(generated_path)
     references = _read_summaries(references_path)
-    report = corpus_rouge(generated, references)
+    report = rouge.corpus_rouge(generated, references)
     print(f"R-1 {100 * report['r1']:.2f}  R-2 {100 * report['r2']:.2f}  "
           f"R-L {100 * report['rl']:.2f}  len {report['mean_length']:.1f}  "
           f"n {report['count']}")
@@ -302,36 +289,23 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
     if not cfg.data:
         raise ConfigError("ksweep requires --data")
     nm.set_precision(cfg.precision)
+    if model_dir:  # one model, its clusters and graphs, re-compressed at each k
+        vocab, model_cfg, params = _load_model(cfg, model_dir, explicit | {"k"})
+        resources = cfg.resources(vocab)
+        bundles = [prepare_bundle(c, resources, model_cfg, need_summary=False)
+                   for c in load_clusters(cfg.data) if c.summary]
     rows = []
     for k in k_values:
-        run_cfg = dataclasses.replace(cfg, k=k)
         if model_dir:
-            vocab, model_cfg, params = _load_model(run_cfg, model_dir,
-                                                   explicit | {"k"})
-            model_cfg = dataclasses.replace(
-                model_cfg, comp=CompressorConfig(k=k, renorm_mask=run_cfg.renorm_mask))
-            resources = run_cfg.resources(vocab)
-            clusters = [c for c in load_clusters(run_cfg.data) if c.summary]
-        else:
-            clusters = [c for c in load_clusters(run_cfg.data) if c.summary]
-            if not clusters:
-                raise DataError(f"{run_cfg.data}: no clusters with summaries")
-            vocab = build_vocab(clusters, min_freq=run_cfg.min_freq)
-            resources = run_cfg.resources(vocab)
-            model_cfg = run_cfg.model_config()
-            params = model_cfg.build_params(len(vocab), run_cfg.seed)
-            result = fit(clusters, clusters, params, model_cfg,
-                         run_cfg.train_config(), resources)
+            k_model_cfg = dataclasses.replace(
+                model_cfg, comp=CompressorConfig(k=k, renorm_mask=cfg.renorm_mask))
+        else:  # one model per k, trained as `dgsum train` trains it
+            clusters, vocab, resources, k_model_cfg, result = _train_model(
+                dataclasses.replace(cfg, k=k))
             params = result.params
-        generated, references = {}, {}
-        for cluster in clusters:
-            bundle = prepare_bundle(cluster, resources, model_cfg, need_summary=False)
-            tokens = summarize_bundle(bundle, params, model_cfg, vocab,
-                                      beam_width=run_cfg.beam_width)
-            generated[cluster.id] = " ".join(tokens)
-            references[cluster.id] = " ".join(
-                t for s in cluster.summary for t in s.lower)
-        scores = corpus_rouge(generated, references)
+            bundles = [prepare_bundle(c, resources, k_model_cfg, need_summary=False)
+                       for c in clusters]
+        scores = score_summaries(bundles, params, k_model_cfg, vocab, cfg.beam_width)
         rows.append({"k": k, "mean_length": scores["mean_length"], "r1": scores["r1"],
                      "r2": scores["r2"], "rl": scores["rl"]})
 
@@ -353,16 +327,17 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
 def cmd_graph(cfg: RunConfig) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("graph requires --data and --out")
-    if not cfg.embeddings:
-        raise ConfigError("graph requires --embeddings")
-    table = EmbeddingTable.load(cfg.embeddings, cfg.embedding_dim)
-    embedder = MeanWordEmbedder(table)
+    resources = cfg.resources(Vocab([]))  # graph building reads no vocabulary
+    clusters = load_clusters(cfg.data)
+    for cluster in clusters:  # ids become file names under --out
+        if cluster.id in ("", ".", "..") or Path(cluster.id).name != cluster.id:
+            raise DataError(f"cluster id {cluster.id!r} is not a plain file name")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clusters = load_clusters(cfg.data)
     total_violations = []
     for cluster in clusters:
-        g = build_hetero_graph(cluster, table, embedder, cfg.graph_config())
+        g = build_hetero_graph(cluster, resources.table, resources.embedder,
+                               resources.graph_cfg)
         (out_dir / f"{cluster.id}.dot").write_text(g.to_dot(cluster.id), encoding="utf-8")
         (out_dir / f"{cluster.id}.json").write_text(g.to_json(), encoding="utf-8")
         report = validate_graph(g)

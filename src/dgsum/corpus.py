@@ -104,14 +104,15 @@ def _attach_pos(doc: Document, pos_doc) -> None:
 def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
     """Parse a line-delimited cluster file in file order.
 
-    Malformed lines raise DataError naming the line number. Records with an
-    empty documents list (or whose documents all tokenize to nothing) are
-    skipped with a warning.
+    Malformed lines and repeated ids raise DataError naming the line number.
+    Records with an empty documents list (or whose documents all tokenize to
+    nothing) are skipped with a warning.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     clusters: list[DocumentCluster] = []
+    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if limit is not None and len(clusters) >= limit:
@@ -124,6 +125,10 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
                 raise DataError(f"{path}:{lineno}: malformed record: {e}")
             if not isinstance(rec, dict) or "id" not in rec or "documents" not in rec:
                 raise DataError(f"{path}:{lineno}: record must have 'id' and 'documents'")
+            cid = str(rec["id"])
+            if cid in seen:
+                raise DataError(f"{path}:{lineno}: duplicate cluster id {cid!r}")
+            seen.add(cid)
             docs_raw = rec["documents"]
             if not isinstance(docs_raw, list):
                 raise DataError(f"{path}:{lineno}: 'documents' must be an array")
@@ -152,7 +157,7 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
                 for doc, di in zip(documents, kept_doc_idx):
                     _attach_pos(doc, pos[di])
             summary = tokenize(str(rec.get("summary", ""))) or None
-            clusters.append(DocumentCluster(id=str(rec["id"]), documents=documents,
+            clusters.append(DocumentCluster(id=cid, documents=documents,
                                             summary=summary))
     return clusters
 

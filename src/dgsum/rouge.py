@@ -1,5 +1,6 @@
 """ROUGE-1/2 and summary-level ROUGE-L, used both as document-edge weights
-and as the evaluation metric.
+and as the evaluation metric, with the one corpus average every command
+reports.
 
 All functions operate on token lists (callers lowercase upstream; no
 stemming, no stopword removal). ROUGE-N uses clipped multiset counts.
@@ -11,6 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+
+from .corpus import tokenize
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,48 @@ def rouge_l_summary(candidate: SentenceList, reference: SentenceList) -> RougeSc
 
 def rouge_avg_f1(text_a: SentenceList, text_b: SentenceList) -> float:
     """Mean of the ROUGE-1, ROUGE-2, and summary-level ROUGE-L F1 between two
-    texts given as sentence token lists. F1 is symmetric under operand swap,
-    so one direction suffices; this is the document-document edge weight."""
+    texts given as sentence token lists; this is the document-document edge
+    weight. ROUGE-1/2 F1 are symmetric, but summary-level ROUGE-L is
+    reference-sided, so swapping the operands can change the weight: graph
+    construction passes the lower-index document as ``text_a``, the
+    candidate."""
     flat_a = [t for s in text_a for t in s]
     flat_b = [t for s in text_b for t in s]
     r1 = rouge_n(flat_a, flat_b, 1).f1
     r2 = rouge_n(flat_a, flat_b, 2).f1
     rl = rouge_l_summary(text_a, text_b).f1
     return (r1 + r2 + rl) / 3.0
+
+
+def sentences(text: str) -> SentenceList:
+    """Lowercased sentence token lists of ``text``, split by the package
+    tokenizer."""
+    return [s.lower for s in tokenize(text)]
+
+
+def mean_rouge(pairs: list[tuple[SentenceList, SentenceList]]) -> dict:
+    """Corpus means of R-1/R-2/R-L F1 and of the hypothesis token length over
+    (hypothesis sentences, reference sentences) pairs; R-1/R-2 score the
+    flattened texts, R-L is summary-level."""
+    r1 = r2 = rl = length = 0.0
+    for hyp_sents, ref_sents in pairs:
+        hyp_flat = [t for s in hyp_sents for t in s]
+        ref_flat = [t for s in ref_sents for t in s]
+        r1 += rouge_n(hyp_flat, ref_flat, 1).f1
+        r2 += rouge_n(hyp_flat, ref_flat, 2).f1
+        rl += rouge_l_summary(hyp_sents, ref_sents).f1
+        length += len(hyp_flat)
+    n = max(len(pairs), 1)
+    return {"r1": r1 / n, "r2": r2 / n, "rl": rl / n, "mean_length": length / n,
+            "count": len(pairs)}
+
+
+def corpus_rouge(generated: dict[str, str], references: dict[str, str]) -> dict:
+    """``mean_rouge`` of id-matched summary texts, as ``dgsum eval`` reports
+    it; both sides must hold the same ids."""
+    missing = sorted(set(references) - set(generated))
+    extra = sorted(set(generated) - set(references))
+    if missing or extra:
+        raise DataError(f"id mismatch: missing {missing[:5]}, unexpected {extra[:5]}")
+    return mean_rouge([(sentences(generated[cid]), sentences(ref))
+                       for cid, ref in references.items()])

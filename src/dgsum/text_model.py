@@ -41,6 +41,8 @@ class TextModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.attention_window < 1:
             raise ConfigError(f"attention_window must be >= 1, got {self.attention_window}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -151,12 +153,10 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
         a = _attention(x, x, store, f"enc{i}.attn", cfg.n_heads, mask)
-        if train and cfg.dropout > 0:
-            a = nm.dropout(a, cfg.dropout, rng, train=True)
+        a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"enc{i}.ln1")
         f = _ffn(x, store, f"enc{i}.ffn")
-        if train and cfg.dropout > 0:
-            f = nm.dropout(f, cfg.dropout, rng, train=True)
+        f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"enc{i}.ln2")
     return EncoderOutput(Q=x, boundaries=boundaries, ids=list(ids))
 
@@ -191,16 +191,13 @@ def _decoder_forward(memory: Tensor, mem_positions: np.ndarray, target_ids: list
     mask = causal_mask(t)
     for i in range(cfg.n_layers_dec):
         a = _attention(x, x, store, f"dec{i}.self", cfg.n_heads, mask)
-        if train and cfg.dropout > 0:
-            a = nm.dropout(a, cfg.dropout, rng, train=True)
+        a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"dec{i}.ln1")
         c = _attention(x, mem, store, f"dec{i}.cross", cfg.n_heads, None)
-        if train and cfg.dropout > 0:
-            c = nm.dropout(c, cfg.dropout, rng, train=True)
+        c = nm.dropout(c, cfg.dropout, rng, train)
         x = _ln(nm.add(x, c), store, f"dec{i}.ln2")
         f = _ffn(x, store, f"dec{i}.ffn")
-        if train and cfg.dropout > 0:
-            f = nm.dropout(f, cfg.dropout, rng, train=True)
+        f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"dec{i}.ln3")
     return nm.add(nm.matmul(x, store["out.w"]), store["out.b"])
 
@@ -228,10 +225,11 @@ def beam_search(step_logprobs: Callable[[list[int]], np.ndarray], bos: int, eos:
     """Generic length-normalized beam search over a prefix-scoring function.
 
     ``step_logprobs(prefix)`` returns the log-probability row for the token
-    following ``prefix`` (which always starts with ``bos``). Ties break
-    toward the lower token id, then the older hypothesis, making width 1
-    reproduce greedy argmax decoding exactly. Returns generated token ids
-    without bos/eos.
+    following ``prefix`` (which always starts with ``bos``). Ties in the
+    running score break toward the lower token id, then the older
+    hypothesis, so width 1 is greedy argmax decoding; the two differ only
+    when log-probs closer than the rounding of the running score tie in
+    their sums. Returns generated token ids without bos/eos.
     """
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
@@ -246,9 +244,11 @@ def beam_search(step_logprobs: Callable[[list[int]], np.ndarray], bos: int, eos:
     for _ in range(max_len):
         candidates: list[tuple[float, int, int, list[int]]] = []
         for hyp_idx, (score, prefix) in enumerate(live):
-            logp = step_logprobs(prefix)
-            for tok in range(len(logp)):
-                candidates.append((score + float(logp[tok]), tok, hyp_idx, prefix))
+            totals = score + np.asarray(step_logprobs(prefix), dtype=np.float64)
+            # only a hypothesis' own best beam_width tokens can enter the beam;
+            # the stable sort keeps the lower token id first among equal totals
+            for tok in np.argsort(-totals, kind="stable")[:beam_width]:
+                candidates.append((float(totals[tok]), int(tok), hyp_idx, prefix))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         next_live = []
         for score, tok, _, prefix in candidates[:beam_width]:
@@ -286,21 +286,3 @@ def decode_beam(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
     return beam_search(step, Vocab.BOS, Vocab.EOS, beam_width, max_len,
                        length_norm=cfg.length_norm)
 
-
-def decode_greedy(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
-                  cfg: TextModelConfig, max_len: int | None = None) -> list[int]:
-    """Argmax decoding; the reference implementation beam width 1 must match."""
-    if memory.shape[0] == 0:
-        raise DataError("decode_greedy: empty memory")
-    max_len = cfg.max_out_len if max_len is None else max_len
-    prefix = [Vocab.BOS]
-    out: list[int] = []
-    for _ in range(max_len):
-        with nm.no_grad():
-            logits = _decoder_forward(memory, mem_positions, prefix, store, cfg)
-        tok = int(np.argmax(_log_softmax_row(logits.data[-1])))
-        if tok == Vocab.EOS:
-            break
-        out.append(tok)
-        prefix.append(tok)
-    return out

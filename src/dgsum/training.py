@@ -14,7 +14,7 @@ import numpy as np
 from . import numeric as nm
 from . import rouge
 from .compressor import CompressorConfig, add_compressor_params, compress_graph
-from .corpus import (DocumentCluster, Vocab, serialize_encoder_input,
+from .corpus import (RESERVED, DocumentCluster, Vocab, serialize_encoder_input,
                      summary_as_cluster)
 from .embeddings import EmbeddingTable, MeanWordEmbedder
 from .errors import DataError, NumericError
@@ -22,8 +22,7 @@ from .hetgraph import GraphConfig, HeteroGraph, build_hetero_graph
 from .mgat import MgatConfig, add_mgat_params, mgat_encode
 from .numeric import Adam, ParamStore, Tensor
 from .text_model import (TextModelConfig, add_text_model_params, decode_beam,
-                         decode_greedy, decode_teacher_forced, encode_text,
-                         unit_embeddings)
+                         decode_teacher_forced, encode_text, unit_embeddings)
 
 log = logging.getLogger("dgsum.training")
 
@@ -199,21 +198,15 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
     return breakdown, grads
 
 
-_N_SPECIAL = 6  # PAD/UNK/BOS/EOS and the two delimiters
-
-
 def summarize_bundle(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig,
-                     vocab: Vocab, beam_width: int = 5, max_len: int | None = None,
-                     greedy: bool = False) -> list[str]:
+                     vocab: Vocab, beam_width: int = 5,
+                     max_len: int | None = None) -> list[str]:
     """Generate summary tokens for one cluster; no ground-truth input is
     touched anywhere on this path. Reserved ids are dropped from the text."""
     with nm.no_grad():
         q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
-    if greedy:
-        ids = decode_greedy(q_p, positions, params, model_cfg.text, max_len)
-    else:
-        ids = decode_beam(q_p, positions, params, model_cfg.text, beam_width, max_len)
-    return [vocab.decode(i) for i in ids if i >= _N_SPECIAL]
+    ids = decode_beam(q_p, positions, params, model_cfg.text, beam_width, max_len)
+    return [vocab.decode(i) for i in ids if i >= len(RESERVED)]
 
 
 @dataclass
@@ -224,25 +217,24 @@ class FitResult:
     steps: int
 
 
+def score_summaries(bundles: list[ClusterBundle], params: ParamStore,
+                    model_cfg: ModelConfig, vocab: Vocab, beam_width: int) -> dict:
+    """``rouge.mean_rouge`` of the generated summaries of the clusters that
+    have a reference, as ``dgsum eval`` would score them."""
+    pairs = []
+    for bundle in bundles:
+        if bundle.cluster.summary:
+            tokens = summarize_bundle(bundle, params, model_cfg, vocab, beam_width)
+            pairs.append((rouge.sentences(" ".join(tokens)),
+                          [s.lower for s in bundle.cluster.summary]))
+    return rouge.mean_rouge(pairs)
+
+
 def evaluate_dev(bundles: list[ClusterBundle], params: ParamStore,
                  model_cfg: ModelConfig, vocab: Vocab) -> dict:
-    """Greedy-decode every dev cluster and average ROUGE against references."""
-    r1s, r2s, rls = [], [], []
-    for bundle in bundles:
-        if bundle.ref_tokens is None:
-            continue
-        with nm.no_grad():
-            q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
-        ids = decode_greedy(q_p, positions, params, model_cfg.text)
-        hyp = [vocab.decode(i) for i in ids if i >= _N_SPECIAL]
-        ref_sents = [s.lower for s in bundle.cluster.summary]
-        r1s.append(rouge.rouge_n(hyp, bundle.ref_tokens, 1).f1)
-        r2s.append(rouge.rouge_n(hyp, bundle.ref_tokens, 2).f1)
-        rls.append(rouge.rouge_l_summary([hyp], ref_sents).f1)
-    if not r1s:
-        return {"r1": 0.0, "r2": 0.0, "rl": 0.0}
-    return {"r1": float(np.mean(r1s)), "r2": float(np.mean(r2s)),
-            "rl": float(np.mean(rls))}
+    """Dev R-1/R-2/R-L of beam-width-1 (greedy) summaries."""
+    scores = score_summaries(bundles, params, model_cfg, vocab, beam_width=1)
+    return {key: scores[key] for key in ("r1", "r2", "rl")}
 
 
 def fit(train_clusters: list[DocumentCluster] | list[ClusterBundle],

@@ -12,6 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
+import dgsum.numeric as nm
+from dgsum.corpus import RESERVED, Vocab
+from dgsum.text_model import _decoder_forward
+from dgsum.training import encode_compress
+
 
 # --- ROUGE ------------------------------------------------------------------
 
@@ -246,3 +251,31 @@ def dense_gat_channel_oracle(h, edge_weights, mask, W, w, slope=0.2):
             agg += a * s[j]
         out[i] = np.where(agg > 0, agg, np.expm1(np.minimum(agg, 0.0)))
     return out
+
+
+# --- decoding -------------------------------------------------------------------
+
+def decode_greedy(memory, mem_positions, store, cfg, max_len=None):
+    """Argmax decoding, one full decoder pass per emitted token: the
+    reference beam width 1 must match."""
+    max_len = cfg.max_out_len if max_len is None else max_len
+    prefix = [Vocab.BOS]
+    out = []
+    for _ in range(max_len):
+        with nm.no_grad():
+            row = _decoder_forward(memory, mem_positions, prefix, store, cfg).data[-1]
+        shifted = row - row.max()
+        tok = int(np.argmax(shifted - np.log(np.exp(shifted).sum())))
+        if tok == Vocab.EOS:
+            break
+        out.append(tok)
+        prefix.append(tok)
+    return out
+
+
+def summarize_greedy(bundle, params, model_cfg, vocab):
+    """Greedy summary tokens of one cluster, reserved ids dropped."""
+    with nm.no_grad():
+        q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
+    ids = decode_greedy(q_p, positions, params, model_cfg.text)
+    return [vocab.decode(i) for i in ids if i >= len(RESERVED)]

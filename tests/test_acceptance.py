@@ -24,12 +24,12 @@ from dgsum.mgat import MgatConfig, add_mgat_params, attention_coefficient, mgat_
 from dgsum.numeric import ParamStore, Tensor
 from dgsum.rouge import RougeScore, rouge_l_summary, rouge_n
 from dgsum.text_model import (TextModelConfig, add_text_model_params, beam_search,
-                              decode_beam, decode_greedy, decode_teacher_forced)
+                              decode_beam, decode_teacher_forced)
 from dgsum.training import (ModelConfig, Resources, TrainConfig, fit,
                             graph_similarity_loss, prepare_bundle,
                             summarize_bundle, train_step)
 from conftest import all_tokens, cluster_from_texts
-from oracles import (enumerate_graph_oracle, graph_to_oracle_form,
+from oracles import (decode_greedy, enumerate_graph_oracle, graph_to_oracle_form,
                      rouge_l_summary_oracle)
 
 import math
@@ -393,7 +393,7 @@ def test_criterion_6_overfit_reproduction(toy_setup):
         final_lce = float(np.mean([r["l_ce"] for r in steps[-8:]]))
         assert final_lce < 0.1, f"final-epoch L_ce {final_lce:.4f}"
         exact = sum(
-            summarize_bundle(b, result.params, model_cfg, vocab, greedy=True)
+            summarize_bundle(b, result.params, model_cfg, vocab, beam_width=1)
             == b.ref_tokens
             for b in bundles)
         assert exact >= 7, f"only {exact}/8 summaries reproduced"

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgsum.cli import corpus_rouge, main, resolve_config
+from dgsum.cli import main, resolve_config
 from dgsum.errors import ConfigError
+from dgsum.rouge import corpus_rouge
 from conftest import write_cluster_file
-from oracles import rouge_l_summary_oracle, rouge_n_oracle
+from oracles import rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy
 
 TOY_FLAGS = ["--d-model", "16", "--n-heads", "2", "--ffn-dim", "24",
              "--n-layers-enc", "1", "--n-layers-dec", "1",
@@ -49,6 +50,17 @@ class TestConfigResolution:
         p.write_text(json.dumps({"betta": 0.7}))
         with pytest.raises(ConfigError, match="betta"):
             resolve_config(str(p), {})
+
+    def test_dropout_outside_unit_interval_is_config_error(self, tmp_path, capsys,
+                                                           toy_corpus_path,
+                                                           toy_embeddings_path):
+        for value in ("-0.1", "1.0"):
+            rc = main(["train", "--data", str(toy_corpus_path),
+                       "--embeddings", str(toy_embeddings_path),
+                       "--out", str(tmp_path / value), *TOY_FLAGS, "--dropout", value])
+            assert rc == 1, value
+            assert "dropout" in capsys.readouterr().err
+            assert not (tmp_path / value).exists()
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -154,7 +166,7 @@ class TestSummarize:
         # greedy reference through the library path
         from dgsum.cli import _load_model
         from dgsum.corpus import load_clusters
-        from dgsum.training import prepare_bundle, summarize_bundle
+        from dgsum.training import prepare_bundle
         cfg = resolve_config(str(trained_model / "config.json"), {})
         vocab, model_cfg, params = _load_model(cfg, str(trained_model))
         resources = cfg.resources(vocab)
@@ -162,7 +174,7 @@ class TestSummarize:
             cluster = next(c for c in load_clusters(toy_corpus_path)
                            if c.id == rec["id"])
             bundle = prepare_bundle(cluster, resources, model_cfg, need_summary=False)
-            greedy = summarize_bundle(bundle, params, model_cfg, vocab, greedy=True)
+            greedy = summarize_greedy(bundle, params, model_cfg, vocab)
             assert rec["summary"] == " ".join(greedy)
 
     def test_dim_mismatch_names_parameter(self, tmp_path, trained_model,
@@ -202,6 +214,16 @@ class TestEval:
         rc = main(["eval", "--generated", str(p1), "--references", str(p2)])
         assert rc == 0
         assert "R-1 0.00" in capsys.readouterr().out
+
+    def test_duplicate_id_is_data_error(self, tmp_path, capsys):
+        p1 = tmp_path / "gen.jsonl"
+        p2 = tmp_path / "ref.jsonl"
+        write_cluster_file(p1, [{"id": "a", "summary": "x"}, {"id": "b", "summary": "y"},
+                                {"id": "a", "summary": "z"}])
+        write_cluster_file(p2, [{"id": "a", "summary": "x"}, {"id": "b", "summary": "y"}])
+        assert main(["eval", "--generated", str(p1), "--references", str(p2)]) == 2
+        err = capsys.readouterr().err
+        assert "gen.jsonl:3" in err and "'a'" in err
 
     def test_id_mismatch_is_data_error(self, tmp_path):
         p1 = tmp_path / "gen.jsonl"
@@ -248,6 +270,47 @@ class TestKsweep:
         for row in rows:
             assert {"k", "mean_length", "r1", "r2", "rl"} <= set(row)
 
+    @staticmethod
+    def _summarize_and_eval(tmp_path, model, data, embeddings, k):
+        hyp, report = tmp_path / f"hyp{k}.jsonl", tmp_path / f"report{k}.json"
+        assert main(["summarize", "--model", str(model), "--data", str(data),
+                     "--embeddings", str(embeddings), "--k", str(k),
+                     "--out", str(hyp)]) == 0
+        assert main(["eval", "--generated", str(hyp), "--references", str(data),
+                     "--out", str(report)]) == 0
+        return json.loads(report.read_text())
+
+    def test_model_rows_are_summarize_then_eval(self, tmp_path, trained_model,
+                                                toy_corpus_path, toy_embeddings_path):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["ksweep", "--model", str(trained_model),
+                     "--data", str(toy_corpus_path),
+                     "--embeddings", str(toy_embeddings_path),
+                     "--k-values", "0.3,0.7", "--out", str(out)]) == 0
+        for row in read_jsonl(out):
+            report = self._summarize_and_eval(tmp_path, trained_model, toy_corpus_path,
+                                              toy_embeddings_path, row["k"])
+            assert row == {"k": row["k"], **{key: report[key] for key in
+                                             ("mean_length", "r1", "r2", "rl")}}
+
+    def test_training_rows_are_train_then_eval(self, tmp_path, toy_corpus_path,
+                                               toy_embeddings_path, toy_corpus_records):
+        # on this dev set `train` keeps the step-2 checkpoint, on the training
+        # set the step-8 one, so a sweep that ignored --dev would differ
+        dev = tmp_path / "dev.jsonl"
+        write_cluster_file(dev, toy_corpus_records[2:5])
+        flags = ["--data", str(toy_corpus_path), "--embeddings", str(toy_embeddings_path),
+                 "--dev", str(dev), "--eval-every", "2", *TOY_FLAGS, "--lr", "3e-3"]
+        out = tmp_path / "sweep.jsonl"
+        assert main(["ksweep", *flags, "--k-values", "0.3,0.7", "--out", str(out)]) == 0
+        for row in read_jsonl(out):
+            model = tmp_path / f"model{row['k']}"
+            assert main(["train", *flags, "--k", str(row["k"]), "--out", str(model)]) == 0
+            report = self._summarize_and_eval(tmp_path, model, toy_corpus_path,
+                                              toy_embeddings_path, row["k"])
+            assert row == {"k": row["k"], **{key: report[key] for key in
+                                             ("mean_length", "r1", "r2", "rl")}}
+
     def test_k1_equals_no_compressor_except_soft_mask(self, trained_model,
                                                       toy_corpus_path,
                                                       toy_embeddings_path):
@@ -286,6 +349,50 @@ class TestGraphCommand:
         jsons = [p for p in out.glob("*.json")]
         assert len(dots) == 8 and len(jsons) == 8
         assert (out / "validation.txt").read_text() == ""
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/x", "", ".", ".."])
+    def test_path_like_ids_rejected(self, tmp_path, toy_embeddings_path, bad_id):
+        data = tmp_path / "data.jsonl"
+        write_cluster_file(data, [{"id": "ok", "documents": ["storm hits the coast."]},
+                                  {"id": bad_id, "documents": ["team wins the final."]}])
+        out = tmp_path / "a" / "graphs"
+        rc = main(["graph", "--data", str(data), "--embeddings", str(toy_embeddings_path),
+                   "--out", str(out), "--embedding-dim", "8"])
+        assert rc == 2
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("data.jsonl"), Path("vectors.txt")]
+
+    def test_sentence_embeddings_set_ss_weights(self, tmp_path, toy_corpus_path,
+                                                toy_embeddings_path):
+        from dgsum.corpus import build_vocab, load_clusters
+        from dgsum.training import prepare_bundle
+        clusters = load_clusters(toy_corpus_path)
+        sent_vecs = tmp_path / "sentences.txt"
+        rng = np.random.default_rng(3)
+        with sent_vecs.open("w") as fh:
+            for c in clusters:
+                for di, doc in enumerate(c.documents):
+                    for si in range(len(doc.sentences)):
+                        vec = " ".join(f"{x:.6f}" for x in rng.normal(size=8))
+                        fh.write(f"{c.id}:{di}:{si} {vec}\n")
+        flags = ["--data", str(toy_corpus_path), "--embeddings", str(toy_embeddings_path),
+                 "--embedding-dim", "8", "--sentence-embeddings", str(sent_vecs)]
+        out = tmp_path / "graphs"
+        assert main(["graph", *flags, "--out", str(out)]) == 0
+        cfg = resolve_config(None, {"embeddings": str(toy_embeddings_path),
+                                    "embedding_dim": 8,
+                                    "sentence_embeddings": str(sent_vecs)})
+        resources = cfg.resources(build_vocab(clusters, min_freq=1))
+        default = resolve_config(None, {"embeddings": str(toy_embeddings_path),
+                                        "embedding_dim": 8}).resources(resources.vocab)
+        for c in clusters:
+            exported = json.loads((out / f"{c.id}.json").read_text())["edges"]["SS"]
+            built = prepare_bundle(c, resources, cfg.model_config(), need_summary=False)
+            assert exported == [[a, b, w] for a, b, w in built.src_graph.edges["SS"]]
+            mean_of_words = prepare_bundle(c, default, cfg.model_config(),
+                                           need_summary=False)
+            assert exported != [[a, b, w] for a, b, w
+                                in mean_of_words.src_graph.edges["SS"]]
 
     def test_dot_parses_under_grammar(self, tmp_path, toy_corpus_path,
                                       toy_embeddings_path):

@@ -93,6 +93,13 @@ class TestLoadClusters:
         with pytest.raises(DataError):
             load_clusters(tmp_path / "nope.jsonl")
 
+    def test_duplicate_id_names_id_and_line(self, tmp_path):
+        p = tmp_path / "data.jsonl"
+        write_jsonl(p, [make_cluster("a", ["One."]), make_cluster("b", ["Two."]),
+                        make_cluster("a", ["Three."])])
+        with pytest.raises(DataError, match=r":3: duplicate cluster id 'a'"):
+            load_clusters(p)
+
     def test_summary_parsed(self, tmp_path):
         p = tmp_path / "data.jsonl"
         write_jsonl(p, [make_cluster("c", ["Doc text here."], "A summary.")])

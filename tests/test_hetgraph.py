@@ -272,6 +272,21 @@ class TestInvariants:
         assert g1.to_json() == g2.to_json()
         assert g1.to_dot() == g2.to_dot()
 
+    def test_dd_weight_takes_lower_index_document_as_candidate(self, table_for):
+        # summary-level ROUGE-L is reference-sided, so the DD weight depends on
+        # document order: the lower-index document is the candidate
+        split, joined = "storm hits. storm hits.", "storm hits storm hits."
+        sents = {t: [s.lower for s in tokenize(t)] for t in (split, joined)}
+        forward = rouge_avg_f1(sents[split], sents[joined])
+        backward = rouge_avg_f1(sents[joined], sents[split])
+        assert forward != pytest.approx(backward, abs=1e-3)
+        for first, second, expected in ((split, joined, forward),
+                                        (joined, split, backward)):
+            cluster = cluster_from_texts("dd", [first, second])
+            g = build(cluster, table_for([cluster]))
+            [(_, _, w)] = g.edges["DD"]
+            assert w == expected
+
     def test_weight_ranges(self, table_for):
         cluster = cluster_from_texts("w", ["storm coast flood. team rain there.",
                                            "storm rain flood."])

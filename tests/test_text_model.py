@@ -11,9 +11,10 @@ from dgsum.hetgraph import GraphConfig, build_hetero_graph
 from dgsum.numeric import ParamStore, Tensor
 from dgsum.text_model import (TextModelConfig,
                               add_text_model_params, beam_search, causal_mask,
-                              decode_beam, decode_greedy, decode_teacher_forced,
+                              decode_beam, decode_teacher_forced,
                               encoder_mask, encode_text, unit_embeddings)
 from conftest import cluster_from_texts
+from oracles import decode_greedy
 
 
 def tiny_cfg(**kw):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dgsum.numeric as nm
+from dgsum import rouge, training
 from dgsum.compressor import CompressorConfig
 from dgsum.corpus import build_vocab
 from dgsum.embeddings import EmbeddingTable
@@ -15,6 +16,7 @@ from dgsum.training import (ModelConfig, Resources, TrainConfig, evaluate_dev,
                             fit, graph_similarity_loss, prepare_bundle,
                             summarize_bundle, train_step)
 from conftest import all_tokens, cluster_from_texts
+from oracles import summarize_greedy
 
 
 def micro_model_cfg(d=12, **kw):
@@ -188,7 +190,7 @@ class TestSummarizeAndDev:
     def test_greedy_equals_beam_one(self):
         _, vocab, resources, model_cfg, params, bundle = micro_setup()
         a = summarize_bundle(bundle, params, model_cfg, vocab, beam_width=1)
-        b = summarize_bundle(bundle, params, model_cfg, vocab, greedy=True)
+        b = summarize_greedy(bundle, params, model_cfg, vocab)
         assert a == b
 
     def test_evaluate_dev_perfect_model_scores_one(self):
@@ -197,6 +199,35 @@ class TestSummarizeAndDev:
         metrics = evaluate_dev([bundle], params, model_cfg, vocab)
         assert set(metrics) == {"r1", "r2", "rl"}
         assert 0.0 <= metrics["rl"] <= 1.0
+
+    def test_evaluate_dev_is_corpus_rouge_of_beam_one_output(self):
+        cluster, vocab, resources, model_cfg, params, bundle = micro_setup(seed=3)
+        tc = TrainConfig(epochs=40, lr=3e-3, label_smoothing=0.0,
+                         eval_every=10_000, patience=10_000)
+        params = fit([bundle], [bundle], params, model_cfg, tc, resources).params
+        tokens = summarize_bundle(bundle, params, model_cfg, vocab, beam_width=1)
+        report = rouge.corpus_rouge({"m": " ".join(tokens)}, {"m": "storm floods town."})
+        assert report["r1"] > 0.0
+        assert (evaluate_dev([bundle], params, model_cfg, vocab)
+                == {key: report[key] for key in ("r1", "r2", "rl")})
+
+    def test_evaluate_dev_splits_hypothesis_sentences(self, monkeypatch):
+        # a two-sentence hypothesis is scored summary-level, as `dgsum eval`
+        # scores it, not as one flat sentence
+        _, vocab, resources, model_cfg, params, bundle = micro_setup()
+        hyp = ["town", ".", "storm", "floods", "."]
+        widths = []
+
+        def fake_summarize(bundle, params, model_cfg, vocab, beam_width=5, max_len=None):
+            widths.append(beam_width)
+            return hyp
+        monkeypatch.setattr(training, "summarize_bundle", fake_summarize)
+        metrics = evaluate_dev([bundle], params, model_cfg, vocab)
+        report = rouge.corpus_rouge({"m": " ".join(hyp)}, {"m": "storm floods town."})
+        assert widths == [1]
+        assert metrics == {key: report[key] for key in ("r1", "r2", "rl")}
+        flat = rouge.rouge_l_summary([hyp], [["storm", "floods", "town", "."]]).f1
+        assert metrics["rl"] != pytest.approx(flat, abs=1e-3)
 
 
 class TestFit:
