@@ -12,7 +12,7 @@ from . import (cli, compressor, corpus, embeddings, hetgraph, mgat, numeric,
 from .corpus import DocumentCluster, Document, Sentence, Vocab, build_vocab, tokenize
 from .embeddings import EmbeddingTable, MeanWordEmbedder, PrecomputedEmbedder, cosine
 from .hetgraph import GraphConfig, HeteroGraph, build_hetero_graph, validate_graph
-from .numeric import Adam, ParamStore, Tensor, Value, grad_check, set_precision
+from .numeric import Adam, ParamStore, Tensor, grad_check, set_precision
 from .training import (LossBreakdown, ModelConfig, Resources, TrainConfig, fit,
                        prepare_bundle, summarize_bundle, train_step)
 
@@ -24,7 +24,7 @@ __all__ = [
     "DocumentCluster", "Document", "Sentence", "Vocab", "build_vocab", "tokenize",
     "EmbeddingTable", "MeanWordEmbedder", "PrecomputedEmbedder", "cosine",
     "GraphConfig", "HeteroGraph", "build_hetero_graph", "validate_graph",
-    "Adam", "ParamStore", "Tensor", "Value", "grad_check", "set_precision",
+    "Adam", "ParamStore", "Tensor", "grad_check", "set_precision",
     "LossBreakdown", "ModelConfig", "Resources", "TrainConfig", "fit",
     "prepare_bundle", "summarize_bundle", "train_step",
     "__version__",

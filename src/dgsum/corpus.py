@@ -38,9 +38,6 @@ class Sentence:
 class Document:
     sentences: list[Sentence]
 
-    def lower_sentences(self) -> list[list[str]]:
-        return [s.lower for s in self.sentences]
-
 
 @dataclass
 class DocumentCluster:

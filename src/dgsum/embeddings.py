@@ -33,6 +33,23 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
+def pairwise_cosine(vectors, threshold: float | None = None):
+    """``cosine`` of every row pair i < j of an (m, d) array, in row-major
+    order, as (i, j, sim) arrays; pairs with sim < threshold are dropped."""
+    x = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms < 1e-12
+    unit = x / np.where(zero, 1.0, norms)[:, None]
+    sim = unit @ unit.T
+    sim[zero] = 0.0
+    sim[:, zero] = 0.0
+    keep = ~np.tri(len(x), dtype=bool)  # i < j
+    if threshold is not None:
+        keep &= ~(sim < threshold)
+    i, j = np.nonzero(keep)  # row-major
+    return i, j, sim[i, j]
+
+
 def _parse_vector_file(path, dimension: int) -> dict[str, np.ndarray]:
     path = Path(path)
     if not path.exists():
@@ -121,12 +138,3 @@ class PrecomputedEmbedder:
             raise DataError(f"no precomputed sentence embedding for key {name!r}")
         return self._vectors[name]
 
-
-def load_static_embeddings(path, dimension: int) -> EmbeddingTable:
-    """Load a whitespace-separated word-vector file into a table."""
-    return EmbeddingTable.load(path, dimension)
-
-
-def sentence_embedding(sentence: Sentence, table: EmbeddingTable) -> np.ndarray:
-    """Mean-of-words sentence vector (the default provider's rule)."""
-    return MeanWordEmbedder(table).embed(sentence)

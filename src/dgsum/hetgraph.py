@@ -25,17 +25,18 @@ import numpy as np
 
 from . import rouge
 from .corpus import BoundaryIndex, DocumentCluster, Sentence, layout
-from .embeddings import EmbeddingTable, MeanWordEmbedder, cosine
+from .embeddings import EmbeddingTable, MeanWordEmbedder, pairwise_cosine
+from .embeddings import cosine  # noqa: F401  (hetgraph.cosine is wrapped by perfbench)
 from .errors import DataError
 
 DOC, SENT, WORD = "document", "sentence", "word"
 EDGE_TYPES = ("WE", "WO", "SS", "DD", "DS", "SW")
 _KIND_RANK = {DOC: 0, SENT: 1, WORD: 2}
 
-# Closed-class / high-frequency non-noun forms for the default heuristic
-# tagger: determiners, pronouns, prepositions, conjunctions, auxiliaries,
-# common adverbs and verbs. Alphabetic tokens outside this list count as
-# noun candidates.
+# Closed-class / high-frequency non-noun forms for the noun heuristic of
+# sentences without POS tags: determiners, pronouns, prepositions,
+# conjunctions, auxiliaries, common adverbs and verbs. Alphabetic tokens
+# outside this list count as noun candidates.
 STOPWORDS = frozenset("""
 a an the this that these those some any each every either neither no another
 such what which whose
@@ -105,34 +106,22 @@ class GraphConfig:
     we_threshold: float = 0.5   # 0 disables thresholding (all noun pairs kept)
     ss_threshold: float | None = None
     max_input_len: int = 4096
-    tagger: object | None = None  # defaults to HeuristicNounTagger
 
 
-class HeuristicNounTagger:
-    """Noun candidates = alphabetic tokens not in the closed-class list."""
+NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 
-    def candidates(self, sentence: Sentence) -> set[int]:
+
+def noun_candidates(sentence: Sentence) -> set[int]:
+    """Token positions that are nouns: NOUN/PROPN tags when the sentence
+    carries POS annotations, otherwise alphabetic tokens outside the
+    closed-class list."""
+    if sentence.pos is None:
         return {i for i, tok in enumerate(sentence.lower)
                 if tok.isalpha() and tok not in STOPWORDS}
-
-
-class AnnotatedNounTagger:
-    """Reads per-token POS annotations carried by the dataset; keeps
-    NOUN/PROPN."""
-
-    KEEP = frozenset({"NOUN", "PROPN"})
-
-    def candidates(self, sentence: Sentence) -> set[int]:
-        if sentence.pos is None:
-            raise DataError("sentence has no POS annotations")
-        if len(sentence.pos) != len(sentence.tokens):
-            raise DataError(f"POS annotations: {len(sentence.pos)} tags for "
-                            f"{len(sentence.tokens)} tokens")
-        return {i for i, tag in enumerate(sentence.pos) if tag in self.KEEP}
-
-
-def noun_candidates(sentence: Sentence, tagger=None) -> set[int]:
-    return (tagger or HeuristicNounTagger()).candidates(sentence)
+    if len(sentence.pos) != len(sentence.tokens):
+        raise DataError(f"POS annotations: {len(sentence.pos)} tags for "
+                        f"{len(sentence.tokens)} tokens")
+    return {i for i, tag in enumerate(sentence.pos) if tag in NOUN_TAGS}
 
 
 @dataclass
@@ -144,25 +133,39 @@ class ValidationReport:
         return not self.violations
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """Both directions of one type's in-range edges in CSR form, sorted by
+    (src, dst, weight): node i's neighbours are dst[indptr[i]:indptr[i+1]]."""
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def from_edges(cls, edges: list[tuple[int, int, float]], n: int) -> "EdgeIndex":
+        a = np.array([e[0] for e in edges], dtype=np.intp)
+        b = np.array([e[1] for e in edges], dtype=np.intp)
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        ok = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < n)  # validation reports the rest
+        src = np.concatenate([a[ok], b[ok]])
+        dst = np.concatenate([b[ok], a[ok]])
+        w = np.concatenate([w[ok], w[ok]])
+        order = np.lexsort((w, dst, src))
+        src, dst, w = src[order], dst[order], w[order]
+        return cls(src, dst, w, np.searchsorted(src, np.arange(n + 1)))
+
+
 class HeteroGraph:
     """Immutable typed graph. Nodes are held in canonical order (documents,
     then sentences, then words, each by origin); edges are per-type lists of
-    (a, b, weight) with a < b over node-list indices."""
+    (a, b, weight) with a < b over node-list indices, and ``index`` holds
+    each type's EdgeIndex."""
 
     def __init__(self, nodes: list[NodeId], edges: dict[str, list[tuple[int, int, float]]]):
         self.nodes = nodes
         self.edges = {t: list(edges.get(t, ())) for t in EDGE_TYPES}
-        self._adj: dict[str, list[list[tuple[int, float]]]] = {}
-        n = len(nodes)
-        for etype in EDGE_TYPES:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-            for a, b, w in self.edges[etype]:
-                adj[a].append((b, w))
-                adj[b].append((a, w))
-            for lst in adj:
-                lst.sort()
-            self._adj[etype] = adj
-        self._index_of = {node: i for i, node in enumerate(nodes)}
+        self.index = {t: EdgeIndex.from_edges(self.edges[t], len(nodes)) for t in EDGE_TYPES}
 
     @property
     def n_nodes(self) -> int:
@@ -180,46 +183,40 @@ class HeteroGraph:
         if edge_type not in EDGE_TYPES:
             raise DataError(f"unknown edge type {edge_type!r}")
         if isinstance(node, NodeId):
-            if node not in self._index_of:
+            if node not in self.nodes:
                 raise DataError(f"node {node} not in graph")
-            idx = self._index_of[node]
+            idx = self.nodes.index(node)
         else:
             if not 0 <= node < self.n_nodes:
                 raise DataError(f"node index {node} out of range")
             idx = node
-        return [(self.nodes[j], w) for j, w in self._adj[edge_type][idx]]
+        return [(self.nodes[j], w) for j, w in self.adjacency(edge_type, idx)]
 
     def adjacency(self, edge_type: str, idx: int) -> list[tuple[int, float]]:
-        return self._adj[edge_type][idx]
+        ix = self.index[edge_type]
+        span = slice(ix.indptr[idx], ix.indptr[idx + 1])
+        return list(zip(ix.dst[span].tolist(), ix.weight[span].tolist()))
 
     def dense_channel(self, edge_type: str) -> tuple[np.ndarray, np.ndarray]:
         """(weights, mask) dense matrices for one edge type, with unit
         self-loops on the diagonal (the attention fallback)."""
-        n = self.n_nodes
-        w = np.zeros((n, n))
-        m = np.zeros((n, n), dtype=bool)
-        for a, b, weight in self.edges[edge_type]:
-            w[a, b] = weight
-            w[b, a] = weight
-            m[a, b] = True
-            m[b, a] = True
-        np.fill_diagonal(w, 1.0)
-        np.fill_diagonal(m, True)
-        return w, m
+        return self._dense((edge_type,))
 
     def union_channel(self) -> tuple[np.ndarray, np.ndarray]:
-        """Type-erased union of all edges (max weight on duplicated pairs),
-        with unit self-loops; the single-channel ablation graph."""
+        """Type-erased union of all edges, with unit self-loops; the
+        single-channel ablation graph."""
+        return self._dense(EDGE_TYPES)
+
+    def _dense(self, edge_types) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, mask) over the given types, max weight on a pair that
+        appears more than once, unit self-loops on the diagonal."""
         n = self.n_nodes
         w = np.full((n, n), -np.inf)
         m = np.zeros((n, n), dtype=bool)
-        for etype in EDGE_TYPES:
-            for a, b, weight in self.edges[etype]:
-                if weight > w[a, b]:
-                    w[a, b] = weight
-                    w[b, a] = weight
-                m[a, b] = True
-                m[b, a] = True
+        for etype in edge_types:
+            ix = self.index[etype]
+            np.maximum.at(w, (ix.src, ix.dst), ix.weight)
+            m[ix.src, ix.dst] = True
         w[~m] = 0.0
         np.fill_diagonal(w, 1.0)
         np.fill_diagonal(m, True)
@@ -258,7 +255,6 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
     cfg = cfg or GraphConfig()
     if embedder is None:
         embedder = MeanWordEmbedder(table)
-    tagger = cfg.tagger or HeuristicNounTagger()
     if not cluster.documents:
         raise DataError(f"cluster {cluster.id!r} has no documents")
     if bounds is None:
@@ -301,23 +297,17 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
         edges["DS"].append((doc_node[slot.doc], s_idx, 1.0))
 
     # WE: noun occurrences across the whole cluster
-    noun_entries: list[tuple[int, np.ndarray]] = []
+    noun_nodes: list[int] = []
+    noun_vecs: list[np.ndarray] = []
     for slot in bounds.sent_slots:
         sent = cluster.documents[slot.doc].sentences[slot.sent]
         words = word_nodes_per_sent[(slot.doc, slot.sent)]
-        for k in noun_candidates(sent, tagger):
-            noun_entries.append((words[k], table.get(sent.lower[k])))
-    for i in range(len(noun_entries)):
-        a, va = noun_entries[i]
-        for j in range(i + 1, len(noun_entries)):
-            b, vb = noun_entries[j]
-            sim = cosine(va, vb)
-            if cfg.we_threshold and sim < cfg.we_threshold:
-                continue
-            edges["WE"].append((min(a, b), max(a, b), sim))
+        for k in noun_candidates(sent):
+            noun_nodes.append(words[k])
+            noun_vecs.append(table.get(sent.lower[k]))
+    edges["WE"] = _cosine_edges(noun_nodes, noun_vecs, cfg.we_threshold or None)
 
     # SS: every sentence pair, cosine of sentence embeddings
-    sent_keys = [(slot.doc, slot.sent) for slot in bounds.sent_slots]
     sent_vecs = []
     is_summary_graph = cluster.id.endswith(":summary")
     for slot in bounds.sent_slots:
@@ -328,12 +318,8 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
         else:
             key = (cluster.id, slot.doc, slot.sent)
         sent_vecs.append(embedder.embed(sent, key=key))
-    for i in range(len(sent_keys)):
-        for j in range(i + 1, len(sent_keys)):
-            sim = cosine(sent_vecs[i], sent_vecs[j])
-            if cfg.ss_threshold is not None and sim < cfg.ss_threshold:
-                continue
-            edges["SS"].append((sent_node[sent_keys[i]], sent_node[sent_keys[j]], sim))
+    sent_nodes = [sent_node[(slot.doc, slot.sent)] for slot in bounds.sent_slots]
+    edges["SS"] = _cosine_edges(sent_nodes, sent_vecs, cfg.ss_threshold)
 
     # DD: every document pair, mean ROUGE F1 over retained sentences
     retained = bounds.retained_sentences()
@@ -348,6 +334,17 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
             edges["DD"].append((doc_node[doc_ids[i]], doc_node[doc_ids[j]], w))
 
     return HeteroGraph(nodes, edges)
+
+
+def _cosine_edges(node_ids: list[int], vecs: list[np.ndarray],
+                  threshold: float | None) -> list[tuple[int, int, float]]:
+    """(a, b, cosine) with a < b for every pair of nodes, in pair order."""
+    if len(vecs) < 2:
+        return []
+    i, j, sim = pairwise_cosine(np.stack(vecs), threshold)
+    ids = np.asarray(node_ids, dtype=np.intp)
+    lo, hi = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
+    return list(zip(lo.tolist(), hi.tolist(), sim.tolist()))
 
 
 def validate_graph(g: HeteroGraph) -> ValidationReport:
@@ -375,35 +372,28 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
             if pair in seen:
                 add(f"{etype}: duplicate edge {pair}")
             seen.add(pair)
-        for i in range(n):
-            for j, w in g.adjacency(etype, i):
-                back = dict(g.adjacency(etype, j))
-                if i not in back or back[i] != w:
-                    add(f"{etype}: adjacency asymmetry between {i} and {j}")
 
-    sent_idx = g.kind_indices(SENT)
-    word_idx = g.kind_indices(WORD)
-    doc_idx = g.kind_indices(DOC)
-    for i in sent_idx:
-        if len(g.adjacency("DS", int(i))) != 1:
-            add(f"sentence node {i}: expected exactly one DS edge")
-    for i in word_idx:
-        if len(g.adjacency("SW", int(i))) != 1:
-            add(f"word node {i}: expected exactly one SW edge")
-    expected_dd = len(doc_idx) * (len(doc_idx) - 1) // 2
+    for kind, etype in ((SENT, "DS"), (WORD, "SW")):
+        idx = g.kind_indices(kind)
+        degree = np.diff(g.index[etype].indptr)[idx]
+        for i in idx[degree != 1]:
+            add(f"{kind} node {i}: expected exactly one {etype} edge")
+    n_docs = len(g.kind_indices(DOC))
+    expected_dd = n_docs * (n_docs - 1) // 2
     if len(g.edges["DD"]) != expected_dd:
         add(f"DD: {len(g.edges['DD'])} edges, complete graph needs {expected_dd}")
 
     if n:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for etype in EDGE_TYPES:
-                for j, _ in g.adjacency(etype, i):
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        if len(seen) != n:
-            add(f"graph not connected: reached {len(seen)} of {n} nodes")
+        src = np.concatenate([ix.src for ix in g.index.values()])
+        dst = np.concatenate([ix.dst for ix in g.index.values()])
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():  # breadth-first, one level per pass
+            step = np.zeros(n, dtype=bool)
+            step[dst[frontier[src]]] = True
+            frontier = step & ~reached
+            reached |= frontier
+        if not reached.all():
+            add(f"graph not connected: reached {int(reached.sum())} of {n} nodes")
     return report

@@ -52,18 +52,6 @@ def add_mgat_params(store: ParamStore, cfg: MgatConfig, rng: np.random.Generator
         store.add(f"mgat{layer}.U", (cfg.d_in, width), rng)
 
 
-def attention_coefficient(h_i: Tensor, h_j: Tensor, e_ij: float, W: Tensor,
-                          w: Tensor, slope: float = 0.2) -> Tensor:
-    """d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j])."""
-    hi = nm.reshape(h_i, (-1, 1))
-    hj = nm.reshape(h_j, (-1, 1))
-    si = nm.matmul(W, hi)
-    sj = nm.matmul(W, hj)
-    stacked = nm.reshape(nm.concat([si, sj], axis=0), (-1,))
-    raw = nm.sum_(nm.mul(w, stacked))
-    return nm.leaky_relu(nm.mul(raw, float(e_ij)), slope)
-
-
 def _channel_matrices(graph: HeteroGraph, channel: str) -> tuple[np.ndarray, np.ndarray]:
     if channel == UNION_CHANNEL:
         return graph.union_channel()

@@ -74,10 +74,6 @@ class ParamStore:
             out._params[name] = c
         return out
 
-    def copy_data_from(self, other: "ParamStore") -> None:
-        for name, t in self._params.items():
-            t.data[...] = other[name].data
-
     # checkpointing -----------------------------------------------------
     def save(self, path) -> None:
         arrays = {"__format_version__": np.asarray([CHECKPOINT_VERSION])}

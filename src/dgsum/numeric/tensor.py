@@ -134,9 +134,6 @@ class Tensor:
         return transpose(self)
 
 
-Value = Tensor  # the differentiable-value carrier; Tensor is the working name
-
-
 def _reachable(root: Tensor) -> list[Tensor]:
     out, seen, stack = [], set(), [root]
     while stack:

@@ -215,6 +215,40 @@ def graph_to_oracle_form(graph):
     return nodes, edges
 
 
+def dense_channel_oracle(graph, edge_type):
+    """(weights, mask) of one edge type, one edge at a time, unit diagonal."""
+    n = graph.n_nodes
+    w = np.zeros((n, n))
+    m = np.zeros((n, n), dtype=bool)
+    for a, b, weight in graph.edges[edge_type]:
+        w[a, b] = weight
+        w[b, a] = weight
+        m[a, b] = True
+        m[b, a] = True
+    np.fill_diagonal(w, 1.0)
+    np.fill_diagonal(m, True)
+    return w, m
+
+
+def union_channel_oracle(graph):
+    """(weights, mask) of all edge types together, the max weight kept on a
+    pair that appears under several types, unit diagonal."""
+    n = graph.n_nodes
+    w = np.full((n, n), -np.inf)
+    m = np.zeros((n, n), dtype=bool)
+    for lst in graph.edges.values():
+        for a, b, weight in lst:
+            if weight > w[a, b]:
+                w[a, b] = weight
+                w[b, a] = weight
+            m[a, b] = True
+            m[b, a] = True
+    w[~m] = 0.0
+    np.fill_diagonal(w, 1.0)
+    np.fill_diagonal(m, True)
+    return w, m
+
+
 # --- misc numeric oracles -------------------------------------------------------
 
 def adam_two_step_oracle(p0, g1, g2, lr, beta1, beta2, eps):
@@ -229,6 +263,18 @@ def adam_two_step_oracle(p0, g1, g2, lr, beta1, beta2, eps):
         vhat = v / (1 - beta2 ** t)
         p = p - lr * mhat / (np.sqrt(vhat) + eps)
     return p
+
+
+def attention_coefficient(h_i, h_j, e_ij, W, w, slope=0.2):
+    """d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]) for one node pair, on
+    the tape, so its gradients can be checked too."""
+    hi = nm.reshape(h_i, (-1, 1))
+    hj = nm.reshape(h_j, (-1, 1))
+    si = nm.matmul(W, hi)
+    sj = nm.matmul(W, hj)
+    stacked = nm.reshape(nm.concat([si, sj], axis=0), (-1,))
+    raw = nm.sum_(nm.mul(w, stacked))
+    return nm.leaky_relu(nm.mul(raw, float(e_ij)), slope)
 
 
 def dense_gat_channel_oracle(h, edge_weights, mask, W, w, slope=0.2):

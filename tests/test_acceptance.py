@@ -18,9 +18,9 @@ from dgsum.compressor import (CompressorConfig, compress_graph, extend_selection
                               select_topk_sentences)
 from dgsum.corpus import Vocab, build_vocab, load_clusters
 from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder
-from dgsum.hetgraph import (EDGE_TYPES, GraphConfig, HeteroGraph,
-                            HeuristicNounTagger, build_hetero_graph)
-from dgsum.mgat import MgatConfig, add_mgat_params, attention_coefficient, mgat_encode
+from dgsum.hetgraph import (EDGE_TYPES, GraphConfig, HeteroGraph, build_hetero_graph,
+                            noun_candidates)
+from dgsum.mgat import MgatConfig, add_mgat_params, mgat_encode
 from dgsum.numeric import ParamStore, Tensor
 from dgsum.rouge import RougeScore, rouge_l_summary, rouge_n
 from dgsum.text_model import (TextModelConfig, add_text_model_params, beam_search,
@@ -29,8 +29,8 @@ from dgsum.training import (ModelConfig, Resources, TrainConfig, fit,
                             graph_similarity_loss, prepare_bundle,
                             summarize_bundle, train_step)
 from conftest import all_tokens, cluster_from_texts
-from oracles import (decode_greedy, enumerate_graph_oracle, graph_to_oracle_form,
-                     rouge_l_summary_oracle)
+from oracles import (attention_coefficient, decode_greedy, enumerate_graph_oracle,
+                     graph_to_oracle_form, rouge_l_summary_oracle)
 
 import math
 
@@ -90,7 +90,7 @@ def test_criterion_1_graph_construction_oracle(fixture_2x2x2, table_for):
                 exp_nodes, exp_edges = enumerate_graph_oracle(
                     cluster, table, bounds, we_threshold=cfg.we_threshold,
                     ss_threshold=cfg.ss_threshold,
-                    noun_fn=HeuristicNounTagger().candidates,
+                    noun_fn=noun_candidates,
                     dd_weight_fn=rouge_avg_f1)
                 got_nodes, got_edges = graph_to_oracle_form(g)
                 assert sorted(got_nodes) == sorted(exp_nodes)          # exact counts

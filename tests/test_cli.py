@@ -1,11 +1,15 @@
 """CLI wiring: config layering, commands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgsum
 from dgsum.cli import main, resolve_config
 from dgsum.errors import ConfigError
 from dgsum.rouge import corpus_rouge
@@ -393,6 +397,32 @@ class TestGraphCommand:
                                            need_summary=False)
             assert exported != [[a, b, w] for a, b, w
                                 in mean_of_words.src_graph.edges["SS"]]
+
+    def test_pos_field_sets_the_nouns(self, tmp_path):
+        # "went" is a closed-class word to the heuristic; the tags make it a noun
+        data = tmp_path / "data.jsonl"
+        write_cluster_file(data, [{"id": "p", "documents": ["went went went."],
+                                   "pos": [[["NOUN", "NOUN", "NOUN", "PUNCT"]]]}])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("went 1.0 2.0\n. 0.5 -1.0\n")
+        out = tmp_path / "graphs"
+        rc = main(["graph", "--data", str(data), "--embeddings", str(vectors),
+                   "--out", str(out), "--embedding-dim", "2"])
+        assert rc == 0
+        we = json.loads((out / "p.json").read_text())["edges"]["WE"]
+        assert [(a, b) for a, b, _ in we] == [(2, 3), (2, 4), (3, 4)]  # the three "went" nodes
+
+    def test_python_m_dgsum_runs_the_cli(self, tmp_path, toy_corpus_path,
+                                         toy_embeddings_path):
+        out = tmp_path / "graphs"
+        env = {**os.environ, "PYTHONPATH": str(Path(dgsum.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dgsum", "graph", "--data", str(toy_corpus_path),
+             "--embeddings", str(toy_embeddings_path), "--out", str(out),
+             "--embedding-dim", "8"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(list(out.glob("*.json"))) == 8
 
     def test_dot_parses_under_grammar(self, tmp_path, toy_corpus_path,
                                       toy_embeddings_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dgsum.corpus import tokenize
 from dgsum.embeddings import (EmbeddingTable, MeanWordEmbedder,
-                              PrecomputedEmbedder, cosine, sentence_embedding)
+                              PrecomputedEmbedder, cosine)
 from dgsum.errors import DataError
 
 
@@ -71,18 +71,18 @@ class TestSentenceEmbedding:
 
     def test_single_token(self):
         sent = tokenize("u")[0]
-        out = sentence_embedding(sent, self._table())
+        out = MeanWordEmbedder(self._table()).embed(sent)
         assert np.array_equal(out, np.array([2.0, 0.0]))
 
     def test_two_tokens_mean(self):
         sent = tokenize("u v")[0]
-        out = sentence_embedding(sent, self._table())
+        out = MeanWordEmbedder(self._table()).embed(sent)
         assert np.array_equal(out, np.array([1.0, 2.0]))
 
     def test_all_unk(self):
         table = self._table()
         sent = tokenize("x y z")[0]
-        out = sentence_embedding(sent, table)
+        out = MeanWordEmbedder(table).embed(sent)
         assert np.array_equal(out, table.unk_vector)
 
     def test_precomputed_lookup(self, tmp_path):
@@ -145,6 +145,6 @@ def test_cosine_scale_invariance_and_symmetry(u, v, alpha):
 def test_mean_mode_permutation_invariant(order):
     table = EmbeddingTable({"u": np.array([2.0, 0.0]), "v": np.array([0.0, 4.0]),
                             "w": np.array([1.0, 1.0])}, 2)
-    base = sentence_embedding(tokenize("u v u w")[0], table)
-    out = sentence_embedding(tokenize(" ".join(order))[0], table)
+    base = MeanWordEmbedder(table).embed(tokenize("u v u w")[0])
+    out = MeanWordEmbedder(table).embed(tokenize(" ".join(order))[0])
     assert np.allclose(out, base)

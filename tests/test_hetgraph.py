@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dgsum.corpus import layout, tokenize
-from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder
+from dgsum.corpus import layout, summary_as_cluster, tokenize
+from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder, cosine
 from dgsum.errors import DataError
-from dgsum.hetgraph import (EDGE_TYPES, AnnotatedNounTagger, GraphConfig,
-                            HeteroGraph, HeuristicNounTagger, NodeId,
+from dgsum.hetgraph import (EDGE_TYPES, GraphConfig, HeteroGraph, NodeId,
                             build_hetero_graph, noun_candidates, validate_graph)
 from dgsum.rouge import rouge_avg_f1
 from conftest import cluster_from_texts
-from oracles import enumerate_graph_oracle, graph_to_oracle_form
+from oracles import (dense_channel_oracle, enumerate_graph_oracle, graph_to_oracle_form,
+                     union_channel_oracle)
 
 
 def build(cluster, table, **cfg_kw):
@@ -23,10 +23,9 @@ def build(cluster, table, **cfg_kw):
 
 def assert_matches_oracle(cluster, table, cfg: GraphConfig, g: HeteroGraph):
     bounds = layout(cluster, cfg.max_input_len)
-    tagger = cfg.tagger or HeuristicNounTagger()
     exp_nodes, exp_edges = enumerate_graph_oracle(
         cluster, table, bounds, we_threshold=cfg.we_threshold,
-        ss_threshold=cfg.ss_threshold, noun_fn=tagger.candidates,
+        ss_threshold=cfg.ss_threshold, noun_fn=noun_candidates,
         dd_weight_fn=rouge_avg_f1)
     got_nodes, got_edges = graph_to_oracle_form(g)
     assert sorted(got_nodes) == sorted(exp_nodes)
@@ -52,23 +51,34 @@ class TestNounCandidates:
     def test_external_annotations(self):
         sent = tokenize("the gunman fled")[0]
         sent.pos = ["DET", "NOUN", "VERB"]
-        assert noun_candidates(sent, AnnotatedNounTagger()) == {1}
+        assert noun_candidates(sent) == {1}
 
     def test_external_propn_kept(self):
         sent = tokenize("smith fled quickly")[0]
         sent.pos = ["PROPN", "VERB", "ADV"]
-        assert noun_candidates(sent, AnnotatedNounTagger()) == {0}
+        assert noun_candidates(sent) == {0}
 
     def test_external_mismatch_error(self):
         sent = tokenize("the gunman fled")[0]
         sent.pos = ["DET", "NOUN"]
         with pytest.raises(DataError):
-            noun_candidates(sent, AnnotatedNounTagger())
+            noun_candidates(sent)
 
-    def test_external_missing_annotations_error(self):
-        sent = tokenize("the gunman fled")[0]
-        with pytest.raises(DataError):
-            noun_candidates(sent, AnnotatedNounTagger())
+    def test_annotations_replace_the_heuristic(self):
+        sent = tokenize("went went went")[0]
+        assert noun_candidates(sent) == set()
+        sent.pos = ["NOUN", "NOUN", "NOUN"]
+        assert noun_candidates(sent) == {0, 1, 2}
+        sent.pos = ["VERB", "VERB", "VERB"]
+        assert noun_candidates(sent) == set()
+
+    def test_summary_graph_of_annotated_cluster_uses_heuristic(self, table_for):
+        cluster = cluster_from_texts("p", ["went went went."], "storm hits coast.")
+        cluster.documents[0].sentences[0].pos = ["NOUN", "NOUN", "NOUN", "PUNCT"]
+        table = table_for([cluster])
+        assert len(build(cluster, table).edges["WE"]) == 3  # identical vectors, cosine 1
+        summary = build(summary_as_cluster(cluster), table, we_threshold=0.0)
+        assert len(summary.edges["WE"]) == 1  # storm, coast
 
 
 class TestBuildCounts:
@@ -212,13 +222,14 @@ class TestValidate:
         report = validate_graph(corrupted)
         assert len([v for v in report.violations if "SS" in v and "2.0" in v]) == 1
 
-    def test_asymmetric_adjacency_detected(self, micro_cluster, table_for):
+    def test_out_of_range_endpoints_reported(self, micro_cluster, table_for):
         table = table_for([micro_cluster])
         g = build(micro_cluster, table)
-        a, b, w = g.edges["WO"][0]
-        g._adj["WO"][a] = [(j, wt if j != b else wt + 0.5) for j, wt in g._adj["WO"][a]]
-        report = validate_graph(g)
-        assert any("asymmetry" in v for v in report.violations)
+        n = g.n_nodes
+        for a, b in ((0, n), (-1, 2), (n + 3, 1)):
+            bad = HeteroGraph(g.nodes, {**g.edges, "WO": g.edges["WO"] + [(a, b, 1.0)]})
+            violations = validate_graph(bad).violations
+            assert violations == [f"WO: edge ({a},{b}) out of range"]
 
     def test_self_edge_detected(self, micro_cluster, table_for):
         table = table_for([micro_cluster])
@@ -299,3 +310,113 @@ class TestInvariants:
                 assert -1.0 <= w <= 1.0 + 1e-12
         for etype in ("WO", "DS", "SW"):
             assert all(w == 1.0 for _, _, w in g.edges[etype])
+
+
+def pair_loop_edges(node_ids, vecs, threshold):
+    """Per-pair ``cosine`` over i < j in row-major order, the loop the
+    pairwise product replaces."""
+    out = []
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            sim = cosine(vecs[i], vecs[j])
+            if threshold is not None and sim < threshold:
+                continue
+            a, b = node_ids[i], node_ids[j]
+            out.append((min(a, b), max(a, b), sim))
+    return out
+
+
+def expected_cosine_edges(cluster, table, cfg, g):
+    """WE and SS edges of a built graph recomputed pair by pair, nouns in
+    the order ``noun_candidates`` yields them."""
+    word_node = {nd.origin(): i for i, nd in enumerate(g.nodes) if nd.kind == "word"}
+    sent_ids = [int(i) for i in g.kind_indices("sentence")]
+    nouns, noun_vecs, sent_vecs = [], [], []
+    for i in sent_ids:
+        nd = g.nodes[i]
+        sent = cluster.documents[nd.doc].sentences[nd.sent]
+        for k in noun_candidates(sent):
+            nouns.append(word_node[(nd.doc, nd.sent, k)])
+            noun_vecs.append(table.get(sent.lower[k]))
+        sent_vecs.append(MeanWordEmbedder(table).embed(sent))
+    return {"WE": pair_loop_edges(nouns, noun_vecs, cfg.we_threshold or None),
+            "SS": pair_loop_edges(sent_ids, sent_vecs, cfg.ss_threshold)}
+
+
+class TestEdgeIndex:
+    def graphs(self, table_for):
+        rng = np.random.default_rng(11)
+        clusters = TestAgainstEnumerationOracle().handcrafted_clusters()
+        clusters += [TestInvariants().random_cluster(rng) for _ in range(6)]
+        cfgs = (GraphConfig(), GraphConfig(we_threshold=0.0), GraphConfig(ss_threshold=0.1))
+        for cluster in clusters:
+            table = table_for([cluster])
+            for cfg in cfgs:
+                yield cluster, table, cfg, build_hetero_graph(cluster, table, None, cfg)
+
+    def assert_cosine_edges(self, cluster, table, cfg, g):
+        expected = expected_cosine_edges(cluster, table, cfg, g)
+        for etype in ("WE", "SS"):
+            got = g.edges[etype]
+            assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected[etype]]
+            for (_, _, w), (_, _, ref) in zip(got, expected[etype]):
+                assert type(w) is float
+                assert w == ref or abs(w - ref) <= 1e-12 * abs(ref), (etype, w, ref)
+
+    def test_cosine_weights_and_order_match_per_pair_cosine(self, table_for):
+        for cluster, table, cfg, g in self.graphs(table_for):
+            self.assert_cosine_edges(cluster, table, cfg, g)
+
+    def test_zero_norm_word_vector(self):
+        cluster = cluster_from_texts("z", ["storm coast flood."])
+        rng = np.random.default_rng(0)
+        vecs = {t: rng.normal(size=4) for t in ("storm", "flood", ".")}
+        vecs["coast"] = np.zeros(4)
+        table = EmbeddingTable(vecs, 4)
+        kept = build(cluster, table, we_threshold=0.0)
+        coast = next(i for i, nd in enumerate(kept.nodes) if nd.tok == 1)
+        zero = [w for a, b, w in kept.edges["WE"] if coast in (a, b)]
+        assert len(kept.edges["WE"]) == 3 and len(zero) == 2
+        assert all(w == 0.0 and math.copysign(1.0, w) == 1.0 for w in zero)
+        dropped = build(cluster, table, we_threshold=0.5)
+        assert all(coast not in (a, b) for a, b, _ in dropped.edges["WE"])
+        for cfg, g in ((GraphConfig(we_threshold=0.0), kept), (GraphConfig(), dropped)):
+            self.assert_cosine_edges(cluster, table, cfg, g)
+
+    def test_one_noun_has_no_we_edges(self, table_for):
+        cluster = cluster_from_texts("one", ["storm went there."])
+        table = table_for([cluster])
+        for thr in (0.0, 0.5):
+            g = build(cluster, table, we_threshold=thr)
+            assert g.edges["WE"] == []
+            assert validate_graph(g).ok
+
+    def test_dense_and_union_channels_match_edge_loops(self, table_for):
+        for _, _, _, g in self.graphs(table_for):
+            for etype in EDGE_TYPES:
+                for got, ref in zip(g.dense_channel(etype), dense_channel_oracle(g, etype)):
+                    assert np.array_equal(got, ref)
+            for got, ref in zip(g.union_channel(), union_channel_oracle(g)):
+                assert np.array_equal(got, ref)
+
+    def test_union_keeps_max_weight_of_a_pair_under_two_types(self):
+        nodes = [NodeId(kind="word", index=i, doc=0, sent=0, tok=i, token_position=i)
+                 for i in range(3)]
+        for we, ss in ((0.3, 0.7), (0.9, -0.2)):
+            g = HeteroGraph(nodes, {"WE": [(0, 1, we)], "SS": [(0, 1, ss)],
+                                    "WO": [(1, 2, 1.0)]})
+            w, m = g.union_channel()
+            assert w[0, 1] == w[1, 0] == max(we, ss)
+            assert not m[0, 2] and w[0, 2] == 0.0
+            for got, ref in zip((w, m), union_channel_oracle(g)):
+                assert np.array_equal(got, ref)
+
+    def test_adjacency_reads_both_directions(self, micro_cluster, table_for):
+        g = build(micro_cluster, table_for([micro_cluster]))
+        for etype in EDGE_TYPES:
+            expected = {i: [] for i in range(g.n_nodes)}
+            for a, b, w in g.edges[etype]:
+                expected[a].append((b, w))
+                expected[b].append((a, w))
+            for i in range(g.n_nodes):
+                assert g.adjacency(etype, i) == sorted(expected[i])

@@ -6,11 +6,11 @@ import pytest
 import dgsum.numeric as nm
 from dgsum.embeddings import MeanWordEmbedder
 from dgsum.hetgraph import EDGE_TYPES, GraphConfig, HeteroGraph, build_hetero_graph
-from dgsum.mgat import (MgatConfig, add_mgat_params, attention_coefficient,
-                        channel_attention, mgat_encode, mgat_layer)
+from dgsum.mgat import (MgatConfig, add_mgat_params, channel_attention, mgat_encode,
+                        mgat_layer)
 from dgsum.numeric import ParamStore, Tensor
 from conftest import cluster_from_texts
-from oracles import dense_gat_channel_oracle
+from oracles import attention_coefficient, dense_gat_channel_oracle
 
 RNG = np.random.default_rng(2024)
 
