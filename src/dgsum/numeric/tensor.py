@@ -12,6 +12,7 @@ gradient checking and deterministic reruns, single allowed for training.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 from contextlib import contextmanager
 from typing import Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from ..errors import NumericError, ShapeError
 
 _DTYPE = np.float64
-_GRAD_ENABLED = True
+_GRAD_ENABLED = contextvars.ContextVar("dgsum_grad_enabled", default=True)
 _SEQ = itertools.count()
 
 MASK_FILL = -1e9  # additive mask value; exp() underflows to exactly 0.0
@@ -44,14 +45,14 @@ def default_dtype():
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference paths)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording inside the block (inference paths). The switch
+    is a context variable, so it holds only in the thread or task that
+    entered the block."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -62,7 +63,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.grad = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._parents: tuple = ()
         self._backward = None
         self._seq = next(_SEQ)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numeric as nm
 from .corpus import BoundaryIndex, Vocab
-from .errors import AlignmentError, ConfigError, DataError, ShapeError
+from .errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
 from .hetgraph import HeteroGraph
 from .numeric import ParamStore, Tensor
 
@@ -91,11 +91,23 @@ def add_text_model_params(store: ParamStore, cfg: TextModelConfig, vocab_size: i
     store.add("out.b", (vocab_size,), rng, init="zeros")
 
 
-def _attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
-               n_heads: int, mask_add: np.ndarray | None) -> Tensor:
-    q = nm.add(nm.matmul(q_in, store[f"{prefix}.wq"]), store[f"{prefix}.bq"])
-    k = nm.matmul(kv_in, store[f"{prefix}.wk"])
-    v = nm.add(nm.matmul(kv_in, store[f"{prefix}.wv"]), store[f"{prefix}.bv"])
+def _project_q(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    # callers project queries before keys and values: backward sums the
+    # gradients of a shared input in reverse creation order, so the order
+    # fixes the bits of training results
+    return nm.add(nm.matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.bq"])
+
+
+def _project_kv(x: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+    k = nm.matmul(x, store[f"{prefix}.wk"])
+    v = nm.add(nm.matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.bv"])
+    return k, v
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
+            n_heads: int, mask_add: np.ndarray | None) -> Tensor:
+    """Multi-head attention of projected queries over projected keys and
+    values, then the output projection."""
     d_model = q.shape[1]
     dh = d_model // n_heads
     scale = 1.0 / np.sqrt(dh)
@@ -152,7 +164,9 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
     x = nm.add(nm.embedding(store["emb.tok"], np.asarray(ids, dtype=np.intp)),
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
-        a = _attention(x, x, store, f"enc{i}.attn", cfg.n_heads, mask)
+        p = f"enc{i}.attn"
+        a = _attend(_project_q(x, store, p), *_project_kv(x, store, p), store, p,
+                    cfg.n_heads, mask)
         a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"enc{i}.ln1")
         f = _ffn(x, store, f"enc{i}.ffn")
@@ -179,27 +193,53 @@ def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:
     return nm.gather_rows(enc.Q, positions)
 
 
-def _decoder_forward(memory: Tensor, mem_positions: np.ndarray, target_ids: list[int],
-                     store: ParamStore, cfg: TextModelConfig, train: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-    t = len(target_ids)
-    if t > cfg.max_out_len + 1:
-        raise ShapeError(f"decoder input length {t} exceeds max {cfg.max_out_len + 1}")
+def _memory_kv(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
+               cfg: TextModelConfig) -> list[tuple[Tensor, Tensor]]:
+    """Each decoder layer's cross-attention keys and values of the memory."""
     mem = nm.add(memory, nm.gather_rows(store["emb.pos_enc"], mem_positions))
-    x = nm.add(nm.embedding(store["emb.tok"], np.asarray(target_ids, dtype=np.intp)),
-               nm.gather_rows(store["emb.pos_dec"], np.arange(t)))
-    mask = causal_mask(t)
+    return [_project_kv(mem, store, f"dec{i}.cross") for i in range(cfg.n_layers_dec)]
+
+
+def _decoder(ids: list[int], positions: np.ndarray,
+             self_kv: Callable[[int, Tensor], tuple[Tensor, Tensor]],
+             mem_kv: list[tuple[Tensor, Tensor]], mask: np.ndarray, store: ParamStore,
+             cfg: TextModelConfig, train: bool = False,
+             rng: np.random.Generator | None = None) -> Tensor:
+    """Logits of the decoder rows for tokens ``ids`` at ``positions``.
+
+    ``self_kv(i, x)`` gives layer i's self-attention keys and values for its
+    input rows ``x``; ``mask`` is the additive mask of those queries over
+    those keys. ``mem_kv`` comes from ``_memory_kv``.
+    """
+    if positions.size and positions.max() > cfg.max_out_len:
+        raise ShapeError(f"decoder input length {positions.max() + 1} exceeds max "
+                         f"{cfg.max_out_len + 1}")
+    x = nm.add(nm.embedding(store["emb.tok"], np.asarray(ids, dtype=np.intp)),
+               nm.gather_rows(store["emb.pos_dec"], positions))
     for i in range(cfg.n_layers_dec):
-        a = _attention(x, x, store, f"dec{i}.self", cfg.n_heads, mask)
+        p = f"dec{i}.self"
+        a = _attend(_project_q(x, store, p), *self_kv(i, x), store, p, cfg.n_heads, mask)
         a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"dec{i}.ln1")
-        c = _attention(x, mem, store, f"dec{i}.cross", cfg.n_heads, None)
+        p = f"dec{i}.cross"
+        c = _attend(_project_q(x, store, p), *mem_kv[i], store, p, cfg.n_heads, None)
         c = nm.dropout(c, cfg.dropout, rng, train)
         x = _ln(nm.add(x, c), store, f"dec{i}.ln2")
         f = _ffn(x, store, f"dec{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"dec{i}.ln3")
     return nm.add(nm.matmul(x, store["out.w"]), store["out.b"])
+
+
+def _decoder_forward(memory: Tensor, mem_positions: np.ndarray, target_ids: list[int],
+                     store: ParamStore, cfg: TextModelConfig, train: bool = False,
+                     rng: np.random.Generator | None = None) -> Tensor:
+    """Full-prefix pass: every target position attends causally to the others."""
+    t = len(target_ids)
+    mem_kv = _memory_kv(memory, mem_positions, store, cfg)
+    return _decoder(target_ids, np.arange(t),
+                    lambda i, x: _project_kv(x, store, f"dec{i}.self"), mem_kv,
+                    causal_mask(t), store, cfg, train=train, rng=rng)
 
 
 def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,
@@ -215,21 +255,18 @@ def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,
                             train=train, rng=rng)
 
 
-def _log_softmax_row(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def beam_search(step_logprobs: Callable[[list[int]], np.ndarray], bos: int, eos: int,
+def beam_search(step_logprobs: Callable[[list[list[int]]], np.ndarray], bos: int, eos: int,
                 beam_width: int, max_len: int, length_norm: bool = True) -> list[int]:
-    """Generic length-normalized beam search over a prefix-scoring function.
+    """Generic length-normalized beam search over a batched prefix scorer.
 
-    ``step_logprobs(prefix)`` returns the log-probability row for the token
-    following ``prefix`` (which always starts with ``bos``). Ties in the
-    running score break toward the lower token id, then the older
-    hypothesis, so width 1 is greedy argmax decoding; the two differ only
-    when log-probs closer than the rounding of the running score tie in
-    their sums. Returns generated token ids without bos/eos.
+    ``step_logprobs(prefixes)`` returns a ``[len(prefixes), V]`` array: row b
+    holds the log-probabilities of the token following ``prefixes[b]``. The
+    prefixes are the live hypotheses, oldest first, all of one length and
+    starting with ``bos``. Ties in the running score break toward the lower
+    token id, then the older hypothesis, so width 1 is greedy argmax
+    decoding; the two differ only when log-probs closer than the rounding of
+    the running score tie in their sums. Returns generated token ids without
+    bos/eos.
     """
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
@@ -239,29 +276,32 @@ def beam_search(step_logprobs: Callable[[list[int]], np.ndarray], bos: int, eos:
     def norm(score: float, length: int) -> float:
         return score / length if length_norm and length else score
 
-    live: list[tuple[float, list[int]]] = [(0.0, [bos])]
+    prefixes: list[list[int]] = [[bos]]
+    scores = np.zeros(1)
     finished: list[tuple[float, list[int]]] = []
     for _ in range(max_len):
-        candidates: list[tuple[float, int, int, list[int]]] = []
-        for hyp_idx, (score, prefix) in enumerate(live):
-            totals = score + np.asarray(step_logprobs(prefix), dtype=np.float64)
-            # only a hypothesis' own best beam_width tokens can enter the beam;
-            # the stable sort keeps the lower token id first among equal totals
-            for tok in np.argsort(-totals, kind="stable")[:beam_width]:
-                candidates.append((float(totals[tok]), int(tok), hyp_idx, prefix))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live = []
-        for score, tok, _, prefix in candidates[:beam_width]:
-            seq = prefix + [tok]
-            gen_len = len(seq) - 1
-            if tok == eos:
-                finished.append((norm(score, gen_len), seq))
+        logp = np.asarray(step_logprobs(prefixes), dtype=np.float64)
+        if np.isnan(logp).any():
+            raise NumericError("beam search: log-probabilities contain NaN")
+        totals = (scores[:, None] + logp).ravel()
+        k = min(beam_width, totals.size)
+        # candidates at least as good as the k-th best total (more than k
+        # on a tie), ordered by (-total, token, hypothesis); the first k win
+        cand = np.flatnonzero(totals >= np.partition(totals, totals.size - k)[totals.size - k])
+        hyp, tok = np.divmod(cand, logp.shape[1])
+        next_prefixes, next_scores = [], []
+        for c in np.lexsort((hyp, tok, -totals[cand]))[:k]:
+            seq = prefixes[hyp[c]] + [int(tok[c])]
+            score = float(totals[cand[c]])
+            if seq[-1] == eos:
+                finished.append((norm(score, len(seq) - 1), seq))
             else:
-                next_live.append((score, seq))
-        live = next_live
-        if not live:
+                next_prefixes.append(seq)
+                next_scores.append(score)
+        prefixes, scores = next_prefixes, np.asarray(next_scores)
+        if not prefixes:
             break
-    for score, seq in live:
+    for score, seq in zip(scores.tolist(), prefixes):
         finished.append((norm(score, len(seq) - 1), seq))
     best = max(finished, key=lambda f: (f[0], -len(f[1])))
     seq = best[1][1:]
@@ -270,19 +310,54 @@ def beam_search(step_logprobs: Callable[[list[int]], np.ndarray], bos: int, eos:
     return seq
 
 
+def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
+                 cfg: TextModelConfig) -> Callable[[list[list[int]]], np.ndarray]:
+    """The batched ``beam_search`` scorer of ``decode_beam``.
+
+    The memory's cross-attention keys and values are projected once. Each
+    decoder layer keeps a ``[B, t, d]`` cache of self-attention keys and
+    values, one row per hypothesis the previous call scored. A call
+    re-gathers the cache by each prefix's parent (the prefix without its last
+    token), embeds only the B last tokens, and attends each over its own
+    cache row through a block mask.
+    """
+    with nm.no_grad():
+        mem_kv = _memory_kv(memory, mem_positions, store, cfg)
+    empty = np.zeros((1, 0, cfg.d_model), dtype=nm.default_dtype())
+    cache = [(empty, empty)] * cfg.n_layers_dec
+    rows = {(): 0}  # scored prefix -> its cache row
+
+    def step(prefixes: list[list[int]]) -> np.ndarray:
+        nonlocal cache, rows
+        b, t = len(prefixes), len(prefixes[0])
+        parents = [rows[tuple(p[:-1])] for p in prefixes]
+        grown = []
+
+        def self_kv(i: int, x: Tensor) -> tuple[Tensor, Tensor]:
+            new = _project_kv(x, store, f"dec{i}.self")
+            kv = [np.concatenate([old[parents], n.data[:, None]], axis=1)
+                  for old, n in zip(cache[i], new)]
+            grown.append(kv)
+            return tuple(Tensor(a.reshape(b * t, -1)) for a in kv)
+
+        own = np.arange(b * t) // t == np.arange(b)[:, None]
+        with nm.no_grad():
+            logits = _decoder([p[-1] for p in prefixes], np.full(b, t - 1), self_kv, mem_kv,
+                              np.where(own, 0.0, nm.MASK_FILL), store, cfg).data
+        cache, rows = grown, {tuple(p): j for j, p in enumerate(prefixes)}
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    return step
+
+
 def decode_beam(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
                 cfg: TextModelConfig, beam_width: int = 5,
                 max_len: int | None = None) -> list[int]:
-    """Beam-search token ids from the compressed node embeddings."""
+    """Beam-search token ids from the compressed node embeddings, advancing
+    every live hypothesis by one cached decoder step per token."""
     if memory.shape[0] == 0:
         raise DataError("decode_beam: empty memory")
     max_len = cfg.max_out_len if max_len is None else max_len
-
-    def step(prefix: list[int]) -> np.ndarray:
-        with nm.no_grad():
-            logits = _decoder_forward(memory, mem_positions, prefix, store, cfg)
-        return _log_softmax_row(logits.data[-1])
-
-    return beam_search(step, Vocab.BOS, Vocab.EOS, beam_width, max_len,
-                       length_norm=cfg.length_norm)
-
+    return beam_search(_cached_step(memory, mem_positions, store, cfg), Vocab.BOS,
+                       Vocab.EOS, beam_width, max_len, length_norm=cfg.length_norm)

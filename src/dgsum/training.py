@@ -146,12 +146,6 @@ def encode_summary_graph(bundle: ClusterBundle, params: ParamStore,
     return mgat_encode(h0, bundle.sum_graph, params, model_cfg.mgat)
 
 
-def cross_entropy_smoothed(logits: Tensor, target_ids, smoothing: float) -> Tensor:
-    """Smoothed NLL averaged over non-PAD steps."""
-    return nm.cross_entropy_smoothed(logits, target_ids, smoothing,
-                                     ignore_index=Vocab.PAD)
-
-
 def graph_similarity_loss(q_p: Tensor, q_z: Tensor) -> Tensor:
     """Negative cosine similarity of the mean node embeddings."""
     if q_p.shape[0] == 0 or q_z.shape[0] == 0:
@@ -175,7 +169,8 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
     q_p, positions, _, _ = encode_compress(bundle, params, model_cfg, train=True, rng=rng)
     logits = decode_teacher_forced(q_p, positions, bundle.target_input, params,
                                    model_cfg.text, train=True, rng=rng)
-    l_ce = cross_entropy_smoothed(logits, bundle.target_gold, train_cfg.label_smoothing)
+    l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, train_cfg.label_smoothing,
+                                     ignore_index=Vocab.PAD)
 
     if beta == 1.0:
         l_gs = None

@@ -319,6 +319,42 @@ def decode_greedy(memory, mem_positions, store, cfg, max_len=None):
     return out
 
 
+def decode_beam_oracle(memory, mem_positions, store, cfg, beam_width, max_len=None):
+    """Beam search as the definition states it: every hypothesis rescored by a
+    full-prefix decoder pass, every (hypothesis, token) candidate ranked by
+    (-running score, token, hypothesis), the first beam_width kept."""
+    max_len = cfg.max_out_len if max_len is None else max_len
+
+    def norm(score, length):
+        return score / length if cfg.length_norm and length else score
+
+    live = [(0.0, [Vocab.BOS])]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp_idx, (score, prefix) in enumerate(live):
+            with nm.no_grad():
+                row = _decoder_forward(memory, mem_positions, prefix, store, cfg).data[-1]
+            shifted = row - row.max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            for tok in range(len(logp)):
+                candidates.append((score + float(logp[tok]), tok, hyp_idx, prefix))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        live = []
+        for score, tok, _, prefix in candidates[:beam_width]:
+            seq = prefix + [tok]
+            if tok == Vocab.EOS:
+                finished.append((norm(score, len(seq) - 1), seq))
+            else:
+                live.append((score, seq))
+        if not live:
+            break
+    for score, seq in live:
+        finished.append((norm(score, len(seq) - 1), seq))
+    best = max(finished, key=lambda f: (f[0], -len(f[1])))[1][1:]
+    return best[:-1] if best and best[-1] == Vocab.EOS else best
+
+
 def summarize_greedy(bundle, params, model_cfg, vocab):
     """Greedy summary tokens of one cluster, reserved ids dropped."""
     with nm.no_grad():

@@ -260,12 +260,12 @@ def test_criterion_3_gradient_suite(table_for):
         bundle = prepare_bundle(cl, resources, micro)
 
         def step_loss():
-            from dgsum.training import (cross_entropy_smoothed, encode_compress,
-                                        encode_summary_graph)
+            from dgsum.training import encode_compress, encode_summary_graph
             q_p, positions, _, _ = encode_compress(bundle, params, micro)
             logits = decode_teacher_forced(q_p, positions, bundle.target_input,
                                            params, micro.text)
-            l_ce = cross_entropy_smoothed(logits, bundle.target_gold, 0.1)
+            l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, 0.1,
+                                             ignore_index=Vocab.PAD)
             q_z = encode_summary_graph(bundle, params, micro)
             l_gs = graph_similarity_loss(q_p, q_z)
             return nm.add(nm.mul(l_ce, 0.5), nm.mul(l_gs, 0.5))
@@ -479,7 +479,8 @@ def test_criterion_8_decoding_contracts():
                 cand = (score / gen, list(prefix[1:]))
             if cand[0] > best_score:
                 best_score, best = cand
-        got = beam_search(step, bos=9, eos=eos, beam_width=2, max_len=3)
+        got = beam_search(lambda ps: np.stack([step(p) for p in ps]), bos=9, eos=eos,
+                          beam_width=2, max_len=3)
         assert got == best
         assert got and got[0] == 2  # greedy would start with token 1
 

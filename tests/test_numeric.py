@@ -1,5 +1,7 @@
 """Autodiff primitives, init, Adam, checkpoints, and the gradient checker."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,27 @@ class TestPrimitiveContracts:
         mask = np.array([[True, False], [False, True]])
         out = nm.masked_fill(a, mask, -1.0)
         assert out.data.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+
+    def test_no_grad_holds_only_in_its_own_thread(self):
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def worker():
+            with nm.no_grad():
+                inside.append(nm.Tensor(1.0, requires_grad=True).requires_grad)
+                entered.set()
+                release.wait(timeout=10)
+
+        t = threading.Thread(target=worker)
+        t.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert nm.Tensor(1.0, requires_grad=True).requires_grad
+        finally:
+            release.set()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert inside == [False]
 
 
 class TestCrossEntropyValues:

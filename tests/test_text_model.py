@@ -6,15 +6,15 @@ import pytest
 import dgsum.numeric as nm
 from dgsum.corpus import Vocab, build_vocab, serialize_encoder_input
 from dgsum.embeddings import MeanWordEmbedder
-from dgsum.errors import AlignmentError, ConfigError, DataError, ShapeError
+from dgsum.errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
 from dgsum.hetgraph import GraphConfig, build_hetero_graph
 from dgsum.numeric import ParamStore, Tensor
-from dgsum.text_model import (TextModelConfig,
+from dgsum.text_model import (TextModelConfig, _cached_step, _decoder_forward,
                               add_text_model_params, beam_search, causal_mask,
                               decode_beam, decode_teacher_forced,
                               encoder_mask, encode_text, unit_embeddings)
 from conftest import cluster_from_texts
-from oracles import decode_greedy
+from oracles import decode_beam_oracle, decode_greedy
 
 
 def tiny_cfg(**kw):
@@ -213,11 +213,12 @@ class TestTeacherForced:
 class TestBeamSearch:
     def test_beam_width_validation(self):
         with pytest.raises(ConfigError):
-            beam_search(lambda p: np.zeros(3), 0, 1, 0, 4)
+            beam_search(lambda ps: np.zeros((len(ps), 3)), 0, 1, 0, 4)
 
     def test_max_len_one_single_token(self):
         logp = np.log(np.array([0.1, 0.2, 0.7]))
-        out = beam_search(lambda p: logp, bos=0, eos=1, beam_width=2, max_len=1)
+        out = beam_search(lambda ps: np.stack([logp for _ in ps]), bos=0, eos=1,
+                          beam_width=2, max_len=1)
         assert len(out) <= 1
 
     def test_rigged_three_token_vocab_matches_enumeration(self):
@@ -261,7 +262,8 @@ class TestBeamSearch:
             return list(best)
 
         expected = enumerate_all()
-        got = beam_search(step, bos=9, eos=eos, beam_width=2, max_len=3)
+        got = beam_search(lambda ps: np.stack([step(p) for p in ps]), bos=9, eos=eos,
+                          beam_width=2, max_len=3)
         assert got == expected
         assert expected[0] == 2  # sanity: the rig makes 'b' the right start
 
@@ -276,12 +278,75 @@ class TestBeamSearch:
             beam1 = decode_beam(memory, positions, store, cfg, beam_width=1)
             assert beam1 == greedy, f"seed {seed}"
 
+    def test_tied_totals_take_lower_token_then_older_hypothesis(self):
+        seen = []
+
+        def uniform(prefixes):
+            seen.append([list(p) for p in prefixes])
+            return np.full((len(prefixes), 4), np.log(0.25))
+
+        out = beam_search(uniform, bos=9, eos=3, beam_width=2, max_len=3,
+                          length_norm=False)
+        assert seen == [[[9]], [[9, 0], [9, 1]], [[9, 0, 0], [9, 1, 0]]]
+        assert out == [0, 0, 0]
+
+    def test_nan_log_probs_rejected(self):
+        with pytest.raises(NumericError):
+            beam_search(lambda ps: np.full((len(ps), 3), np.nan), 0, 1, 2, 4)
+
     def test_empty_memory_error(self):
         cfg = tiny_cfg()
         store = make_store(cfg)
         with pytest.raises(DataError):
             decode_beam(Tensor(np.zeros((0, cfg.d_model))), np.zeros(0, dtype=int),
                         store, cfg)
+
+
+class TestCachedDecoding:
+    @staticmethod
+    def random_model(seed):
+        cfg = tiny_cfg(n_heads=(1, 4)[seed % 2], n_layers_dec=(1, 2)[seed // 2 % 2],
+                       max_out_len=8)
+        store = make_store(cfg, vocab_size=12, seed=seed)
+        rng = np.random.default_rng(seed + 300)
+        memory = Tensor(rng.normal(size=(5, cfg.d_model)))
+        positions = rng.integers(0, cfg.max_in_len, size=5)
+        return cfg, store, memory, positions
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_beam_matches_full_recompute_oracle(self, width):
+        for seed in range(20):
+            cfg, store, memory, positions = self.random_model(seed)
+            assert (decode_beam(memory, positions, store, cfg, beam_width=width)
+                    == decode_beam_oracle(memory, positions, store, cfg, width)), seed
+
+    def test_cached_rows_match_full_prefix_pass(self):
+        for seed in range(4):
+            cfg, store, memory, positions = self.random_model(seed)
+            step = _cached_step(memory, positions, store, cfg)
+            scored = []
+
+            def recording(prefixes):
+                rows = step(prefixes)
+                scored.extend(zip([list(p) for p in prefixes], rows))
+                return rows
+
+            beam_search(recording, Vocab.BOS, Vocab.EOS, 5, cfg.max_out_len + 1)
+            assert len({len(p) for p, _ in scored}) > 3
+            for prefix, row in scored:
+                with nm.no_grad():
+                    full = _decoder_forward(memory, positions, prefix, store, cfg).data[-1]
+                shifted = full - full.max()
+                expected = shifted - np.log(np.exp(shifted).sum())
+                np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)
+
+    def test_decoding_past_the_position_table_is_shape_error(self):
+        cfg, store, memory, positions = self.random_model(3)
+        store["out.b"].data[Vocab.EOS] = -1e3  # never finish early
+        assert len(decode_beam(memory, positions, store, cfg, 2, cfg.max_out_len + 1)) \
+            == cfg.max_out_len + 1
+        with pytest.raises(ShapeError):
+            decode_beam(memory, positions, store, cfg, 2, cfg.max_out_len + 2)
 
 
 class TestGradients:

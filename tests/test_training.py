@@ -6,7 +6,7 @@ import pytest
 import dgsum.numeric as nm
 from dgsum import rouge, training
 from dgsum.compressor import CompressorConfig
-from dgsum.corpus import build_vocab
+from dgsum.corpus import Vocab, build_vocab
 from dgsum.embeddings import EmbeddingTable
 from dgsum.errors import DataError
 from dgsum.mgat import MgatConfig
@@ -101,14 +101,15 @@ class TestTrainStep:
         assert bd.l_gs == 0.0
 
         # reference: backward through the cross-entropy alone
-        from dgsum.training import cross_entropy_smoothed, encode_compress
+        from dgsum.training import encode_compress
         from dgsum.text_model import decode_teacher_forced
         rng = np.random.default_rng(TrainConfig().seed)
         q_p, positions, _, _ = encode_compress(bundle, params, model_cfg,
                                                train=True, rng=rng)
         logits = decode_teacher_forced(q_p, positions, bundle.target_input, params,
                                        model_cfg.text, train=True, rng=rng)
-        l_ce = cross_entropy_smoothed(logits, bundle.target_gold, 0.1)
+        l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, 0.1,
+                                         ignore_index=Vocab.PAD)
         params.zero_grads()
         l_ce.backward()
         assert np.allclose(params["comp.r"].grad, grads["comp.r"], atol=1e-12)
@@ -160,14 +161,13 @@ class TestTrainStep:
         tc = TrainConfig(beta=0.5, label_smoothing=0.1)
 
         def loss():
-            from dgsum.training import (cross_entropy_smoothed, encode_compress,
-                                        encode_summary_graph)
+            from dgsum.training import encode_compress, encode_summary_graph
             from dgsum.text_model import decode_teacher_forced
             q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
             logits = decode_teacher_forced(q_p, positions, bundle.target_input,
                                            params, model_cfg.text)
-            l_ce = cross_entropy_smoothed(logits, bundle.target_gold,
-                                          tc.label_smoothing)
+            l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold,
+                                             tc.label_smoothing, ignore_index=Vocab.PAD)
             q_z = encode_summary_graph(bundle, params, model_cfg)
             l_gs = graph_similarity_loss(q_p, q_z)
             return nm.add(nm.mul(l_ce, tc.beta), nm.mul(l_gs, 1.0 - tc.beta))
