@@ -176,8 +176,9 @@ def _read_summaries(path) -> dict[str, str]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{p}:{lineno}: malformed record: {e}")
-            if "id" not in rec or "summary" not in rec:
-                raise DataError(f"{p}:{lineno}: record needs 'id' and 'summary'")
+            if not isinstance(rec, dict) or "id" not in rec or "summary" not in rec:
+                raise DataError(f"{p}:{lineno}: record must be an object with 'id' and "
+                                f"'summary'")
             cid = str(rec["id"])
             if cid in out:
                 raise DataError(f"{p}:{lineno}: duplicate id {cid!r}")

@@ -88,14 +88,24 @@ def tokenize(text: str) -> list[Sentence]:
     return sentences
 
 
-def _attach_pos(doc: Document, pos_doc) -> None:
-    if len(pos_doc) != len(doc.sentences):
-        raise DataError(f"pos annotations: {len(pos_doc)} sentences, document has "
-                        f"{len(doc.sentences)}")
-    for sent, tags in zip(doc.sentences, pos_doc):
-        if len(tags) != len(sent.tokens):
-            raise DataError(f"pos annotations: {len(tags)} tags for {len(sent.tokens)} tokens")
-        sent.pos = [str(t) for t in tags]
+def _attach_pos(documents: list[Document], kept: list[int], pos, n_docs: int) -> None:
+    """Set sentence tags from a record's 'pos' field: per document (dropped
+    empty ones included), a list of tag lists, one per sentence."""
+    if not isinstance(pos, list) or len(pos) != n_docs:
+        raise DataError("'pos' must parallel 'documents'")
+    for doc, di in zip(documents, kept):
+        tags = pos[di]
+        if not (isinstance(tags, list) and all(
+                isinstance(t, list) and all(isinstance(x, str) for x in t) for t in tags)):
+            raise DataError(f"'pos' of document {di} must be a list of lists of strings")
+        if len(tags) != len(doc.sentences):
+            raise DataError(f"'pos' of document {di}: {len(tags)} sentences, document has "
+                            f"{len(doc.sentences)}")
+        for si, (sent, t) in enumerate(zip(doc.sentences, tags)):
+            if len(t) != len(sent.tokens):
+                raise DataError(f"'pos' of document {di} sentence {si}: {len(t)} tags for "
+                                f"{len(sent.tokens)} tokens")
+            sent.pos = t
 
 
 def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
@@ -148,11 +158,10 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
                             path, lineno, rec["id"])
                 continue
             if "pos" in rec:
-                pos = rec["pos"]
-                if not isinstance(pos, list) or len(pos) != len(docs_raw):
-                    raise DataError(f"{path}:{lineno}: 'pos' must parallel 'documents'")
-                for doc, di in zip(documents, kept_doc_idx):
-                    _attach_pos(doc, pos[di])
+                try:
+                    _attach_pos(documents, kept_doc_idx, rec["pos"], len(docs_raw))
+                except DataError as e:
+                    raise DataError(f"{path}:{lineno}: cluster {cid!r}: {e}")
             summary = tokenize(str(rec.get("summary", ""))) or None
             clusters.append(DocumentCluster(id=cid, documents=documents,
                                             summary=summary))

@@ -197,31 +197,6 @@ class HeteroGraph:
         span = slice(ix.indptr[idx], ix.indptr[idx + 1])
         return list(zip(ix.dst[span].tolist(), ix.weight[span].tolist()))
 
-    def dense_channel(self, edge_type: str) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, mask) dense matrices for one edge type, with unit
-        self-loops on the diagonal (the attention fallback)."""
-        return self._dense((edge_type,))
-
-    def union_channel(self) -> tuple[np.ndarray, np.ndarray]:
-        """Type-erased union of all edges, with unit self-loops; the
-        single-channel ablation graph."""
-        return self._dense(EDGE_TYPES)
-
-    def _dense(self, edge_types) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, mask) over the given types, max weight on a pair that
-        appears more than once, unit self-loops on the diagonal."""
-        n = self.n_nodes
-        w = np.full((n, n), -np.inf)
-        m = np.zeros((n, n), dtype=bool)
-        for etype in edge_types:
-            ix = self.index[etype]
-            np.maximum.at(w, (ix.src, ix.dst), ix.weight)
-            m[ix.src, ix.dst] = True
-        w[~m] = 0.0
-        np.fill_diagonal(w, 1.0)
-        np.fill_diagonal(m, True)
-        return w, m
-
     # export -----------------------------------------------------------
     def to_json(self) -> str:
         return json.dumps({

@@ -5,7 +5,8 @@ linear transform back to the input width so layers stack.
 Attention coefficients are modulated by the stored edge weight:
 d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]); softmax runs over the typed
 neighborhood plus a unit-weight self-loop, so nodes without edges of a type
-still produce output.
+still produce output. Each channel works on its edge list (CSR segments per
+node), so a head costs O(E + n) memory, not O(n^2).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import numeric as nm
 from .errors import AlignmentError, ConfigError
-from .hetgraph import EDGE_TYPES, HeteroGraph
+from .hetgraph import EDGE_TYPES, EdgeIndex, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 UNION_CHANNEL = "ALL"  # single-channel ablation: type-erased edge union
@@ -52,35 +53,50 @@ def add_mgat_params(store: ParamStore, cfg: MgatConfig, rng: np.random.Generator
         store.add(f"mgat{layer}.U", (cfg.d_in, width), rng)
 
 
-def _channel_matrices(graph: HeteroGraph, channel: str) -> tuple[np.ndarray, np.ndarray]:
-    if channel == UNION_CHANNEL:
-        return graph.union_channel()
-    return graph.dense_channel(channel)
+def channel_edges(graph: HeteroGraph, channel: str) -> EdgeIndex:
+    """The edges one channel attends over, in CSR form sorted by (src, dst):
+    the channel's edge type (every type for the union channel, keeping the
+    max weight of a pair that appears more than once) plus a unit self-loop
+    on every node."""
+    ixs = [graph.index[t] for t in (EDGE_TYPES if channel == UNION_CHANNEL else (channel,))]
+    n = graph.n_nodes
+    src = np.concatenate([np.arange(n)] + [ix.src for ix in ixs])
+    dst = np.concatenate([np.arange(n)] + [ix.dst for ix in ixs])
+    w = np.concatenate([np.ones(n)] + [ix.weight for ix in ixs])
+    order = np.lexsort((-w, dst, src))  # a pair's largest weight comes first
+    src, dst, w = src[order], dst[order], w[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst, w = src[first], dst[first], w[first]
+    return EdgeIndex(src, dst, w, np.searchsorted(src, np.arange(n + 1)))
 
 
 def channel_attention(node_embs: Tensor, graph: HeteroGraph, channel: str,
                       head_params: list[tuple[Tensor, Tensor]],
                       slope: float = 0.2) -> Tensor:
     """Per-node embeddings for one channel: heads concatenated, each head
-    elu(sum_j alpha_ij W h_j) with alpha the masked softmax of the
-    edge-weight-modulated coefficients (self-loop weight 1 included)."""
+    elu(sum_j alpha_ij W h_j) with alpha the softmax, within node i's
+    neighbourhood (self-loop weight 1 included), of the edge-weight-modulated
+    coefficients."""
     n = graph.n_nodes
     if node_embs.shape[0] != n:
         raise AlignmentError(f"channel_attention: {node_embs.shape[0]} embeddings for "
                              f"{n} nodes")
-    ew, mask = _channel_matrices(graph, channel)
-    neg = ~mask
+    ix = channel_edges(graph, channel)
+    ew = ix.weight[:, None]
     heads = []
     for W, w in head_params:
         s = nm.matmul(node_embs, nm.transpose(W))           # [n, d_head]
         d_head = s.shape[1]
         a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
         a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
-        raw = nm.add(a_src, nm.transpose(a_dst))            # [n, n] outer sum
+        raw = nm.add(nm.gather_rows(a_src, ix.src), nm.gather_rows(a_dst, ix.dst))  # [E, 1]
         d = nm.leaky_relu(nm.mul(raw, ew), slope)
-        logits = nm.masked_fill(d, neg, nm.MASK_FILL)
-        alpha = nm.softmax(logits, axis=-1)
-        heads.append(nm.elu(nm.matmul(alpha, s)))
+        shift = np.maximum.reduceat(d.data, ix.indptr[:-1], axis=0)[ix.src]  # constant
+        e = nm.exp(nm.sub(d, shift))
+        alpha = nm.div(e, nm.gather_rows(nm.segment_sum(e, ix.indptr), ix.src))
+        agg = nm.segment_sum(nm.mul(alpha, nm.gather_rows(s, ix.dst)), ix.indptr)
+        heads.append(nm.elu(agg))
     return heads[0] if len(heads) == 1 else nm.concat(heads, axis=1)
 
 

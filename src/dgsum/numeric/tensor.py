@@ -101,39 +101,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar ---------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _reachable(root: Tensor) -> list[Tensor]:
     out, seen, stack = [], set(), [root]
@@ -364,6 +331,23 @@ def gather_rows(a, indices) -> Tensor:
 
 
 embedding = gather_rows  # table [V, d] indexed by token ids
+
+
+def segment_sum(a, indptr) -> Tensor:
+    """Sum the rows of ``a`` within each CSR segment: row i of the output is
+    a[indptr[i]:indptr[i+1]].sum(axis=0). Every segment must be non-empty."""
+    a = as_tensor(a)
+    indptr = np.asarray(indptr, dtype=np.intp)
+    counts = np.diff(indptr)
+    if (a.ndim == 0 or indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+            or indptr[-1] != a.shape[0] or np.any(counts <= 0)):
+        raise ShapeError(f"segment_sum: offsets must rise strictly from 0 to rows of {a.shape}")
+    data = np.add.reduceat(a.data, indptr[:-1], axis=0)
+
+    def backward(g):
+        _accum(a, np.repeat(g, counts, axis=0))
+
+    return _make(data, (a,), backward)
 
 
 # --- reductions --------------------------------------------------------------

@@ -150,7 +150,7 @@ def graph_similarity_loss(q_p: Tensor, q_z: Tensor) -> Tensor:
     """Negative cosine similarity of the mean node embeddings."""
     if q_p.shape[0] == 0 or q_z.shape[0] == 0:
         raise DataError("graph_similarity_loss: empty encoding")
-    loss = -nm.cosine_sim(nm.mean(q_p, axis=0), nm.mean(q_z, axis=0))
+    loss = nm.mul(nm.cosine_sim(nm.mean(q_p, axis=0), nm.mean(q_z, axis=0)), -1.0)
     if not loss.requires_grad and float(loss.data) == 0.0:
         log.warning("graph similarity: zero-norm mean embedding, loss pinned to 0")
     return loss

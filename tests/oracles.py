@@ -299,6 +299,23 @@ def dense_gat_channel_oracle(h, edge_weights, mask, W, w, slope=0.2):
     return out
 
 
+def dense_channel_attention_oracle(h, edge_weights, mask, head_params, slope=0.2):
+    """Channel attention on the tape over dense n x n matrices: a masked
+    softmax over each full row, heads concatenated; its gradients are the
+    reference for the edge-list channel's."""
+    heads = []
+    for W, w in head_params:
+        s = nm.matmul(h, nm.transpose(W))
+        d_head = s.shape[1]
+        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
+        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
+        raw = nm.add(a_src, nm.transpose(a_dst))
+        d = nm.leaky_relu(nm.mul(raw, edge_weights), slope)
+        alpha = nm.softmax(nm.masked_fill(d, ~mask, nm.MASK_FILL), axis=-1)
+        heads.append(nm.elu(nm.matmul(alpha, s)))
+    return nm.concat(heads, axis=1)
+
+
 # --- decoding -------------------------------------------------------------------
 
 def decode_greedy(memory, mem_positions, store, cfg, max_len=None):

@@ -229,6 +229,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert "gen.jsonl:3" in err and "'a'" in err
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_line_that_is_not_an_object_is_data_error(self, tmp_path, capsys, line):
+        p1 = tmp_path / "gen.jsonl"
+        p2 = tmp_path / "ref.jsonl"
+        p1.write_text('{"id": "a", "summary": "x"}\n' + line + "\n", encoding="utf-8")
+        write_cluster_file(p2, [{"id": "a", "summary": "x"}])
+        assert main(["eval", "--generated", str(p1), "--references", str(p2)]) == 2
+        err = capsys.readouterr().err
+        assert "gen.jsonl:2" in err and "Traceback" not in err
+
     def test_id_mismatch_is_data_error(self, tmp_path):
         p1 = tmp_path / "gen.jsonl"
         p2 = tmp_path / "ref.jsonl"
@@ -411,6 +421,28 @@ class TestGraphCommand:
         assert rc == 0
         we = json.loads((out / "p.json").read_text())["edges"]["WE"]
         assert [(a, b) for a, b, _ in we] == [(2, 3), (2, 4), (3, 4)]  # the three "went" nodes
+
+    @pytest.mark.parametrize("pos, message", [
+        ([5], "list of lists of strings"),
+        ([[5]], "list of lists of strings"),
+        ([[[5, 6, 7, 8]]], "list of lists of strings"),
+        ([[["NOUN", "NOUN"]]], "2 tags for 4 tokens"),
+        ([[["NOUN"] * 4, ["NOUN"]]], "2 sentences, document has 1"),
+        ({"0": []}, "must parallel 'documents'"),
+    ])
+    def test_malformed_pos_is_data_error(self, tmp_path, toy_embeddings_path, capsys,
+                                         pos, message):
+        data = tmp_path / "data.jsonl"
+        write_cluster_file(data, [{"id": "ok", "documents": ["team wins the final."]},
+                                  {"id": "a", "documents": ["storm hits coast."],
+                                   "pos": pos}])
+        out = tmp_path / "graphs"
+        rc = main(["graph", "--data", str(data), "--embeddings", str(toy_embeddings_path),
+                   "--out", str(out), "--embedding-dim", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data.jsonl:2: cluster 'a': " in err and message in err, err
+        assert not out.exists()
 
     def test_python_m_dgsum_runs_the_cli(self, tmp_path, toy_corpus_path,
                                          toy_embeddings_path):

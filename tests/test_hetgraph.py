@@ -10,6 +10,7 @@ from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder, cosine
 from dgsum.errors import DataError
 from dgsum.hetgraph import (EDGE_TYPES, GraphConfig, HeteroGraph, NodeId,
                             build_hetero_graph, noun_candidates, validate_graph)
+from dgsum.mgat import UNION_CHANNEL, channel_edges
 from dgsum.rouge import rouge_avg_f1
 from conftest import cluster_from_texts
 from oracles import (dense_channel_oracle, enumerate_graph_oracle, graph_to_oracle_form,
@@ -391,13 +392,28 @@ class TestEdgeIndex:
             assert g.edges["WE"] == []
             assert validate_graph(g).ok
 
+    @staticmethod
+    def scattered(ix, n):
+        """A channel EdgeIndex as dense (weights, mask), checking on the way
+        that it is CSR over (src, dst) with no pair twice."""
+        assert np.array_equal(ix.indptr, np.searchsorted(ix.src, np.arange(n + 1)))
+        key = ix.src * n + ix.dst
+        assert np.all(np.diff(key) > 0)  # sorted by (src, dst), pairs unique
+        w = np.zeros((n, n))
+        m = np.zeros((n, n), dtype=bool)
+        w[ix.src, ix.dst] = ix.weight
+        m[ix.src, ix.dst] = True
+        return w, m
+
     def test_dense_and_union_channels_match_edge_loops(self, table_for):
         for _, _, _, g in self.graphs(table_for):
             for etype in EDGE_TYPES:
-                for got, ref in zip(g.dense_channel(etype), dense_channel_oracle(g, etype)):
-                    assert np.array_equal(got, ref)
-            for got, ref in zip(g.union_channel(), union_channel_oracle(g)):
-                assert np.array_equal(got, ref)
+                got = self.scattered(channel_edges(g, etype), g.n_nodes)
+                for a, b in zip(got, dense_channel_oracle(g, etype)):
+                    assert np.array_equal(a, b)
+            got = self.scattered(channel_edges(g, UNION_CHANNEL), g.n_nodes)
+            for a, b in zip(got, union_channel_oracle(g)):
+                assert np.array_equal(a, b)
 
     def test_union_keeps_max_weight_of_a_pair_under_two_types(self):
         nodes = [NodeId(kind="word", index=i, doc=0, sent=0, tok=i, token_position=i)
@@ -405,7 +421,7 @@ class TestEdgeIndex:
         for we, ss in ((0.3, 0.7), (0.9, -0.2)):
             g = HeteroGraph(nodes, {"WE": [(0, 1, we)], "SS": [(0, 1, ss)],
                                     "WO": [(1, 2, 1.0)]})
-            w, m = g.union_channel()
+            w, m = self.scattered(channel_edges(g, UNION_CHANNEL), 3)
             assert w[0, 1] == w[1, 0] == max(we, ss)
             assert not m[0, 2] and w[0, 2] == 0.0
             for got, ref in zip((w, m), union_channel_oracle(g)):

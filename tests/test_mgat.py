@@ -1,16 +1,19 @@
 """Multi-channel graph attention: formulas, properties, and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dgsum.numeric as nm
 from dgsum.embeddings import MeanWordEmbedder
-from dgsum.hetgraph import EDGE_TYPES, GraphConfig, HeteroGraph, build_hetero_graph
-from dgsum.mgat import (MgatConfig, add_mgat_params, channel_attention, mgat_encode,
-                        mgat_layer)
+from dgsum.hetgraph import EDGE_TYPES, GraphConfig, HeteroGraph, NodeId, build_hetero_graph
+from dgsum.mgat import (UNION_CHANNEL, MgatConfig, add_mgat_params, channel_attention,
+                        mgat_encode, mgat_layer)
 from dgsum.numeric import ParamStore, Tensor
 from conftest import cluster_from_texts
-from oracles import attention_coefficient, dense_gat_channel_oracle
+from oracles import (attention_coefficient, dense_channel_attention_oracle, dense_channel_oracle,
+                     dense_gat_channel_oracle, union_channel_oracle)
 
 RNG = np.random.default_rng(2024)
 
@@ -77,7 +80,7 @@ class TestChannelAttention:
         w = Tensor(RNG.normal(size=8))
         h = Tensor(RNG.normal(size=(n, 6)))
         # recompute alpha exactly as channel_attention does
-        ew, mask = g.dense_channel("SS")
+        ew, mask = dense_channel_oracle(g, "SS")
         s = h.data @ W.data.T
         a_src = s @ w.data[:4]
         a_dst = s @ w.data[4:]
@@ -100,7 +103,7 @@ class TestChannelAttention:
         w = rng.normal(size=6)
         h = rng.normal(size=(3, 4))
         got = channel_attention(Tensor(h), g, "WO", [(Tensor(W), Tensor(w))])
-        ew, mask = g.dense_channel("WO")
+        ew, mask = dense_channel_oracle(g, "WO")
         expected = dense_gat_channel_oracle(h, ew, mask, W, w)
         assert np.allclose(got.data, expected, atol=1e-10)
 
@@ -113,6 +116,97 @@ class TestChannelAttention:
         assert out.shape == (g.n_nodes, 12)
         solo = channel_attention(h, g, "SS", heads[:1])
         assert np.array_equal(out.data[:, :4], solo.data)
+
+
+def random_graph(rng, n):
+    """Word nodes with random edges of every type; nodes 0 and 1 are joined
+    under both WE and SS with different weights, and node n-1 has no edge."""
+    nodes = [NodeId(kind="word", index=i, doc=0, sent=0, tok=i, token_position=i)
+             for i in range(n)]
+    edges = {}
+    for t in EDGE_TYPES:
+        pairs = {(a, b) for a, b in rng.integers(0, n - 1, size=(2 * n, 2)) if a < b}
+        low = -1.0 if t in ("WE", "SS") else 0.0
+        edges[t] = [(int(a), int(b), float(rng.uniform(low, 1.0)))
+                    for a, b in sorted(pairs - {(0, 1)})]
+    edges["WE"].append((0, 1, 0.25))
+    edges["SS"].append((0, 1, 0.75))
+    return HeteroGraph(nodes, edges)
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestEdgeListChannel:
+    """The edge-list channel against dense n x n oracles."""
+
+    def channels(self):
+        return EDGE_TYPES + (UNION_CHANNEL,)
+
+    def dense(self, g, ch):
+        return union_channel_oracle(g) if ch == UNION_CHANNEL else dense_channel_oracle(g, ch)
+
+    def test_outputs_match_dense_loop_oracle(self):
+        rng = np.random.default_rng(61)
+        for n in (7, 23, 40):
+            g = random_graph(rng, n)
+            h = rng.normal(size=(n, 5))
+            heads = [(rng.normal(size=(3, 5)), rng.normal(size=6)) for _ in range(2)]
+            for ch in self.channels():
+                got = channel_attention(Tensor(h), g, ch,
+                                        [(Tensor(W), Tensor(w)) for W, w in heads])
+                ew, mask = self.dense(g, ch)
+                ref = np.concatenate([dense_gat_channel_oracle(h, ew, mask, W, w)
+                                      for W, w in heads], axis=1)
+                assert rel_err(got.data, ref) <= 1e-12, ch
+                # the edgeless node attends only to itself
+                s_last = np.concatenate([h[-1] @ W.T for W, _ in heads])
+                assert np.allclose(got.data[-1], np.where(s_last > 0, s_last,
+                                                          np.expm1(np.minimum(s_last, 0))),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_gradients_match_dense_tape_oracle(self):
+        rng = np.random.default_rng(62)
+        for n in (9, 31):
+            g = random_graph(rng, n)
+            probe = rng.normal(size=(n, 6))
+            for ch in self.channels():
+                h = Tensor(rng.normal(size=(n, 5)), requires_grad=True)
+                heads = [(Tensor(rng.normal(size=(3, 5)), requires_grad=True),
+                          Tensor(rng.normal(size=6), requires_grad=True)) for _ in range(2)]
+                leaves = [h] + [t for pair in heads for t in pair]
+
+                def grads(out):
+                    for t in leaves:
+                        t.zero_grad()
+                    nm.sum_(nm.mul(out, probe)).backward()
+                    return out.data, [t.grad.copy() for t in leaves]
+
+                got_out, got = grads(channel_attention(h, g, ch, heads))
+                ew, mask = self.dense(g, ch)
+                ref_out, ref = grads(dense_channel_attention_oracle(h, ew, mask, heads))
+                assert rel_err(got_out, ref_out) <= 1e-12, ch
+                for a, b in zip(got, ref):
+                    assert rel_err(a, b) <= 1e-12, ch
+
+    def test_path_graph_memory_is_linear(self):
+        """A 1,000-node path: n x n float64 arrays would take 8 MB each."""
+        n = 1000
+        nodes = [NodeId(kind="word", index=i, doc=0, sent=0, tok=i, token_position=i)
+                 for i in range(n)]
+        g = HeteroGraph(nodes, {"WO": [(i, i + 1, 1.0) for i in range(n - 1)]})
+        cfg = MgatConfig(n_layers=2, n_heads=2, d_in=8, d_head=4)
+        store = tiny_params(cfg)
+        h = Tensor(np.random.default_rng(0).normal(size=(n, 8)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = mgat_encode(h, g, store, cfg)  # the tape holds every head's arrays
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, 8)
+        assert peak < 16e6, f"mgat_encode peaked at {peak / 1e6:.1f} MB"
 
 
 class TestMgatLayer:
@@ -189,7 +283,7 @@ class TestMgatEncode:
         for layer in range(2):
             blocks = []
             for ch in EDGE_TYPES:
-                ew, mask = g.dense_channel(ch)
+                ew, mask = dense_channel_oracle(g, ch)
                 blocks.append(dense_gat_channel_oracle(
                     h, ew, mask, store[f"mgat{layer}.{ch}.h0.W"].data,
                     store[f"mgat{layer}.{ch}.h0.w"].data))
@@ -285,7 +379,7 @@ class TestProperties:
         def alpha_01(weight_01):
             g = HeteroGraph(nodes, {**{t: [] for t in EDGE_TYPES},
                                     "WO": [(0, 1, weight_01), (1, 2, 0.4)]})
-            ew, mask = g.dense_channel("WO")
+            ew, mask = dense_channel_oracle(g, "WO")
             a_src = s @ w[:3]
             a_dst = s @ w[3:]
             raw = a_src[:, None] + a_dst[None, :]
