@@ -186,6 +186,19 @@ def _read_summaries(path) -> dict[str, str]:
     return out
 
 
+def _bundles(clusters, resources: Resources, model_cfg) -> list:
+    """``prepare_bundle`` of each cluster for decoding; a cluster that raises
+    ``DataError`` is named on stderr with the reason and skipped."""
+    bundles = []
+    for c in clusters:
+        try:
+            bundles.append(prepare_bundle(c, resources, model_cfg, need_summary=False))
+        except DataError as e:
+            named = str(e) if repr(c.id) in str(e) else f"cluster {c.id!r}: {e}"
+            print(f"data error: {named}", file=sys.stderr)
+    return bundles
+
+
 # --- commands ------------------------------------------------------------
 
 def _train_model(cfg: RunConfig):
@@ -256,17 +269,17 @@ def cmd_summarize(cfg: RunConfig, model_dir: str,
     vocab, model_cfg, params = _load_model(cfg, model_dir, explicit)
     resources = cfg.resources(vocab)
     clusters = load_clusters(cfg.data)
+    bundles = _bundles(clusters, resources, model_cfg)
     records = []
-    for cluster in clusters:
-        bundle = prepare_bundle(cluster, resources, model_cfg, need_summary=False)
+    for bundle in bundles:
         tokens = summarize_bundle(bundle, params, model_cfg, vocab,
                                   beam_width=cfg.beam_width)
-        records.append({"id": cluster.id, "summary": " ".join(tokens)})
+        records.append({"id": bundle.cluster.id, "summary": " ".join(tokens)})
     out_path = Path(cfg.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out_path, records)
     print(f"wrote {len(records)} summaries to {out_path}")
-    return 0
+    return 2 if len(bundles) < len(clusters) else 0
 
 
 def cmd_eval(cfg: RunConfig, generated_path: str, references_path: str) -> int:
@@ -290,11 +303,13 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
     if not cfg.data:
         raise ConfigError("ksweep requires --data")
     nm.set_precision(cfg.precision)
+    n_failed = 0
     if model_dir:  # one model, its clusters and graphs, re-compressed at each k
         vocab, model_cfg, params = _load_model(cfg, model_dir, explicit | {"k"})
         resources = cfg.resources(vocab)
-        bundles = [prepare_bundle(c, resources, model_cfg, need_summary=False)
-                   for c in load_clusters(cfg.data) if c.summary]
+        clusters = [c for c in load_clusters(cfg.data) if c.summary]
+        bundles = _bundles(clusters, resources, model_cfg)
+        n_failed = len(clusters) - len(bundles)
     rows = []
     for k in k_values:
         if model_dir:
@@ -322,7 +337,7 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
         out_path = Path(cfg.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         _write_jsonl(out_path, rows)
-    return 0
+    return 2 if n_failed else 0
 
 
 def cmd_graph(cfg: RunConfig) -> int:

@@ -296,17 +296,16 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
     sent_nodes = [sent_node[(slot.doc, slot.sent)] for slot in bounds.sent_slots]
     edges["SS"] = _cosine_edges(sent_nodes, sent_vecs, cfg.ss_threshold)
 
-    # DD: every document pair, mean ROUGE F1 over retained sentences
+    # DD: every document pair, mean ROUGE F1 over retained sentences, scored
+    # in one batch; the lower-index document is the candidate, so a weight
+    # depends on document order
     retained = bounds.retained_sentences()
-    doc_tokens = {
-        di: [cluster.documents[di].sentences[si].lower for si in sents]
-        for di, sents in retained.items()
-    }
     doc_ids = sorted(doc_node)
-    for i in range(len(doc_ids)):
-        for j in range(i + 1, len(doc_ids)):
-            w = rouge.rouge_avg_f1(doc_tokens[doc_ids[i]], doc_tokens[doc_ids[j]])
-            edges["DD"].append((doc_node[doc_ids[i]], doc_node[doc_ids[j]], w))
+    texts = [[cluster.documents[di].sentences[si].lower for si in retained[di]]
+             for di in doc_ids]
+    pairs = [(i, j) for i in range(len(doc_ids)) for j in range(i + 1, len(doc_ids))]
+    for (i, j), w in zip(pairs, rouge.rouge_avg_f1_batch(texts, pairs)):
+        edges["DD"].append((doc_node[doc_ids[i]], doc_node[doc_ids[j]], w))
 
     return HeteroGraph(nodes, edges)
 

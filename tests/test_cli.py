@@ -193,6 +193,26 @@ class TestSummarize:
                    "--embeddings", str(toy_embeddings_path), "--out", str(out)])
         assert rc == 1  # ConfigError names the offending parameter
 
+    def test_bad_cluster_is_named_and_the_good_ones_are_written(
+            self, tmp_path, trained_model, toy_corpus_records, toy_embeddings_path, capsys):
+        data = tmp_path / "mixed.jsonl"
+        write_cluster_file(data, with_oversized_cluster(toy_corpus_records))
+        out = tmp_path / "hyp.jsonl"
+        rc = main(["summarize", "--model", str(trained_model), "--data", str(data),
+                   "--embeddings", str(toy_embeddings_path), "--out", str(out)])
+        assert rc == 2
+        assert [r["id"] for r in read_jsonl(out)] == [r["id"] for r in toy_corpus_records]
+        err = capsys.readouterr().err
+        assert "'oversized'" in err and "truncation to 4096 leaves no sentences" in err
+
+
+def with_oversized_cluster(records):
+    """``records`` with a cluster whose first sentence exceeds the 4,096-token
+    input budget inserted at index 4."""
+    bad = {"id": "oversized", "documents": [" ".join(["storm"] * 4100) + "."],
+           "summary": "storm."}
+    return records[:4] + [bad] + records[4:]
+
 
 class TestEval:
     def test_identical_summaries_score_100(self, tmp_path, capsys):
@@ -283,6 +303,21 @@ class TestKsweep:
         assert "trend" in stdout
         for row in rows:
             assert {"k", "mean_length", "r1", "r2", "rl"} <= set(row)
+
+    def test_bad_cluster_is_named_and_the_rows_are_written(
+            self, tmp_path, trained_model, toy_corpus_path, toy_corpus_records,
+            toy_embeddings_path, capsys):
+        data = tmp_path / "mixed.jsonl"
+        write_cluster_file(data, with_oversized_cluster(toy_corpus_records))
+        flags = ["--model", str(trained_model), "--embeddings", str(toy_embeddings_path),
+                 "--k-values", "0.3,0.7"]
+        good, mixed = tmp_path / "good.jsonl", tmp_path / "mixed_rows.jsonl"
+        assert main(["ksweep", *flags, "--data", str(toy_corpus_path), "--out", str(good)]) == 0
+        capsys.readouterr()
+        assert main(["ksweep", *flags, "--data", str(data), "--out", str(mixed)]) == 2
+        assert read_jsonl(mixed) == read_jsonl(good)
+        err = capsys.readouterr().err
+        assert "'oversized'" in err and "truncation to 4096 leaves no sentences" in err
 
     @staticmethod
     def _summarize_and_eval(tmp_path, model, data, embeddings, k):

@@ -1,12 +1,19 @@
 """ROUGE metrics against hand counts and brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgsum.rouge import RougeScore, rouge_avg_f1, rouge_l_summary, rouge_n
-from oracles import rouge_avg_f1_oracle, rouge_l_summary_oracle
+from dgsum import rouge
+from dgsum.hetgraph import build_hetero_graph
+from dgsum.rouge import (RougeScore, mean_rouge, rouge_avg_f1, rouge_avg_f1_batch,
+                         rouge_l_summary, rouge_n)
+from conftest import cluster_from_texts
+from oracles import (lcs_positions_oracle, rouge_avg_f1_oracle, rouge_l_summary_oracle,
+                     rouge_n_oracle)
 
 tokens = st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=12)
 sentences = st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
@@ -169,3 +176,121 @@ class TestProperties:
                     2 * s.precision * s.recall / (s.precision + s.recall))
             else:
                 assert s.f1 == 0.0
+
+
+def random_sentences(rng, n, vocab, lengths=(0, 1, 2, 3, 5, 8)):
+    """``n`` sentences over the first ``vocab`` letters, empty ones included."""
+    return [["abcd"[t] for t in rng.integers(0, vocab, int(rng.choice(lengths)))]
+            for _ in range(n)]
+
+
+class TestBatchedKernel:
+    """The batched LCS and every score built on it equal the per-pair oracles
+    exactly; tie-heavy small vocabularies exercise the backtrack rule."""
+
+    @pytest.mark.parametrize("max_cells", [64, rouge._MAX_CELLS])
+    def test_lcs_hits_equal_oracle_backtrack(self, monkeypatch, max_cells):
+        # a 64-cell cap splits the batch many times and leaves tables larger
+        # than the cap alone in theirs; lengths cross the short/long classes
+        monkeypatch.setattr(rouge, "_MAX_CELLS", max_cells)
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(600):
+            vocab = int(rng.integers(1, 5))
+            lengths = [int(rng.choice([1, rng.integers(2, 9), rng.integers(33, 100)]))
+                       for _ in range(2)]
+            pairs.append([rng.integers(0, vocab, n) for n in lengths])
+        # LCS values past the uint8 range
+        pairs += [[np.r_[np.zeros(270, int), rng.integers(0, 2, n)], np.zeros(270 + n, int)]
+                  for n in (0, 30)]
+        pairs += [[np.r_[np.zeros(270, int), rng.integers(0, 2, 30)] for _ in range(2)]]
+        sents = [s for pair in pairs for s in pair]
+        lens = np.array([len(s) for s in sents])
+        starts = np.cumsum(lens) - lens
+        ref = np.arange(0, len(sents), 2)
+        hp, hi = rouge._lcs_hits(np.concatenate(sents), starts, lens, ref, ref + 1)
+        got = [set() for _ in pairs]
+        for p, i in zip(hp.tolist(), hi.tolist()):
+            assert i not in got[p]
+            got[p].add(i)
+        for (r, c), hits in zip(pairs, got):
+            assert hits == lcs_positions_oracle(r.tolist(), c.tolist())
+
+    def test_scores_equal_oracles_exactly(self):
+        rng = np.random.default_rng(12)
+        pairs = []
+        for _ in range(300):
+            vocab = int(rng.integers(1, 5))
+            cand, ref = (random_sentences(rng, int(rng.integers(0, 4)), vocab) for _ in range(2))
+            pairs.append((cand, ref))
+            got = rouge_l_summary(cand, ref)
+            assert (got.precision, got.recall, got.f1) == rouge_l_summary_oracle(cand, ref)
+            assert rouge_avg_f1(cand, ref) == rouge_avg_f1_oracle(cand, ref)
+            flat_c, flat_r = sum(cand, []), sum(ref, [])
+            for n in (1, 2):
+                s = rouge_n(flat_c, flat_r, n)
+                assert (s.precision, s.recall, s.f1) == rouge_n_oracle(flat_c, flat_r, n)
+        r1 = r2 = rl = 0.0
+        for cand, ref in pairs:
+            r1 += rouge_n_oracle(sum(cand, []), sum(ref, []), 1)[2]
+            r2 += rouge_n_oracle(sum(cand, []), sum(ref, []), 2)[2]
+            rl += rouge_l_summary_oracle(cand, ref)[2]
+        report = mean_rouge(pairs)
+        assert (report["r1"], report["r2"], report["rl"]) == (r1 / 300, r2 / 300, rl / 300)
+        assert report["mean_length"] == sum(len(sum(c, [])) for c, _ in pairs) / 300
+
+    def test_batch_of_many_pairs_equals_one_pair_at_a_time(self):
+        rng = np.random.default_rng(13)
+        texts = [random_sentences(rng, int(rng.integers(0, 5)), 3) for _ in range(9)]
+        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 9, (40, 2))]
+        assert rouge_avg_f1_batch(texts, pairs) == [
+            rouge_avg_f1_oracle(texts[a], texts[b]) for a, b in pairs]
+        assert rouge_avg_f1_batch(texts, []) == []
+        assert mean_rouge([])["count"] == 0
+
+    def test_dd_weights_equal_per_pair_oracle_in_pair_order(self, table_for):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            docs = [" ".join(" ".join(s) + " ." for s in random_sentences(
+                        rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)), (1, 2, 4, 7)))
+                    for _ in range(int(rng.integers(2, 6)))]
+            cluster = cluster_from_texts("dd", docs)
+            g = build_hetero_graph(cluster, table_for([cluster]))
+            texts = [[s.lower for s in d.sentences] for d in cluster.documents]
+            doc_node = {nd.doc: k for k, nd in enumerate(g.nodes) if nd.kind == "document"}
+            expected = [(doc_node[i], doc_node[j], rouge_avg_f1_oracle(texts[i], texts[j]))
+                        for i in range(len(texts)) for j in range(i + 1, len(texts))]
+            assert g.edges["DD"] == expected
+
+    def test_one_long_sentence_does_not_pad_every_table(self, monkeypatch):
+        # 45 document pairs, 2,880 sentence problems: padded unchunked to the
+        # long sentence they would need 2,880 x 1,001 x 1,001 cells, about
+        # 2.9 GB even at one byte a cell
+        rng = np.random.default_rng(15)
+        words = [f"w{k}" for k in range(40)]
+        docs = [[[words[t] for t in rng.integers(0, 40, int(rng.integers(5, 26)))]
+                 for _ in range(8)] for _ in range(10)]
+        docs[3][2] = [words[t] for t in rng.integers(0, 40, 1000)]
+        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        padded, pad = [], rouge._padded
+
+        def recording_pad(*args):
+            padded.append(pad(*args))
+            return padded[-1]
+
+        monkeypatch.setattr(rouge, "_padded", recording_pad)
+        tracemalloc.start()
+        try:
+            weights = rouge_avg_f1_batch(docs, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # the tables filled hold at most three times the cells the problems
+        # need (one batch padded to the long sentence would hold 28 times)
+        filled = sum((len(a) + 1) * (len(b) + 1) * a.shape[1]
+                     for a, b in zip(padded[::2], padded[1::2]))
+        needed = sum((len(r) + 1) * (len(c) + 1)
+                     for i, j in pairs for r in docs[j] for c in docs[i])
+        assert filled < 3 * needed
+        assert weights == [rouge_avg_f1(docs[i], docs[j]) for i, j in pairs]
