@@ -186,13 +186,13 @@ def _read_summaries(path) -> dict[str, str]:
     return out
 
 
-def _bundles(clusters, resources: Resources, model_cfg) -> list:
-    """``prepare_bundle`` of each cluster for decoding; a cluster that raises
-    ``DataError`` is named on stderr with the reason and skipped."""
+def _bundles(clusters, resources: Resources, model_cfg, need_summary: bool = False) -> list:
+    """``prepare_bundle`` of each cluster; a cluster that raises ``DataError``
+    is named on stderr with the reason and skipped."""
     bundles = []
     for c in clusters:
         try:
-            bundles.append(prepare_bundle(c, resources, model_cfg, need_summary=False))
+            bundles.append(prepare_bundle(c, resources, model_cfg, need_summary=need_summary))
         except DataError as e:
             named = str(e) if repr(c.id) in str(e) else f"cluster {c.id!r}: {e}"
             print(f"data error: {named}", file=sys.stderr)
@@ -202,21 +202,26 @@ def _bundles(clusters, resources: Resources, model_cfg) -> list:
 # --- commands ------------------------------------------------------------
 
 def _train_model(cfg: RunConfig):
-    """Vocabulary, resources and parameters from ``cfg``, then ``fit`` on the
-    clusters of ``--data`` that have summaries, selecting on ``--dev`` (or the
-    training set). Returns (training clusters, vocab, resources, model
-    config, fit result)."""
+    """``fit`` on the clusters of ``--data`` that have summaries, selecting on
+    ``--dev`` (or the training set). All bundles are prepared first, and any
+    bad cluster stops the run with every bad one named. Returns (training
+    bundles, vocab, model config, fit result)."""
     train_set = [c for c in load_clusters(cfg.data) if c.summary]
     if not train_set:
         raise DataError(f"{cfg.data}: no clusters with summaries to train on")
-    dev_set = ([c for c in load_clusters(cfg.dev) if c.summary]
-               if cfg.dev else train_set)
+    dev_set = [c for c in load_clusters(cfg.dev) if c.summary] if cfg.dev else []
     vocab = build_vocab(train_set, min_freq=cfg.min_freq)
     resources = cfg.resources(vocab)
     model_cfg = cfg.model_config()
+    train_bundles = _bundles(train_set, resources, model_cfg, need_summary=True)
+    dev_bundles = _bundles(dev_set, resources, model_cfg, need_summary=True)
+    n_bad = len(train_set) + len(dev_set) - len(train_bundles) - len(dev_bundles)
+    if n_bad:
+        raise DataError(f"{n_bad} cluster(s) could not be prepared; nothing was trained")
     params = model_cfg.build_params(len(vocab), cfg.seed)
-    result = fit(train_set, dev_set, params, model_cfg, cfg.train_config(), resources)
-    return train_set, vocab, resources, model_cfg, result
+    result = fit(train_bundles, dev_bundles if cfg.dev else train_bundles, params,
+                 model_cfg, cfg.train_config(), resources)
+    return train_bundles, vocab, model_cfg, result
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -224,7 +229,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("train requires --data and --out")
     nm.set_precision(cfg.precision)
     out_dir = Path(cfg.out)
-    _, vocab, _, _, result = _train_model(cfg)
+    _, vocab, _, result = _train_model(cfg)
 
     echo_config(cfg, out_dir)
     result.params.save(out_dir / "checkpoint.npz")
@@ -316,11 +321,8 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
             k_model_cfg = dataclasses.replace(
                 model_cfg, comp=CompressorConfig(k=k, renorm_mask=cfg.renorm_mask))
         else:  # one model per k, trained as `dgsum train` trains it
-            clusters, vocab, resources, k_model_cfg, result = _train_model(
-                dataclasses.replace(cfg, k=k))
+            bundles, vocab, k_model_cfg, result = _train_model(dataclasses.replace(cfg, k=k))
             params = result.params
-            bundles = [prepare_bundle(c, resources, k_model_cfg, need_summary=False)
-                       for c in clusters]
         scores = score_summaries(bundles, params, k_model_cfg, vocab, cfg.beam_width)
         rows.append({"k": k, "mean_length": scores["mean_length"], "r1": scores["r1"],
                      "r2": scores["r2"], "rl": scores["rl"]})

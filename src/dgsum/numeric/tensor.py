@@ -90,16 +90,25 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse pass from a scalar; visits each recorded op exactly once."""
+        """Reverse pass from a scalar. Each recorded op runs once and is then
+        released (grad, closure and parents dropped): leaves keep ``.grad``,
+        intermediates only ``.data``; a second pass through one raises."""
         if self.size != 1:
             raise ShapeError(f"backward: output must be scalar, got shape {self.shape}")
         if not np.all(np.isfinite(self.data)):
             raise NumericError("backward: loss is not finite")
-        nodes = _reachable(self)
+        order = sorted(_reachable(self), key=lambda t: t._seq, reverse=True)
         _accum(self, np.ones_like(self.data))
-        for node in sorted(nodes, key=lambda t: t._seq, reverse=True):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        for i, node in enumerate(order):
+            order[i] = None  # the list must not keep a spent node's arrays alive
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _released, ()
+
+
+def _released(g):
+    raise NumericError("backward: graph already released by an earlier backward()")
 
 
 def _reachable(root: Tensor) -> list[Tensor]:
@@ -235,26 +244,32 @@ def log(a) -> Tensor:
 # --- linear algebra ---------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: cannot broadcast {a.shape} @ {b.shape}")
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(data, (a, b), backward)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes (reverse them by default), as a contiguous copy."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got {a.shape}")
-    data = a.data.T.copy()
+    axes = tuple(range(a.ndim))[::-1] if axes is None else tuple(axes)
+    if a.ndim < 2 or sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"transpose: axes {axes} for shape {a.shape}")
+    data = np.transpose(a.data, axes).copy()
 
     def backward(g):
-        _accum(a, g.T)
+        _accum(a, np.transpose(g, np.argsort(axes)))
 
     return _make(data, (a,), backward)
 
@@ -427,6 +442,32 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def attention_weights(q, kt, scale: float, mask_add: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ kt * scale + mask_add) over the last axis, for stacked heads
+    ``q`` [..., nq, dh] and keys ``kt`` [..., dh, nk]. It works in place on
+    one buffer and saves only the weights; the arithmetic is that of the
+    matmul/mul/add/softmax chain, so results are bit-identical to it."""
+    q, kt = as_tensor(q), as_tensor(kt)
+    if q.ndim < 2 or kt.ndim < 2 or q.shape[-1] != kt.shape[-2]:
+        raise ShapeError(f"attention_weights: {q.shape} @ {kt.shape}")
+    w = q.data @ kt.data
+    w *= w.dtype.type(scale)
+    if mask_add is not None:
+        w += mask_add
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def backward(g):  # g is this node's own buffer, dropped after the call
+        g -= (g * w).sum(axis=-1, keepdims=True)
+        g *= w
+        g *= w.dtype.type(scale)
+        _accum(q, _unbroadcast(g @ kt.data.swapaxes(-1, -2), q.shape))
+        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ g, kt.shape))
+
+    return _make(w, (q, kt), backward)
+
+
 def masked_fill(a, mask, value: float) -> Tensor:
     """Replace entries where ``mask`` is True by ``value`` (a constant)."""
     a = as_tensor(a)
@@ -447,10 +488,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} vs features ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xm = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xm * xm).mean(axis=-1, keepdims=True)  # the steps of np.var, bit for bit
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xm * inv
     data = xhat * gain.data + bias.data
 
     def backward(g):

@@ -98,29 +98,31 @@ def _project_q(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return nm.add(nm.matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.bq"])
 
 
-def _project_kv(x: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+def _project_kv(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
+                batch: int = 1) -> tuple[Tensor, Tensor]:
     k = nm.matmul(x, store[f"{prefix}.wk"])
     v = nm.add(nm.matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.bv"])
-    return k, v
+    return _heads(k, batch, n_heads, keys=True), _heads(v, batch, n_heads)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, store: ParamStore, prefix: str,
-            n_heads: int, mask_add: np.ndarray | None) -> Tensor:
-    """Multi-head attention of projected queries over projected keys and
-    values, then the output projection."""
-    d_model = q.shape[1]
-    dh = d_model // n_heads
-    scale = 1.0 / np.sqrt(dh)
-    outs = []
-    for h in range(n_heads):
-        qh = nm.slice_axis(q, 1, h * dh, (h + 1) * dh)
-        kh = nm.slice_axis(k, 1, h * dh, (h + 1) * dh)
-        vh = nm.slice_axis(v, 1, h * dh, (h + 1) * dh)
-        scores = nm.mul(nm.matmul(qh, nm.transpose(kh)), scale)
-        if mask_add is not None:
-            scores = nm.add(scores, mask_add)
-        outs.append(nm.matmul(nm.softmax(scores, axis=-1), vh))
-    merged = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
+def _heads(x: Tensor, batch: int, n_heads: int, keys: bool = False) -> Tensor:
+    """Rows of ``x`` [batch·n, d] as [batch, heads, n, dh]; keys come
+    pre-transposed, as [batch, heads, dh, n]."""
+    n, dh = x.shape[0] // batch, x.shape[1] // n_heads
+    if n == 1:
+        return nm.reshape(x, (batch, n_heads, dh, 1) if keys else (batch, n_heads, 1, dh))
+    return nm.transpose(nm.reshape(x, (batch, n, n_heads, dh)),
+                        (0, 2, 3, 1) if keys else (0, 2, 1, 3))
+
+
+def _attend(q: Tensor, kt: Tensor, v: Tensor, store: ParamStore, prefix: str,
+            mask_add: np.ndarray | None) -> Tensor:
+    """Multi-head attention of query rows ``q`` [B·nq, d] over keys ``kt``
+    [B, H, dh, nk] and values ``v`` [B, H, nk, dh], then the output
+    projection. With one batch of keys, all rows attend to the same keys."""
+    batch, n_heads, dh, _ = kt.shape
+    w = nm.attention_weights(_heads(q, batch, n_heads), kt, 1.0 / np.sqrt(dh), mask_add)
+    merged = nm.reshape(nm.transpose(nm.matmul(w, v), (0, 2, 1, 3)), q.shape)
     return nm.add(nm.matmul(merged, store[f"{prefix}.wo"]), store[f"{prefix}.bo"])
 
 
@@ -165,8 +167,8 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
         p = f"enc{i}.attn"
-        a = _attend(_project_q(x, store, p), *_project_kv(x, store, p), store, p,
-                    cfg.n_heads, mask)
+        a = _attend(_project_q(x, store, p), *_project_kv(x, store, p, cfg.n_heads),
+                    store, p, mask)
         a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"enc{i}.ln1")
         f = _ffn(x, store, f"enc{i}.ffn")
@@ -195,21 +197,24 @@ def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:
 
 def _memory_kv(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
                cfg: TextModelConfig) -> list[tuple[Tensor, Tensor]]:
-    """Each decoder layer's cross-attention keys and values of the memory."""
+    """Each decoder layer's cross-attention keys and values of the memory,
+    split into heads."""
     mem = nm.add(memory, nm.gather_rows(store["emb.pos_enc"], mem_positions))
-    return [_project_kv(mem, store, f"dec{i}.cross") for i in range(cfg.n_layers_dec)]
+    return [_project_kv(mem, store, f"dec{i}.cross", cfg.n_heads)
+            for i in range(cfg.n_layers_dec)]
 
 
 def _decoder(ids: list[int], positions: np.ndarray,
              self_kv: Callable[[int, Tensor], tuple[Tensor, Tensor]],
-             mem_kv: list[tuple[Tensor, Tensor]], mask: np.ndarray, store: ParamStore,
-             cfg: TextModelConfig, train: bool = False,
+             mem_kv: list[tuple[Tensor, Tensor]], mask: np.ndarray | None,
+             store: ParamStore, cfg: TextModelConfig, train: bool = False,
              rng: np.random.Generator | None = None) -> Tensor:
     """Logits of the decoder rows for tokens ``ids`` at ``positions``.
 
     ``self_kv(i, x)`` gives layer i's self-attention keys and values for its
-    input rows ``x``; ``mask`` is the additive mask of those queries over
-    those keys. ``mem_kv`` comes from ``_memory_kv``.
+    input rows ``x``, split into heads as ``_attend`` takes them; ``mask`` is
+    the additive mask of those queries over those keys. ``mem_kv`` comes from
+    ``_memory_kv``.
     """
     if positions.size and positions.max() > cfg.max_out_len:
         raise ShapeError(f"decoder input length {positions.max() + 1} exceeds max "
@@ -218,11 +223,11 @@ def _decoder(ids: list[int], positions: np.ndarray,
                nm.gather_rows(store["emb.pos_dec"], positions))
     for i in range(cfg.n_layers_dec):
         p = f"dec{i}.self"
-        a = _attend(_project_q(x, store, p), *self_kv(i, x), store, p, cfg.n_heads, mask)
+        a = _attend(_project_q(x, store, p), *self_kv(i, x), store, p, mask)
         a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"dec{i}.ln1")
         p = f"dec{i}.cross"
-        c = _attend(_project_q(x, store, p), *mem_kv[i], store, p, cfg.n_heads, None)
+        c = _attend(_project_q(x, store, p), *mem_kv[i], store, p, None)
         c = nm.dropout(c, cfg.dropout, rng, train)
         x = _ln(nm.add(x, c), store, f"dec{i}.ln2")
         f = _ffn(x, store, f"dec{i}.ffn")
@@ -238,7 +243,7 @@ def _decoder_forward(memory: Tensor, mem_positions: np.ndarray, target_ids: list
     t = len(target_ids)
     mem_kv = _memory_kv(memory, mem_positions, store, cfg)
     return _decoder(target_ids, np.arange(t),
-                    lambda i, x: _project_kv(x, store, f"dec{i}.self"), mem_kv,
+                    lambda i, x: _project_kv(x, store, f"dec{i}.self", cfg.n_heads), mem_kv,
                     causal_mask(t), store, cfg, train=train, rng=rng)
 
 
@@ -314,17 +319,17 @@ def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
                  cfg: TextModelConfig) -> Callable[[list[list[int]]], np.ndarray]:
     """The batched ``beam_search`` scorer of ``decode_beam``.
 
-    The memory's cross-attention keys and values are projected once. Each
-    decoder layer keeps a ``[B, t, d]`` cache of self-attention keys and
-    values, one row per hypothesis the previous call scored. A call
-    re-gathers the cache by each prefix's parent (the prefix without its last
-    token), embeds only the B last tokens, and attends each over its own
-    cache row through a block mask.
+    The memory's cross-attention keys and values are projected and split
+    into heads once. Each decoder layer keeps a cache of self-attention keys
+    ``[B, H, dh, t]`` and values ``[B, H, t, dh]``, one batch row per
+    hypothesis the previous call scored. A call re-gathers the cache by each
+    prefix's parent (the prefix without its last token), embeds only the B
+    last tokens, and attends each over its own cache row.
     """
     with nm.no_grad():
         mem_kv = _memory_kv(memory, mem_positions, store, cfg)
-    empty = np.zeros((1, 0, cfg.d_model), dtype=nm.default_dtype())
-    cache = [(empty, empty)] * cfg.n_layers_dec
+    empty = np.zeros((1, cfg.n_heads, cfg.d_model // cfg.n_heads, 0), dtype=nm.default_dtype())
+    cache = [(empty, empty.swapaxes(2, 3))] * cfg.n_layers_dec
     rows = {(): 0}  # scored prefix -> its cache row
 
     def step(prefixes: list[list[int]]) -> np.ndarray:
@@ -334,16 +339,15 @@ def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
         grown = []
 
         def self_kv(i: int, x: Tensor) -> tuple[Tensor, Tensor]:
-            new = _project_kv(x, store, f"dec{i}.self")
-            kv = [np.concatenate([old[parents], n.data[:, None]], axis=1)
-                  for old, n in zip(cache[i], new)]
+            new = _project_kv(x, store, f"dec{i}.self", cfg.n_heads, batch=b)
+            kv = [np.concatenate([old[parents], n.data], axis=axis)
+                  for old, n, axis in zip(cache[i], new, (3, 2))]
             grown.append(kv)
-            return tuple(Tensor(a.reshape(b * t, -1)) for a in kv)
+            return Tensor(kv[0]), Tensor(kv[1])
 
-        own = np.arange(b * t) // t == np.arange(b)[:, None]
         with nm.no_grad():
             logits = _decoder([p[-1] for p in prefixes], np.full(b, t - 1), self_kv, mem_kv,
-                              np.where(own, 0.0, nm.MASK_FILL), store, cfg).data
+                              None, store, cfg).data
         cache, rows = grown, {tuple(p): j for j, p in enumerate(prefixes)}
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -232,20 +232,12 @@ def evaluate_dev(bundles: list[ClusterBundle], params: ParamStore,
     return {key: scores[key] for key in ("r1", "r2", "rl")}
 
 
-def fit(train_clusters: list[DocumentCluster] | list[ClusterBundle],
-        dev_clusters: list[DocumentCluster] | list[ClusterBundle],
+def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
         params: ParamStore, model_cfg: ModelConfig, train_cfg: TrainConfig,
         resources: Resources) -> FitResult:
     """Seeded epochs of train steps with periodic dev evaluation; keeps the
     parameters of the best dev summary-level ROUGE-L and stops early after
     ``patience`` evaluations without improvement."""
-    def as_bundles(items, need_summary):
-        return [it if isinstance(it, ClusterBundle)
-                else prepare_bundle(it, resources, model_cfg, need_summary)
-                for it in items]
-
-    train_bundles = as_bundles(train_clusters, True)
-    dev_bundles = as_bundles(dev_clusters, True)
     if not train_bundles:
         raise DataError("fit: empty training set")
 

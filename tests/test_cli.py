@@ -118,6 +118,21 @@ class TestTrain:
         log2 = (out2 / "metrics.jsonl").read_text()
         assert log1 == log2
 
+    def test_every_bad_cluster_is_named_before_training(
+            self, tmp_path, toy_corpus_records, toy_embeddings_path, capsys):
+        records = with_oversized_cluster(toy_corpus_records)
+        records.append(dict(records[4], id="oversized2"))
+        data = tmp_path / "mixed.jsonl"
+        write_cluster_file(data, records)
+        flags = ["--data", str(data), "--embeddings", str(toy_embeddings_path), *TOY_FLAGS]
+        out = tmp_path / "model"
+        for argv in (["train", *flags, "--out", str(out)],
+                     ["ksweep", *flags, "--k-values", "0.3,0.7"]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "'oversized'" in err and "'oversized2'" in err, argv[0]
+        assert not out.exists()
+
     def test_resolved_config_echo_reproduces(self, tmp_path, toy_corpus_path,
                                              toy_embeddings_path, trained_model):
         echoed = trained_model / "config.json"

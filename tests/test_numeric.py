@@ -129,9 +129,112 @@ class TestPrimitiveGradients:
         a = nm.Tensor(RNG.uniform(0.5, 2.0, size=5), requires_grad=True)
         check(lambda: nm.sum_(nm.log(nm.exp(a))), {"a": a})
 
+    @pytest.mark.parametrize("sa,sb", [((3, 2, 4, 5), (3, 2, 5, 2)),
+                                       ((3, 2, 4, 5), (1, 2, 5, 2)),
+                                       ((2, 3, 4), (4, 2)),
+                                       ((4, 5), (2, 5, 3))])
+    def test_matmul_stacked_and_broadcast(self, sa, sb):
+        a, b = rand_tensor(*sa), rand_tensor(*sb)
+        probe = rand_const(*np.broadcast_shapes(sa[:-2], sb[:-2]), sa[-2], sb[-1])
+        check(lambda: nm.sum_(nm.mul(nm.matmul(a, b), probe)), {"a": a, "b": b})
+
+    @pytest.mark.parametrize("shape,axes", [((2, 3, 4, 5), (0, 2, 1, 3)),
+                                            ((2, 3, 4), (1, 2, 0)),
+                                            ((3, 4), None)])
+    def test_transpose_axes(self, shape, axes):
+        a = rand_tensor(*shape)
+        out = nm.transpose(a, axes)
+        assert np.array_equal(out.data, np.transpose(a.data, axes))
+        probe = rand_const(*out.shape)
+        check(lambda: nm.sum_(nm.mul(nm.transpose(a, axes), probe)), {"a": a})
+
 
 def rand_const(*shape):
     return nm.Tensor(np.random.default_rng(99).normal(size=shape))
+
+
+def one_key_row_mask(n):
+    """``encoder_mask`` with a window of 1 and a delimiter at 2, whose first
+    row may attend to key 3 only."""
+    from dgsum.text_model import encoder_mask
+    m = encoder_mask(n, 1, [2])
+    m[0] = nm.MASK_FILL
+    m[0, 3] = 0.0
+    return m
+
+
+class TestAttentionWeights:
+    """``attention_weights`` against the matmul/mul/add/softmax chain it
+    replaces: forward and gradients must be equal, not merely close."""
+
+    SCALE = 1.0 / np.sqrt(3.0)
+
+    @staticmethod
+    def chain(q, kt, scale, mask):
+        scores = nm.mul(nm.matmul(q, kt), scale)
+        if mask is not None:
+            scores = nm.add(scores, mask)
+        return nm.softmax(scores, axis=-1)
+
+    @pytest.mark.parametrize("b,h", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    @pytest.mark.parametrize("k_batch", ["own", "broadcast"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "encoder"])
+    def test_equals_composed_chain(self, b, h, k_batch, mask):
+        from dgsum.text_model import causal_mask
+        n, dh = 6, 3
+        mask_add = {"none": None, "causal": causal_mask(n),
+                    "encoder": one_key_row_mask(n)}[mask]
+        q = rand_tensor(b, h, n, dh)
+        kt = rand_tensor(b if k_batch == "own" else 1, h, dh, n)
+        probe = rand_const(b, h, n, n)
+        results = []
+        for fn in (nm.attention_weights, self.chain):
+            q.zero_grad()
+            kt.zero_grad()
+            w = fn(q, kt, self.SCALE, mask_add)
+            nm.sum_(nm.mul(w, probe)).backward()
+            results.append((w.data, q.grad.copy(), kt.grad.copy()))
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref)
+        if mask == "encoder":
+            assert np.count_nonzero(results[0][0][..., 0, :]) == b * h
+
+    def test_grad_check(self):
+        q = rand_tensor(2, 3, 6, 3)
+        kt = rand_tensor(1, 3, 3, 6)
+        probe = rand_const(2, 3, 6, 6)
+        mask = one_key_row_mask(6)
+        check(lambda: nm.sum_(nm.mul(nm.attention_weights(q, kt, self.SCALE, mask), probe)),
+              {"q": q, "kt": kt})
+
+    def test_shape_error_names_the_kernel(self):
+        with pytest.raises(ShapeError, match="attention_weights"):
+            nm.attention_weights(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), 1.0)
+
+
+class TestTapeRelease:
+    def test_leaves_keep_grad_intermediates_are_released(self):
+        x, w = rand_tensor(3, 4), rand_tensor(4, 2)
+        h = nm.matmul(x, w)
+        s = nm.softmax(h)
+        loss = nm.sum_(nm.power(s, 2.0))
+        loss.backward()
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+        for t in (h, s, loss):
+            assert t.grad is None and t._parents == ()
+        assert s.data.shape == (3, 2)  # forward values stay readable
+
+    def test_second_backward_raises(self):
+        x = rand_tensor(3)
+        y = nm.power(x, 2.0)
+        loss = nm.sum_(y)
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(NumericError, match="released"):
+            loss.backward()
+        with pytest.raises(NumericError, match="released"):
+            nm.sum_(nm.mul(y, 3.0)).backward()  # a new root over a released node
+        assert np.array_equal(x.grad, first)
 
 
 class TestPrimitiveContracts:
@@ -150,6 +253,36 @@ class TestPrimitiveContracts:
     def test_matmul_shape_error_names_primitive(self):
         with pytest.raises(ShapeError, match="matmul"):
             nm.matmul(rand_tensor(3, 4), rand_tensor(3, 4))
+        with pytest.raises(ShapeError, match="matmul"):
+            nm.matmul(rand_tensor(2, 3, 4), rand_tensor(3, 4, 2))
+
+    def test_stacked_matmul_equals_per_slice_products(self):
+        a, b = rand_tensor(3, 2, 5, 4), rand_tensor(3, 2, 4, 6)
+        g = RNG.normal(size=(3, 2, 5, 6))
+        nm.sum_(nm.mul(nm.matmul(a, b), g)).backward()
+        for i in range(3):
+            for j in range(2):
+                sa = nm.Tensor(a.data[i, j].copy(), requires_grad=True)
+                sb = nm.Tensor(b.data[i, j].copy(), requires_grad=True)
+                out = nm.matmul(sa, sb)
+                nm.sum_(nm.mul(out, g[i, j])).backward()
+                assert np.array_equal(out.data, a.data[i, j] @ b.data[i, j])
+                assert np.array_equal(sa.grad, a.grad[i, j])
+                assert np.array_equal(sb.grad, b.grad[i, j])
+
+    def test_transpose_rejects_bad_axes(self):
+        with pytest.raises(ShapeError, match="transpose"):
+            nm.transpose(rand_tensor(2, 3, 4), (0, 1))
+        with pytest.raises(ShapeError, match="transpose"):
+            nm.transpose(rand_tensor(2, 3), (0, 0))
+
+    @pytest.mark.parametrize("rows", [5, 220, 435])
+    def test_layer_norm_equals_np_var_formula(self, rows):
+        x = RNG.normal(size=(rows, 128)) * 3.0 + 1.0
+        g, b = RNG.normal(size=128), RNG.normal(size=128)
+        mu = x.mean(axis=-1, keepdims=True)
+        ref = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * g + b
+        assert np.array_equal(nm.layer_norm(x, g, b).data, ref)
 
     def test_segment_sum_values(self):
         a = rand_tensor(5, 2)
