@@ -1,11 +1,12 @@
 """Command-line interface: ``train``, ``summarize``, ``eval``, ``ksweep``,
 ``graph``.
 
-Configuration layers: dataclass defaults, then a JSON config file
-(``--config``), then explicit CLI flags. The resolved configuration is
-echoed into the output directory so a run can be reproduced from its
-artifacts alone. Exit codes: 0 success, 1 usage/config error, 2 data error,
-3 numeric failure.
+Configuration layers, lowest first: the ``RunConfig`` defaults, a model's
+stored ``config.json`` (``summarize`` and ``ksweep --model``), a JSON config
+file (``--config``), then the flags, one per ``RunConfig`` field. The
+resolved configuration is echoed into the output directory so a run can be
+reproduced from its artifacts alone. Exit codes: 0 success, 1 usage/config
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +31,6 @@ from .mgat import MgatConfig
 from .text_model import TextModelConfig
 from .training import (ModelConfig, Resources, TrainConfig, fit, prepare_bundle,
                        score_summaries, summarize_bundle)
-
-log = logging.getLogger("dgsum.cli")
 
 
 @dataclass
@@ -81,12 +81,14 @@ class RunConfig:
     precision: str = "double"
 
     def validate(self) -> None:
+        """Raise ``ConfigError`` on a bad value; the sub-configs built here
+        check their own fields."""
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be single or double, got {self.precision!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 < self.k <= 1.0:
-            raise ConfigError(f"k must be in (0, 1], got {self.k}")
+        self.model_config()
+        self.train_config()
 
     def model_config(self) -> ModelConfig:
         text = TextModelConfig(d_model=self.d_model, n_layers_enc=self.n_layers_enc,
@@ -122,30 +124,52 @@ class RunConfig:
                          graph_cfg=self.graph_config())
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# each field's annotation as a tuple of types: (int,), (float, NoneType), ...
+_TYPES = {name: typing.get_args(hint) or (hint,)
+          for name, hint in typing.get_type_hints(RunConfig).items()}
+
+# fields that must match the checkpoint to rebuild the parameter shapes
+_SHAPE_KEYS = ("d_model", "n_layers_enc", "n_layers_dec", "n_heads", "ffn_dim",
+               "attention_window", "max_input_len", "max_out_len", "mgat_layers",
+               "mgat_heads", "mgat_head_dim", "mgat_residual", "no_mgat",
+               "no_compressor", "min_freq")
 
 
-def resolve_config(file_path: str | None, overrides: dict) -> RunConfig:
-    """defaults < config file < explicit CLI flags."""
-    values: dict = {}
-    if file_path:
-        p = Path(file_path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            loaded = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}: invalid JSON: {e}")
-        unknown = set(loaded) - set(_FIELDS)
-        if unknown:
-            raise ConfigError(f"{p}: unknown config keys {sorted(unknown)}")
-        values.update(loaded)
-    for key, val in overrides.items():
-        if val is not None:
-            values.update({key: val})
-    unknown = set(values) - set(_FIELDS)
+def _read_layer(path: Path) -> dict:
+    """A JSON object of ``RunConfig`` fields, each value of its field's type
+    (an int is a float, a bool is not an int, null only where None is)."""
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {path}: {e}")
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {loaded!r}")
+    unknown = set(loaded) - set(_TYPES)
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, val in loaded.items():
+        types = _TYPES[key]
+        accepted = types + (int,) if float in types else types
+        if isinstance(val, bool) != (bool in types) or not isinstance(val, accepted):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"{path}: {key!r} must be {names}, got {val!r}")
+    return loaded
+
+
+def resolve_config(file_path: str | None, flags: dict,
+                   model_dir: str | None = None) -> RunConfig:
+    """Layer, lowest first: the defaults; the stored ``config.json`` of
+    ``model_dir`` without its data, dev and out paths; the ``--config`` file;
+    the flags. Then the stored shape keys override all, so the checkpoint
+    loads."""
+    stored: dict = {}
+    if model_dir and (Path(model_dir) / "config.json").exists():
+        stored = _read_layer(Path(model_dir) / "config.json")
+    values = {k: v for k, v in stored.items() if k not in ("data", "dev", "out")}
+    if file_path:
+        values.update(_read_layer(Path(file_path)))
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    values.update((k, stored[k]) for k in _SHAPE_KEYS if k in stored)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -182,7 +206,9 @@ def _read_summaries(path) -> dict[str, str]:
             cid = str(rec["id"])
             if cid in out:
                 raise DataError(f"{p}:{lineno}: duplicate id {cid!r}")
-            out[cid] = str(rec["summary"])
+            if not isinstance(rec["summary"], str):
+                raise DataError(f"{p}:{lineno}: cluster {cid!r}: 'summary' must be a string")
+            out[cid] = rec["summary"]
     return out
 
 
@@ -240,25 +266,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-# fields that must match the checkpoint to rebuild the parameter shapes
-_SHAPE_KEYS = ("d_model", "n_layers_enc", "n_layers_dec", "n_heads", "ffn_dim",
-               "attention_window", "max_input_len", "max_out_len", "mgat_layers",
-               "mgat_heads", "mgat_head_dim", "mgat_residual", "no_mgat",
-               "no_compressor", "min_freq")
-
-
-def _load_model(cfg: RunConfig, model_dir: str, explicit: set[str] = frozenset()):
+def _load_model(cfg: RunConfig, model_dir: str):
     mdir = Path(model_dir)
-    cfg_path = mdir / "config.json"
-    if cfg_path.exists():
-        stored = json.loads(cfg_path.read_text(encoding="utf-8"))
-        for key, val in stored.items():
-            if key in _SHAPE_KEYS:
-                setattr(cfg, key, val)  # checkpoint compatibility wins
-            elif key in ("data", "dev", "out"):
-                continue
-            elif key not in explicit:
-                setattr(cfg, key, val)  # training-run value as fallback
     vocab = Vocab.load(mdir / "vocab.json")
     model_cfg = cfg.model_config()
     params = model_cfg.build_params(len(vocab), cfg.seed)
@@ -266,12 +275,11 @@ def _load_model(cfg: RunConfig, model_dir: str, explicit: set[str] = frozenset()
     return vocab, model_cfg, params
 
 
-def cmd_summarize(cfg: RunConfig, model_dir: str,
-                  explicit: set[str] = frozenset()) -> int:
+def cmd_summarize(cfg: RunConfig, model_dir: str) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("summarize requires --data and --out")
     nm.set_precision(cfg.precision)
-    vocab, model_cfg, params = _load_model(cfg, model_dir, explicit)
+    vocab, model_cfg, params = _load_model(cfg, model_dir)
     resources = cfg.resources(vocab)
     clusters = load_clusters(cfg.data)
     bundles = _bundles(clusters, resources, model_cfg)
@@ -301,8 +309,7 @@ def cmd_eval(cfg: RunConfig, generated_path: str, references_path: str) -> int:
     return 0
 
 
-def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
-               explicit: set[str] = frozenset()) -> int:
+def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> int:
     if len(k_values) < 2:
         raise ConfigError(f"ksweep needs at least 2 k values, got {k_values}")
     if not cfg.data:
@@ -310,18 +317,18 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None,
     nm.set_precision(cfg.precision)
     n_failed = 0
     if model_dir:  # one model, its clusters and graphs, re-compressed at each k
-        vocab, model_cfg, params = _load_model(cfg, model_dir, explicit | {"k"})
+        vocab, model_cfg, params = _load_model(cfg, model_dir)
         resources = cfg.resources(vocab)
         clusters = [c for c in load_clusters(cfg.data) if c.summary]
         bundles = _bundles(clusters, resources, model_cfg)
         n_failed = len(clusters) - len(bundles)
     rows = []
     for k in k_values:
+        k_cfg = dataclasses.replace(cfg, k=k)
         if model_dir:
-            k_model_cfg = dataclasses.replace(
-                model_cfg, comp=CompressorConfig(k=k, renorm_mask=cfg.renorm_mask))
+            k_model_cfg = k_cfg.model_config()
         else:  # one model per k, trained as `dgsum train` trains it
-            bundles, vocab, k_model_cfg, result = _train_model(dataclasses.replace(cfg, k=k))
+            bundles, vocab, k_model_cfg, result = _train_model(k_cfg)
             params = result.params
         scores = score_summaries(bundles, params, k_model_cfg, vocab, cfg.beam_width)
         rows.append({"k": k, "mean_length": scores["mean_length"], "r1": scores["r1"],
@@ -377,50 +384,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# the one switch not spelled after its field
+_FLAG_NAMES = {"mgat_residual": "residual"}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per ``RunConfig`` field: ``--`` plus the
+    field name with dashes, typed by the field's annotation. A bool field is a
+    switch to the opposite of its default, ``--no-<name>`` when that is True."""
     p.add_argument("--config", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--precision", choices=("single", "double"), default=None)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--embedding-dim", type=int, default=None, dest="embedding_dim")
-    p.add_argument("--sentence-embeddings", default=None, dest="sentence_embeddings")
-    p.add_argument("--max-input-len", type=int, default=None, dest="max_input_len")
-    p.add_argument("--min-freq", type=int, default=None, dest="min_freq")
-    p.add_argument("--we-threshold", type=float, default=None, dest="we_threshold")
-    p.add_argument("--ss-threshold", type=float, default=None, dest="ss_threshold")
-    p.add_argument("--d-model", type=int, default=None, dest="d_model")
-    p.add_argument("--n-layers-enc", type=int, default=None, dest="n_layers_enc")
-    p.add_argument("--n-layers-dec", type=int, default=None, dest="n_layers_dec")
-    p.add_argument("--n-heads", type=int, default=None, dest="n_heads")
-    p.add_argument("--ffn-dim", type=int, default=None, dest="ffn_dim")
-    p.add_argument("--attention-window", type=int, default=None, dest="attention_window")
-    p.add_argument("--max-out-len", type=int, default=None, dest="max_out_len")
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--mgat-layers", type=int, default=None, dest="mgat_layers")
-    p.add_argument("--mgat-heads", type=int, default=None, dest="mgat_heads")
-    p.add_argument("--mgat-head-dim", type=int, default=None, dest="mgat_head_dim")
-    p.add_argument("--no-mgat", action="store_const", const=True, default=None,
-                   dest="no_mgat")
-    p.add_argument("--no-residual", action="store_const", const=False, default=None,
-                   dest="mgat_residual")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--renorm-mask", action="store_const", const=True, default=None,
-                   dest="renorm_mask")
-    p.add_argument("--no-compressor", action="store_const", const=True, default=None,
-                   dest="no_compressor")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--label-smoothing", type=float, default=None, dest="label_smoothing")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--accum", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=None, dest="eval_every")
-    p.add_argument("--beam-width", type=int, default=None, dest="beam_width")
-    p.add_argument("--no-length-norm", action="store_const", const=False, default=None,
-                   dest="length_norm")
+    for f in dataclasses.fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, f.name).replace("_", "-")
+        base = _TYPES[f.name][0]
+        if base is bool:
+            p.add_argument(f"--no-{flag}" if f.default else f"--{flag}", action="store_const",
+                           const=not f.default, default=None, dest=f.name)
+        else:
+            p.add_argument(f"--{flag}", type=base, default=None, dest=f.name)
 
 
 def build_parser() -> _Parser:
@@ -444,14 +424,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
     try:
         args = build_parser().parse_args(argv)
-        overrides = {k: v for k, v in vars(args).items()
-                     if k in _FIELDS and v is not None}
-        cfg = resolve_config(args.config, overrides)
-        explicit = set(overrides)
+        flags = {k: v for k, v in vars(args).items() if k in _TYPES}
+        cfg = resolve_config(args.config, flags, getattr(args, "model", None))
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "summarize":
-            return cmd_summarize(cfg, args.model, explicit)
+            return cmd_summarize(cfg, args.model)
         if args.command == "eval":
             return cmd_eval(cfg, args.generated, args.references)
         if args.command == "ksweep":
@@ -459,10 +437,8 @@ def main(argv: list[str] | None = None) -> int:
                 k_values = [float(x) for x in args.k_values.split(",") if x.strip()]
             except ValueError:
                 raise ConfigError(f"bad --k-values {args.k_values!r}")
-            return cmd_ksweep(cfg, k_values, args.model, explicit)
-        if args.command == "graph":
-            return cmd_graph(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_ksweep(cfg, k_values, args.model)
+        return cmd_graph(cfg)  # the parser admits no other command
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

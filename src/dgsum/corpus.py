@@ -111,7 +111,8 @@ def _attach_pos(documents: list[Document], kept: list[int], pos, n_docs: int) ->
 def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
     """Parse a line-delimited cluster file in file order.
 
-    Malformed lines and repeated ids raise DataError naming the line number.
+    Malformed lines, repeated ids, and documents or a summary that are not
+    strings raise DataError naming the line number.
     Records with an empty documents list (or whose documents all tokenize to
     nothing) are skipped with a warning.
     """
@@ -139,6 +140,12 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
             docs_raw = rec["documents"]
             if not isinstance(docs_raw, list):
                 raise DataError(f"{path}:{lineno}: 'documents' must be an array")
+            if not all(isinstance(d, str) for d in docs_raw):
+                raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'documents' must be "
+                                f"an array of strings")
+            if not isinstance(rec.get("summary", ""), str):
+                raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'summary' must be "
+                                f"a string")
             if not docs_raw:
                 log.warning("%s:%d: record %r has no documents; skipped",
                             path, lineno, rec["id"])
@@ -146,7 +153,7 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
             documents = []
             kept_doc_idx = []
             for di, text in enumerate(docs_raw):
-                sents = tokenize(str(text))
+                sents = tokenize(text)
                 if not sents:
                     log.warning("%s:%d: record %r document %d is empty; dropped",
                                 path, lineno, rec["id"], di)
@@ -162,7 +169,7 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
                     _attach_pos(documents, kept_doc_idx, rec["pos"], len(docs_raw))
                 except DataError as e:
                     raise DataError(f"{path}:{lineno}: cluster {cid!r}: {e}")
-            summary = tokenize(str(rec.get("summary", ""))) or None
+            summary = tokenize(rec.get("summary", "")) or None
             clusters.append(DocumentCluster(id=cid, documents=documents,
                                             summary=summary))
     return clusters

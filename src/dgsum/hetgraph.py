@@ -207,16 +207,14 @@ class HeteroGraph:
         })
 
     def to_dot(self, name: str = "cluster") -> str:
-        def node_name(nd: NodeId) -> str:
-            return {DOC: "d", SENT: "s", WORD: "w"}[nd.kind] + str(nd.index)
-
+        letter = {DOC: "d", SENT: "s", WORD: "w"}
+        names = [letter[nd.kind] + str(nd.index) for nd in self.nodes]
         lines = [f'graph "{name}" {{']
-        for nd in self.nodes:
-            lines.append(f'  {node_name(nd)} [kind="{nd.kind}" pos="{nd.token_position}"];')
+        for nd, nd_name in zip(self.nodes, names):
+            lines.append(f'  {nd_name} [kind="{nd.kind}" pos="{nd.token_position}"];')
         for etype in EDGE_TYPES:
             for a, b, w in self.edges[etype]:
-                lines.append(f'  {node_name(self.nodes[a])} -- {node_name(self.nodes[b])} '
-                             f'[type="{etype}" weight="{w:.6f}"];')
+                lines.append(f'  {names[a]} -- {names[b]} [type="{etype}" weight="{w:.6f}"];')
         lines.append("}")
         return "\n".join(lines)
 

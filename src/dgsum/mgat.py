@@ -3,10 +3,10 @@ concatenated within a channel, channels concatenated per node, then a shared
 linear transform back to the input width so layers stack.
 
 Attention coefficients are modulated by the stored edge weight:
-d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]); softmax runs over the typed
-neighborhood plus a unit-weight self-loop, so nodes without edges of a type
-still produce output. Each channel works on its edge list (CSR segments per
-node), so a head costs O(E + n) memory, not O(n^2).
+d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]), slope 0.2; softmax runs over
+the typed neighborhood plus a unit-weight self-loop, so nodes without edges
+of a type still produce output. Each channel works on its edge list (CSR
+segments per node), so a head costs O(E + n) memory, not O(n^2).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class MgatConfig:
     n_heads: int = 2
     d_in: int = 128
     d_head: int = 32
-    leaky_slope: float = 0.2
     residual: bool = True
     single_channel: bool = False  # vanilla GAT over the union graph
 
@@ -72,8 +71,7 @@ def channel_edges(graph: HeteroGraph, channel: str) -> EdgeIndex:
 
 
 def channel_attention(node_embs: Tensor, graph: HeteroGraph, channel: str,
-                      head_params: list[tuple[Tensor, Tensor]],
-                      slope: float = 0.2) -> Tensor:
+                      head_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Per-node embeddings for one channel: heads concatenated, each head
     elu(sum_j alpha_ij W h_j) with alpha the softmax, within node i's
     neighbourhood (self-loop weight 1 included), of the edge-weight-modulated
@@ -91,7 +89,7 @@ def channel_attention(node_embs: Tensor, graph: HeteroGraph, channel: str,
         a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
         a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
         raw = nm.add(nm.gather_rows(a_src, ix.src), nm.gather_rows(a_dst, ix.dst))  # [E, 1]
-        d = nm.leaky_relu(nm.mul(raw, ew), slope)
+        d = nm.leaky_relu(nm.mul(raw, ew))
         shift = np.maximum.reduceat(d.data, ix.indptr[:-1], axis=0)[ix.src]  # constant
         e = nm.exp(nm.sub(d, shift))
         alpha = nm.div(e, nm.gather_rows(nm.segment_sum(e, ix.indptr), ix.src))
@@ -109,7 +107,7 @@ def mgat_layer(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
     for ch in channels:
         head_params = [(store[f"mgat{layer}.{ch}.h{m}.W"], store[f"mgat{layer}.{ch}.h{m}.w"])
                        for m in range(cfg.n_heads)]
-        blocks.append(channel_attention(node_embs, graph, ch, head_params, cfg.leaky_slope))
+        blocks.append(channel_attention(node_embs, graph, ch, head_params))
     stacked = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=1)
     return nm.matmul(stacked, nm.transpose(store[f"mgat{layer}.U"]))
 

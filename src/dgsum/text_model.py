@@ -11,7 +11,7 @@ by their original token index in the source serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ class TextModelConfig:
 class EncoderOutput:
     Q: Tensor                  # [sequence length, d_model]
     boundaries: BoundaryIndex
-    ids: list[int] = field(default_factory=list)
 
 
 def add_text_model_params(store: ParamStore, cfg: TextModelConfig, vocab_size: int,
@@ -174,7 +173,7 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
         f = _ffn(x, store, f"enc{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"enc{i}.ln2")
-    return EncoderOutput(Q=x, boundaries=boundaries, ids=list(ids))
+    return EncoderOutput(Q=x, boundaries=boundaries)
 
 
 def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:

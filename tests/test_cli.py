@@ -1,5 +1,6 @@
 """CLI wiring: config layering, commands, artifacts, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import dgsum
-from dgsum.cli import main, resolve_config
+from dgsum.cli import RunConfig, build_parser, main, resolve_config
 from dgsum.errors import ConfigError
 from dgsum.rouge import corpus_rouge
 from conftest import write_cluster_file
@@ -24,8 +25,63 @@ TOY_FLAGS = ["--d-model", "16", "--n-heads", "2", "--ffn-dim", "24",
              "--patience", "999", "--seed", "7"]
 
 
+# every subcommand's options, frozen: option -> dest of each valued option,
+# and option -> (dest, const) of each switch
+VALUED_OPTIONS = {
+    "--config": "config", "--data": "data", "--dev": "dev", "--out": "out",
+    "--seed": "seed", "--precision": "precision", "--embeddings": "embeddings",
+    "--embedding-dim": "embedding_dim", "--sentence-embeddings": "sentence_embeddings",
+    "--max-input-len": "max_input_len", "--min-freq": "min_freq",
+    "--we-threshold": "we_threshold", "--ss-threshold": "ss_threshold",
+    "--d-model": "d_model", "--n-layers-enc": "n_layers_enc",
+    "--n-layers-dec": "n_layers_dec", "--n-heads": "n_heads", "--ffn-dim": "ffn_dim",
+    "--attention-window": "attention_window", "--max-out-len": "max_out_len",
+    "--dropout": "dropout", "--mgat-layers": "mgat_layers", "--mgat-heads": "mgat_heads",
+    "--mgat-head-dim": "mgat_head_dim", "--k": "k", "--beta": "beta",
+    "--label-smoothing": "label_smoothing", "--lr": "lr", "--epochs": "epochs",
+    "--patience": "patience", "--accum": "accum", "--eval-every": "eval_every",
+    "--beam-width": "beam_width"}
+SWITCHES = {"--no-mgat": ("no_mgat", True), "--no-residual": ("mgat_residual", False),
+            "--renorm-mask": ("renorm_mask", True),
+            "--no-compressor": ("no_compressor", True),
+            "--no-length-norm": ("length_norm", False)}
+COMMAND_OPTIONS = {"train": {}, "graph": {}, "summarize": {"--model": "model"},
+                   "ksweep": {"--model": "model", "--k-values": "k_values"},
+                   "eval": {"--generated": "generated", "--references": "references"}}
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+
+
+class TestParser:
+    def test_options_equal_the_frozen_inventory(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMAND_OPTIONS)
+        for command, extra in COMMAND_OPTIONS.items():
+            got = {tuple(a.option_strings): (a.dest, type(a).__name__, a.const)
+                   for a in sub.choices[command]._actions if a.dest != "help"}
+            want = {(opt,): (dest, "_StoreAction", None)
+                    for opt, dest in {**VALUED_OPTIONS, **extra}.items()}
+            want.update({(opt,): (dest, "_StoreConstAction", const)
+                         for opt, (dest, const) in SWITCHES.items()})
+            assert got == want, command
+            assert len(got) == 38 + len(extra)
+
+    @pytest.mark.parametrize("switch", sorted(SWITCHES))
+    def test_switch_sets_its_field_against_the_default(self, switch):
+        dest, const = SWITCHES[switch]
+        args = build_parser().parse_args(["train", switch])
+        cfg = resolve_config(None, {dest: getattr(args, dest)})
+        assert getattr(cfg, dest) is const
+        assert getattr(RunConfig(), dest) is not const
+
+    def test_flag_values_take_the_field_type(self):
+        args = build_parser().parse_args(["train", "--epochs", "3", "--lr", "1e-3",
+                                          "--data", "x.jsonl", "--ss-threshold", "0.4"])
+        assert (args.epochs, args.lr, args.data, args.ss_threshold) == (3, 1e-3, "x.jsonl", 0.4)
+        assert main(["train", "--epochs", "3.5"]) == 1
 
 
 class TestConfigResolution:
@@ -65,6 +121,36 @@ class TestConfigResolution:
             assert rc == 1, value
             assert "dropout" in capsys.readouterr().err
             assert not (tmp_path / value).exists()
+
+    @pytest.mark.parametrize("layer, named", [
+        ({"epochs": "3"}, "'epochs' must be int"), ({"epochs": True}, "'epochs' must be int"),
+        ({"lr": "x"}, "'lr' must be float"), ({"no_mgat": 1}, "'no_mgat' must be bool"),
+        ({"eval_every": 2.0}, "'eval_every' must be int or null"),
+        ([1, 2], "must be a JSON object")])
+    def test_config_value_of_the_wrong_type_is_config_error(
+            self, tmp_path, capsys, toy_corpus_path, toy_embeddings_path, layer, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(layer))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(p), "--data", str(toy_corpus_path),
+                     "--embeddings", str(toy_embeddings_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_values_that_fit_their_fields(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"beta": 1, "eval_every": None, "no_mgat": True,
+                                 "ss_threshold": None, "embeddings": "v.txt"}))
+        cfg = resolve_config(str(p), {})
+        assert (cfg.beta, cfg.eval_every, cfg.no_mgat, cfg.embeddings) == (1, None, True, "v.txt")
+
+    def test_sub_config_checks_run_before_any_file_is_read(self, tmp_path, capsys):
+        rc = main(["train", "--data", str(tmp_path / "missing.jsonl"),
+                   "--embeddings", str(tmp_path / "missing.txt"),
+                   "--out", str(tmp_path / "out"), "--d-model", "130"])
+        assert rc == 1
+        assert "d_model 130 not divisible by n_heads 4" in capsys.readouterr().err
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -196,6 +282,32 @@ class TestSummarize:
             greedy = summarize_greedy(bundle, params, model_cfg, vocab)
             assert rec["summary"] == " ".join(greedy)
 
+    def test_config_file_beats_stored_and_flag_beats_config_file(self, tmp_path,
+                                                                  trained_model):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"beam_width": 1, "patience": 3, "d_model": 32,
+                                 "data": "other.jsonl"}))
+        cfg = resolve_config(str(p), {"patience": 4, "d_model": 64}, str(trained_model))
+        stored = json.loads((trained_model / "config.json").read_text())
+        assert (stored["beam_width"], stored["patience"], stored["d_model"]) == (5, 999, 16)
+        assert cfg.beam_width == 1     # the config file beats the stored config
+        assert cfg.patience == 4       # a flag beats the config file
+        assert cfg.d_model == 16       # the stored shape beats both
+        assert cfg.seed == 7           # the stored config beats the defaults
+        assert cfg.embeddings == stored["embeddings"]
+        assert cfg.data == "other.jsonl" and cfg.out is None  # stored paths skipped
+
+    def test_beam_width_from_config_file_or_flag_decodes_alike(
+            self, tmp_path, trained_model, toy_corpus_path, toy_embeddings_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"beam_width": 1}))
+        flags = ["summarize", "--model", str(trained_model), "--data", str(toy_corpus_path),
+                 "--embeddings", str(toy_embeddings_path)]
+        by_file, by_flag = tmp_path / "file.jsonl", tmp_path / "flag.jsonl"
+        assert main([*flags, "--config", str(p), "--out", str(by_file)]) == 0
+        assert main([*flags, "--beam-width", "1", "--out", str(by_flag)]) == 0
+        assert read_jsonl(by_file) == read_jsonl(by_flag)
+
     def test_dim_mismatch_names_parameter(self, tmp_path, trained_model,
                                           toy_corpus_path, toy_embeddings_path):
         cfg_path = trained_model / "config.json"
@@ -273,6 +385,16 @@ class TestEval:
         assert main(["eval", "--generated", str(p1), "--references", str(p2)]) == 2
         err = capsys.readouterr().err
         assert "gen.jsonl:2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("summary", [None, 5, ["x"]])
+    def test_summary_that_is_not_a_string_is_data_error(self, tmp_path, capsys, summary):
+        p1 = tmp_path / "gen.jsonl"
+        p2 = tmp_path / "ref.jsonl"
+        write_cluster_file(p1, [{"id": "a", "summary": "x"}, {"id": "b", "summary": summary}])
+        write_cluster_file(p2, [{"id": "a", "summary": "x"}, {"id": "b", "summary": "None"}])
+        assert main(["eval", "--generated", str(p1), "--references", str(p2)]) == 2
+        err = capsys.readouterr().err
+        assert "gen.jsonl:2: cluster 'b': 'summary' must be a string" in err
 
     def test_id_mismatch_is_data_error(self, tmp_path):
         p1 = tmp_path / "gen.jsonl"

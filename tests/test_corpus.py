@@ -100,6 +100,16 @@ class TestLoadClusters:
         with pytest.raises(DataError, match=r":3: duplicate cluster id 'a'"):
             load_clusters(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("documents", [None, {"x": 1}]), ("documents", ["Ok.", 5]),
+        ("summary", None), ("summary", ["A summary."])])
+    def test_text_that_is_not_a_string_names_line_and_cluster(self, tmp_path, key, value):
+        p = tmp_path / "data.jsonl"
+        write_jsonl(p, [make_cluster("a", ["One."]),
+                        {**make_cluster("b", ["Two."]), key: value}])
+        with pytest.raises(DataError, match=rf"data.jsonl:2: cluster 'b': '{key}' must be"):
+            load_clusters(p)
+
     def test_summary_parsed(self, tmp_path):
         p = tmp_path / "data.jsonl"
         write_jsonl(p, [make_cluster("c", ["Doc text here."], "A summary.")])

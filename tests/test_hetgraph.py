@@ -284,6 +284,26 @@ class TestInvariants:
         assert g1.to_json() == g2.to_json()
         assert g1.to_dot() == g2.to_dot()
 
+    def test_dot_of_a_hand_built_graph(self):
+        nodes = [NodeId("document", 0, doc=0, token_position=5),
+                 NodeId("sentence", 0, doc=0, sent=0, token_position=4),
+                 NodeId("word", 0, doc=0, sent=0, tok=0, token_position=0),
+                 NodeId("word", 1, doc=0, sent=0, tok=1, token_position=1)]
+        g = HeteroGraph(nodes, {"WO": [(2, 3, 1.0)], "SW": [(1, 2, 1.0), (1, 3, 1.0)],
+                                "DS": [(0, 1, 1.0)], "WE": [(2, 3, 0.123456789)]})
+        assert g.to_dot("toy") == (
+            'graph "toy" {\n'
+            '  d0 [kind="document" pos="5"];\n'
+            '  s0 [kind="sentence" pos="4"];\n'
+            '  w0 [kind="word" pos="0"];\n'
+            '  w1 [kind="word" pos="1"];\n'
+            '  w0 -- w1 [type="WE" weight="0.123457"];\n'
+            '  w0 -- w1 [type="WO" weight="1.000000"];\n'
+            '  d0 -- s0 [type="DS" weight="1.000000"];\n'
+            '  s0 -- w0 [type="SW" weight="1.000000"];\n'
+            '  s0 -- w1 [type="SW" weight="1.000000"];\n'
+            '}')
+
     def test_dd_weight_takes_lower_index_document_as_candidate(self, table_for):
         # summary-level ROUGE-L is reference-sided, so the DD weight depends on
         # document order: the lower-index document is the candidate
