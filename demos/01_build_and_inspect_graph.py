@@ -35,7 +35,7 @@ for kind in ("document", "sentence", "word"):
 
 print("\nedges by type (undirected, weighted):")
 for etype, edges in graph.edges.items():
-    sample = ", ".join(f"({a},{b},{w:.2f})" for a, b, w in edges[:3])
+    sample = ", ".join(f"({a},{b},{w:.2f})" for a, b, w in list(edges)[:3])
     print(f"  {etype}: {len(edges):3d}   e.g. {sample}")
 
 # Every sentence hangs off exactly one document (DS), every word off exactly
@@ -43,7 +43,7 @@ for etype, edges in graph.edges.items():
 sent0 = int(graph.kind_indices("sentence")[0])
 print("\nneighbors of the first sentence node:")
 for etype in ("DS", "SW", "SS"):
-    neigh = graph.neighbors(sent0, etype)
+    neigh = [(graph.nodes[j], w) for j, w in graph.adjacency(etype, sent0)]
     print(f"  {etype}: {[(nd.kind, nd.index, round(w, 2)) for nd, w in neigh][:4]}")
 
 report = validate_graph(graph)

@@ -85,8 +85,8 @@ class RunConfig:
         check their own fields."""
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be single or double, got {self.precision!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        if self.beam_width < 1:
+            raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
         self.model_config()
         self.train_config()
 

@@ -59,19 +59,16 @@ def select_topk_sentences(t: Tensor | np.ndarray, k: float, graph: HeteroGraph) 
 def extend_selection(selected_sentences: np.ndarray, graph: HeteroGraph) -> np.ndarray:
     """Close the sentence selection over SW-linked words and DS-linked
     documents; result in original node order."""
-    chosen = set(int(i) for i in selected_sentences)
-    if not chosen:
+    sel = np.asarray(selected_sentences, dtype=np.intp)
+    if sel.size == 0:
         raise DataError("extend_selection: empty sentence selection")
-    sent_set = set(graph.kind_indices(SENT).tolist())
-    if not chosen <= sent_set:
+    if not np.isin(sel, graph.kind_indices(SENT)).all():
         raise DataError("extend_selection: selection contains non-sentence nodes")
-    keep = set(chosen)
-    for s in chosen:
-        for w, _ in graph.adjacency("SW", s):
-            keep.add(w)
-        for d, _ in graph.adjacency("DS", s):
-            keep.add(d)
-    return np.asarray(sorted(keep), dtype=np.intp)
+    keep = np.zeros(graph.n_nodes, dtype=bool)
+    keep[sel] = True
+    for ix in (graph.index["SW"], graph.index["DS"]):
+        keep[ix.dst[np.isin(ix.src, sel)]] = True
+    return np.flatnonzero(keep)
 
 
 def compress(q_prime: Tensor, t: Tensor, selection: np.ndarray, graph: HeteroGraph,

@@ -13,7 +13,10 @@ Edge types and weights:
 * SW  - sentence to each of its token occurrences; weight 1.0.
 
 Word nodes are per token occurrence (not per type) so that every node keeps
-its original position in the serialized encoder input.
+its original position in the serialized encoder input. Nodes are numbered
+documents, then sentences, then words, so each sentence's words are
+consecutive. Each edge type is stored once, as an ``Edges`` of parallel
+arrays (endpoints ``a``, ``b``, weight ``w``) in build order.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class NodeId:
     tok: int | None = None
     token_position: int = -1
 
-    def origin(self) -> tuple:
-        return (self.doc, self.sent, self.tok)
-
     def sort_key(self) -> tuple:
         return (_KIND_RANK[self.kind], self.doc,
                 -1 if self.sent is None else self.sent,
@@ -133,6 +133,29 @@ class ValidationReport:
         return not self.violations
 
 
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """One edge type: endpoints ``a``, ``b`` (intp) and weight ``w``
+    (float64), parallel arrays in build order."""
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def from_triples(cls, triples) -> "Edges":
+        a, b, w = np.array(list(triples), dtype=object).reshape(-1, 3).T
+        return cls(a.astype(np.intp), b.astype(np.intp), w.astype(np.float64))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def rows(self):
+        """(a, b, w) rows as Python scalars, each column converted once."""
+        return zip(self.a.tolist(), self.b.tolist(), self.w.tolist())
+
+    __iter__ = rows  # for readers of the tuple form
+
+
 @dataclass(frozen=True)
 class EdgeIndex:
     """Both directions of one type's in-range edges in CSR form, sorted by
@@ -143,10 +166,8 @@ class EdgeIndex:
     indptr: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges: list[tuple[int, int, float]], n: int) -> "EdgeIndex":
-        a = np.array([e[0] for e in edges], dtype=np.intp)
-        b = np.array([e[1] for e in edges], dtype=np.intp)
-        w = np.array([e[2] for e in edges], dtype=np.float64)
+    def from_edges(cls, edges: Edges, n: int) -> "EdgeIndex":
+        a, b, w = edges.a, edges.b, edges.w
         ok = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < n)  # validation reports the rest
         src = np.concatenate([a[ok], b[ok]])
         dst = np.concatenate([b[ok], a[ok]])
@@ -158,13 +179,14 @@ class EdgeIndex:
 
 class HeteroGraph:
     """Immutable typed graph. Nodes are held in canonical order (documents,
-    then sentences, then words, each by origin); edges are per-type lists of
-    (a, b, weight) with a < b over node-list indices, and ``index`` holds
-    each type's EdgeIndex."""
+    then sentences, then words, each by origin); ``edges[t]`` is type t's
+    ``Edges`` (a < b over node indices, in build order; any iterable of
+    (a, b, w) triples given becomes one) and ``index[t]`` its EdgeIndex."""
 
-    def __init__(self, nodes: list[NodeId], edges: dict[str, list[tuple[int, int, float]]]):
+    def __init__(self, nodes: list[NodeId], edges: dict):
         self.nodes = nodes
-        self.edges = {t: list(edges.get(t, ())) for t in EDGE_TYPES}
+        self.edges = {t: e if isinstance(e, Edges) else Edges.from_triples(e)
+                      for t, e in ((t, edges.get(t, ())) for t in EDGE_TYPES)}
         self.index = {t: EdgeIndex.from_edges(self.edges[t], len(nodes)) for t in EDGE_TYPES}
 
     @property
@@ -178,21 +200,8 @@ class HeteroGraph:
     def token_positions(self) -> np.ndarray:
         return np.asarray([nd.token_position for nd in self.nodes], dtype=np.intp)
 
-    def neighbors(self, node: NodeId | int, edge_type: str) -> list[tuple[NodeId, float]]:
-        """Neighbors of a node along one edge type, ascending node order."""
-        if edge_type not in EDGE_TYPES:
-            raise DataError(f"unknown edge type {edge_type!r}")
-        if isinstance(node, NodeId):
-            if node not in self.nodes:
-                raise DataError(f"node {node} not in graph")
-            idx = self.nodes.index(node)
-        else:
-            if not 0 <= node < self.n_nodes:
-                raise DataError(f"node index {node} out of range")
-            idx = node
-        return [(self.nodes[j], w) for j, w in self.adjacency(edge_type, idx)]
-
     def adjacency(self, edge_type: str, idx: int) -> list[tuple[int, float]]:
+        """(neighbour, weight) of node ``idx`` along one edge type, ascending."""
         ix = self.index[edge_type]
         span = slice(ix.indptr[idx], ix.indptr[idx + 1])
         return list(zip(ix.dst[span].tolist(), ix.weight[span].tolist()))
@@ -203,7 +212,7 @@ class HeteroGraph:
             "nodes": [{"kind": nd.kind, "index": nd.index, "doc": nd.doc,
                        "sent": nd.sent, "tok": nd.tok,
                        "token_position": nd.token_position} for nd in self.nodes],
-            "edges": {t: [[a, b, w] for a, b, w in self.edges[t]] for t in EDGE_TYPES},
+            "edges": {t: [list(row) for row in self.edges[t].rows()] for t in EDGE_TYPES},
         })
 
     def to_dot(self, name: str = "cluster") -> str:
@@ -213,8 +222,8 @@ class HeteroGraph:
         for nd, nd_name in zip(self.nodes, names):
             lines.append(f'  {nd_name} [kind="{nd.kind}" pos="{nd.token_position}"];')
         for etype in EDGE_TYPES:
-            for a, b, w in self.edges[etype]:
-                lines.append(f'  {names[a]} -- {names[b]} [type="{etype}" weight="{w:.6f}"];')
+            lines.extend(f'  {names[a]} -- {names[b]} [type="{etype}" weight="{w:.6f}"];'
+                         for a, b, w in self.edges[etype].rows())
         lines.append("}")
         return "\n".join(lines)
 
@@ -235,88 +244,73 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
     if not bounds.sent_slots:
         raise DataError(f"cluster {cluster.id!r}: no sentences within the length budget")
 
-    nodes: list[NodeId] = []
-    doc_node: dict[int, int] = {}
-    for i, (di, pos) in enumerate(bounds.doc_slots):
-        doc_node[di] = len(nodes)
-        nodes.append(NodeId(kind=DOC, index=i, doc=di, token_position=pos))
-    sent_node: dict[tuple[int, int], int] = {}
-    for i, slot in enumerate(bounds.sent_slots):
-        sent_node[(slot.doc, slot.sent)] = len(nodes)
-        nodes.append(NodeId(kind=SENT, index=i, doc=slot.doc, sent=slot.sent,
-                            token_position=slot.sep_pos))
-    word_nodes_per_sent: dict[tuple[int, int], list[int]] = {}
-    wi = 0
-    for slot in bounds.sent_slots:
-        sent = cluster.documents[slot.doc].sentences[slot.sent]
-        lst = []
-        for k in range(len(sent)):
-            lst.append(len(nodes))
-            nodes.append(NodeId(kind=WORD, index=wi, doc=slot.doc, sent=slot.sent,
-                                tok=k, token_position=slot.tok_start + k))
-            wi += 1
-        word_nodes_per_sent[(slot.doc, slot.sent)] = lst
+    slots = bounds.sent_slots
+    sents = [cluster.documents[slot.doc].sentences[slot.sent] for slot in slots]
+    doc_node = {di: i for i, (di, _) in enumerate(bounds.doc_slots)}
+    nodes = [NodeId(kind=DOC, index=i, doc=di, token_position=pos)
+             for i, (di, pos) in enumerate(bounds.doc_slots)]
+    nodes += [NodeId(kind=SENT, index=i, doc=slot.doc, sent=slot.sent,
+                     token_position=slot.sep_pos) for i, slot in enumerate(slots)]
+    occurrences = [(slot, k) for slot, sent in zip(slots, sents) for k in range(len(sent))]
+    nodes += [NodeId(kind=WORD, index=i, doc=slot.doc, sent=slot.sent, tok=k,
+                     token_position=slot.tok_start + k)
+              for i, (slot, k) in enumerate(occurrences)]
 
-    edges: dict[str, list[tuple[int, int, float]]] = {t: [] for t in EDGE_TYPES}
+    n_docs, n_sents = len(bounds.doc_slots), len(slots)
+    sizes = np.array([len(sent) for sent in sents], dtype=np.intp)
+    sent_ids = np.arange(n_docs, n_docs + n_sents)
+    word_ids = np.arange(n_docs + n_sents, len(nodes))
+    first_word = n_docs + n_sents + np.cumsum(sizes) - sizes  # of each sentence
+    edges: dict[str, Edges] = {}
 
-    # WO / SW / DS: structural edges, weight 1.0
-    for slot in bounds.sent_slots:
-        words = word_nodes_per_sent[(slot.doc, slot.sent)]
-        s_idx = sent_node[(slot.doc, slot.sent)]
-        for a, b in zip(words, words[1:]):
-            edges["WO"].append((a, b, 1.0))
-        for w_idx in words:
-            edges["SW"].append((s_idx, w_idx, 1.0))
-        edges["DS"].append((doc_node[slot.doc], s_idx, 1.0))
+    # WO / SW / DS: structural edges, weight 1.0, sentence by sentence
+    wo = word_ids[word_ids < np.repeat(first_word + sizes - 1, sizes)]  # all but the last
+    edges["WO"] = Edges(wo, wo + 1, np.ones(len(wo)))
+    edges["SW"] = Edges(np.repeat(sent_ids, sizes), word_ids, np.ones(len(word_ids)))
+    ds = np.array([doc_node[slot.doc] for slot in slots], dtype=np.intp)
+    edges["DS"] = Edges(ds, sent_ids, np.ones(n_sents))
 
     # WE: noun occurrences across the whole cluster
-    noun_nodes: list[int] = []
-    noun_vecs: list[np.ndarray] = []
-    for slot in bounds.sent_slots:
-        sent = cluster.documents[slot.doc].sentences[slot.sent]
-        words = word_nodes_per_sent[(slot.doc, slot.sent)]
-        for k in noun_candidates(sent):
-            noun_nodes.append(words[k])
-            noun_vecs.append(table.get(sent.lower[k]))
-    edges["WE"] = _cosine_edges(noun_nodes, noun_vecs, cfg.we_threshold or None)
+    nouns = [(start + k, sent.lower[k])
+             for start, sent in zip(first_word.tolist(), sents) for k in noun_candidates(sent)]
+    edges["WE"] = _cosine_edges([i for i, _ in nouns], [table.get(t) for _, t in nouns],
+                                cfg.we_threshold or None)
 
     # SS: every sentence pair, cosine of sentence embeddings
-    sent_vecs = []
-    is_summary_graph = cluster.id.endswith(":summary")
-    for slot in bounds.sent_slots:
-        sent = cluster.documents[slot.doc].sentences[slot.sent]
-        if is_summary_graph:
-            base = cluster.id[:-len(":summary")]
-            key = (base, "summary", slot.doc, slot.sent)
-        else:
-            key = (cluster.id, slot.doc, slot.sent)
-        sent_vecs.append(embedder.embed(sent, key=key))
-    sent_nodes = [sent_node[(slot.doc, slot.sent)] for slot in bounds.sent_slots]
-    edges["SS"] = _cosine_edges(sent_nodes, sent_vecs, cfg.ss_threshold)
+    if cluster.id.endswith(":summary"):
+        base = cluster.id[:-len(":summary")]
+        keys = [(base, "summary", slot.doc, slot.sent) for slot in slots]
+    else:
+        keys = [(cluster.id, slot.doc, slot.sent) for slot in slots]
+    sent_vecs = [embedder.embed(sent, key=key) for sent, key in zip(sents, keys)]
+    edges["SS"] = _cosine_edges(sent_ids, sent_vecs, cfg.ss_threshold)
 
     # DD: every document pair, mean ROUGE F1 over retained sentences, scored
     # in one batch; the lower-index document is the candidate, so a weight
     # depends on document order
     retained = bounds.retained_sentences()
-    doc_ids = sorted(doc_node)
     texts = [[cluster.documents[di].sentences[si].lower for si in retained[di]]
-             for di in doc_ids]
-    pairs = [(i, j) for i in range(len(doc_ids)) for j in range(i + 1, len(doc_ids))]
-    for (i, j), w in zip(pairs, rouge.rouge_avg_f1_batch(texts, pairs)):
-        edges["DD"].append((doc_node[doc_ids[i]], doc_node[doc_ids[j]], w))
+             for di, _ in bounds.doc_slots]  # in document order, as the nodes are
+    i, j = np.triu_indices(n_docs, 1)  # row-major
+    weights = rouge.rouge_avg_f1_batch(texts, list(zip(i.tolist(), j.tolist())))
+    edges["DD"] = Edges(i, j, np.array(weights, dtype=np.float64))
 
     return HeteroGraph(nodes, edges)
 
 
-def _cosine_edges(node_ids: list[int], vecs: list[np.ndarray],
-                  threshold: float | None) -> list[tuple[int, int, float]]:
+def _cosine_edges(node_ids, vecs: list[np.ndarray], threshold: float | None) -> Edges:
     """(a, b, cosine) with a < b for every pair of nodes, in pair order."""
     if len(vecs) < 2:
-        return []
+        return Edges.from_triples(())
     i, j, sim = pairwise_cosine(np.stack(vecs), threshold)
     ids = np.asarray(node_ids, dtype=np.intp)
-    lo, hi = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
-    return list(zip(lo.tolist(), hi.tolist(), sim.tolist()))
+    return Edges(np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j]), sim)
+
+
+# allowed weights per edge type: (low, high, how a violation reads)
+_WEIGHT_RANGE = {**dict.fromkeys(("WO", "DS", "SW"), (1.0, 1.0, "!= 1.0")),
+                 **dict.fromkeys(("SS", "WE"), (-1.0, 1.0 + 1e-12, "outside [-1,1]")),
+                 "DD": (0.0, 1.0, "outside [0,1]")}
 
 
 def validate_graph(g: HeteroGraph) -> ValidationReport:
@@ -326,24 +320,24 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
     n = g.n_nodes
 
     for etype in EDGE_TYPES:
-        for a, b, w in g.edges[etype]:
-            if a == b:
+        e = g.edges[etype]
+        lo, hi = np.minimum(e.a, e.b), np.maximum(e.a, e.b)
+        self_edge = e.a == e.b
+        outside = (lo < 0) | (hi >= n)
+        low, high, violation = _WEIGHT_RANGE[etype]
+        bad_weight = ~((low <= e.w) & (e.w <= high)) & ~outside  # NaN is bad too
+        for k in np.flatnonzero(self_edge | outside | bad_weight).tolist():
+            a, b, w = int(e.a[k]), int(e.b[k]), float(e.w[k])
+            if self_edge[k]:
                 add(f"{etype}: self-edge at node {a}")
-            if not (0 <= a < n and 0 <= b < n):
+            if outside[k]:
                 add(f"{etype}: edge ({a},{b}) out of range")
-                continue
-            if etype in ("WO", "DS", "SW") and w != 1.0:
-                add(f"{etype}: weight {w} != 1.0 on ({a},{b})")
-            if etype == "DD" and not (0.0 <= w <= 1.0):
-                add(f"DD: weight {w} outside [0,1] on ({a},{b})")
-            if etype in ("SS", "WE") and not (-1.0 <= w <= 1.0 + 1e-12):
-                add(f"{etype}: weight {w} outside [-1,1] on ({a},{b})")
-        seen = set()
-        for a, b, w in g.edges[etype]:
-            pair = (min(a, b), max(a, b))
-            if pair in seen:
-                add(f"{etype}: duplicate edge {pair}")
-            seen.add(pair)
+            elif bad_weight[k]:
+                add(f"{etype}: weight {w} {violation} on ({a},{b})")
+        repeated = np.ones(len(e), dtype=bool)
+        repeated[np.unique(np.stack([lo, hi], axis=1), axis=0, return_index=True)[1]] = False
+        for k in np.flatnonzero(repeated).tolist():
+            add(f"{etype}: duplicate edge {(int(lo[k]), int(hi[k]))}")
 
     for kind, etype in ((SENT, "DS"), (WORD, "SW")):
         idx = g.kind_indices(kind)
@@ -362,9 +356,7 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
         reached[0] = True
         frontier = reached.copy()
         while frontier.any():  # breadth-first, one level per pass
-            step = np.zeros(n, dtype=bool)
-            step[dst[frontier[src]]] = True
-            frontier = step & ~reached
+            frontier = np.bincount(dst[frontier[src]], minlength=n).astype(bool) & ~reached
             reached |= frontier
         if not reached.all():
             add(f"graph not connected: reached {int(reached.sum())} of {n} nodes")

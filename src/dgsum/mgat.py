@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numeric as nm
 from .errors import AlignmentError, ConfigError
-from .hetgraph import EDGE_TYPES, EdgeIndex, HeteroGraph
+from .hetgraph import EDGE_TYPES, EdgeIndex, Edges, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 UNION_CHANNEL = "ALL"  # single-channel ablation: type-erased edge union
@@ -122,11 +122,10 @@ def _canonical_perm(graph: HeteroGraph) -> np.ndarray | None:
 
 
 def _permuted_graph(graph: HeteroGraph, perm: np.ndarray) -> HeteroGraph:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
+    inv = np.argsort(perm)  # node i moves to inv[i]
     nodes = [graph.nodes[i] for i in perm]
-    edges = {t: [(int(min(inv[a], inv[b])), int(max(inv[a], inv[b])), w)
-                 for a, b, w in graph.edges[t]] for t in EDGE_TYPES}
+    edges = {t: Edges(np.minimum(inv[e.a], inv[e.b]), np.maximum(inv[e.a], inv[e.b]), e.w)
+             for t, e in graph.edges.items()}
     return HeteroGraph(nodes, edges)
 
 
@@ -143,8 +142,7 @@ def mgat_encode(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
                              f"{graph.n_nodes} nodes")
     perm = _canonical_perm(graph)
     if perm is not None:
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
+        inv = np.argsort(perm)
         graph = _permuted_graph(graph, perm)
         node_embs = nm.gather_rows(node_embs, perm)
     h = node_embs

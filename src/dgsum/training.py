@@ -7,6 +7,7 @@ are ragged); gradient accumulation provides larger effective batches.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .compressor import CompressorConfig, add_compressor_params, compress_graph
 from .corpus import (RESERVED, DocumentCluster, Vocab, serialize_encoder_input,
                      summary_as_cluster)
 from .embeddings import EmbeddingTable, MeanWordEmbedder
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .hetgraph import GraphConfig, HeteroGraph, build_hetero_graph
 from .mgat import MgatConfig, add_mgat_params, mgat_encode
 from .numeric import Adam, ParamStore, Tensor
@@ -54,6 +55,17 @@ class TrainConfig:
     seed: int = 0
     accum: int = 1
     eval_every: int | None = None  # steps between dev evals; None = each epoch end
+
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("beta", 0.0 <= self.beta <= 1.0, "in [0, 1]"),
+                ("label_smoothing", 0.0 <= self.label_smoothing < 1.0, "in [0, 1)"),
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("epochs", self.epochs >= 0, ">= 0"),
+                ("patience", self.patience >= 1, ">= 1"), ("accum", self.accum >= 1, ">= 1"),
+                ("eval_every", self.eval_every is None or self.eval_every >= 1, "None or >= 1")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

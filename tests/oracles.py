@@ -14,6 +14,7 @@ import numpy as np
 
 import dgsum.numeric as nm
 from dgsum.corpus import RESERVED, Vocab
+from dgsum.errors import DataError
 from dgsum.text_model import _decoder_forward
 from dgsum.training import encode_compress
 
@@ -250,6 +251,23 @@ def union_channel_oracle(graph):
 
 
 # --- misc numeric oracles -------------------------------------------------------
+
+def extend_selection_oracle(selected_sentences, graph):
+    """The selected sentences plus every node one SW or DS edge away from
+    them, as a set walk over the adjacency lists, ascending."""
+    chosen = set(int(i) for i in selected_sentences)
+    if not chosen:
+        raise DataError("extend_selection: empty sentence selection")
+    if not chosen <= set(graph.kind_indices("sentence").tolist()):
+        raise DataError("extend_selection: selection contains non-sentence nodes")
+    keep = set(chosen)
+    for s in chosen:
+        for w, _ in graph.adjacency("SW", s):
+            keep.add(w)
+        for d, _ in graph.adjacency("DS", s):
+            keep.add(d)
+    return np.asarray(sorted(keep), dtype=np.intp)
+
 
 def adam_two_step_oracle(p0, g1, g2, lr, beta1, beta2, eps):
     """Hand-unrolled two Adam updates on one scalar."""

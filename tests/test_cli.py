@@ -152,6 +152,28 @@ class TestConfigResolution:
         assert rc == 1
         assert "d_model 130 not divisible by n_heads 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "1.5"), ("--beta", "-0.1"), ("--label-smoothing", "1.5"),
+        ("--label-smoothing", "1.0"), ("--label-smoothing", "-0.1"), ("--lr", "-0.01"),
+        ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--epochs", "-1"),
+        ("--patience", "0"), ("--accum", "0"), ("--eval-every", "0")])
+    def test_bad_training_value_is_config_error_before_data(self, tmp_path, capsys,
+                                                           flag, value):
+        rc = main(["train", "--data", str(tmp_path / "missing.jsonl"),
+                   "--embeddings", str(tmp_path / "missing.txt"),
+                   "--out", str(tmp_path / "out"), flag, value])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_beam_width_zero_is_config_error_before_data(self, tmp_path, capsys):
+        rc = main(["summarize", "--model", str(tmp_path / "model"),
+                   "--data", str(tmp_path / "missing.jsonl"),
+                   "--embeddings", str(tmp_path / "missing.txt"),
+                   "--out", str(tmp_path / "out.jsonl"), "--beam-width", "0"])
+        assert rc == 1
+        assert "beam_width" in capsys.readouterr().err
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             resolve_config(None, {"beta": 1.5})

@@ -16,6 +16,7 @@ from dgsum.errors import ConfigError, DataError
 from dgsum.hetgraph import EDGE_TYPES, GraphConfig, HeteroGraph, NodeId, build_hetero_graph
 from dgsum.numeric import ParamStore, Tensor
 from conftest import cluster_from_texts
+from oracles import extend_selection_oracle
 
 RNG = np.random.default_rng(55)
 
@@ -137,6 +138,24 @@ class TestExtend:
             if nd.kind == "word":
                 (s_idx, _), = g.adjacency("SW", int(idx))
                 assert s_idx in chosen_set
+
+    def test_matches_set_oracle_on_random_selections(self, table_for):
+        rng = np.random.default_rng(21)
+        graphs = [graph_for(table_for),
+                  graph_for(table_for, ("storm hits coast.", "waves flood town. rain.",
+                                        "rescue starts now. people leave. storm ends."))]
+        for g in graphs:
+            sents = g.kind_indices("sentence")
+            for _ in range(25):
+                chosen = rng.choice(sents, size=int(rng.integers(1, len(sents) + 1)),
+                                    replace=False)
+                got = extend_selection(chosen, g)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, extend_selection_oracle(chosen, g))
+            for bad in ([], [int(g.kind_indices("word")[0])], [int(sents[0]), g.n_nodes], [-1]):
+                for fn in (extend_selection, extend_selection_oracle):
+                    with pytest.raises(DataError):
+                        fn(np.asarray(bad, dtype=np.intp), g)
 
     def test_empty_selection_guarded(self, table_for):
         g = graph_for(table_for)

@@ -260,7 +260,7 @@ class TestBatchedKernel:
             doc_node = {nd.doc: k for k, nd in enumerate(g.nodes) if nd.kind == "document"}
             expected = [(doc_node[i], doc_node[j], rouge_avg_f1_oracle(texts[i], texts[j]))
                         for i in range(len(texts)) for j in range(i + 1, len(texts))]
-            assert g.edges["DD"] == expected
+            assert list(g.edges["DD"]) == expected
 
     def test_one_long_sentence_does_not_pad_every_table(self, monkeypatch):
         # 45 document pairs, 2,880 sentence problems: padded unchunked to the
