@@ -200,6 +200,13 @@ class HeteroGraph:
     def token_positions(self) -> np.ndarray:
         return np.asarray([nd.token_position for nd in self.nodes], dtype=np.intp)
 
+    def canonical_order(self) -> np.ndarray | None:
+        """Node indices stably sorted by ``NodeId.sort_key``, or None when
+        the nodes are already in that order."""
+        keys = [nd.sort_key() for nd in self.nodes]
+        order = np.asarray(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        return None if np.array_equal(order, np.arange(len(keys))) else order
+
     def adjacency(self, edge_type: str, idx: int) -> list[tuple[int, float]]:
         """(neighbour, weight) of node ``idx`` along one edge type, ascending."""
         ix = self.index[edge_type]
@@ -277,11 +284,7 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
                                 cfg.we_threshold or None)
 
     # SS: every sentence pair, cosine of sentence embeddings
-    if cluster.id.endswith(":summary"):
-        base = cluster.id[:-len(":summary")]
-        keys = [(base, "summary", slot.doc, slot.sent) for slot in slots]
-    else:
-        keys = [(cluster.id, slot.doc, slot.sent) for slot in slots]
+    keys = [(cluster.id, slot.doc, slot.sent) for slot in slots]
     sent_vecs = [embedder.embed(sent, key=key) for sent, key in zip(sents, keys)]
     edges["SS"] = _cosine_edges(sent_ids, sent_vecs, cfg.ss_threshold)
 

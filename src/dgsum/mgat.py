@@ -7,6 +7,8 @@ d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]), slope 0.2; softmax runs over
 the typed neighborhood plus a unit-weight self-loop, so nodes without edges
 of a type still produce output. Each channel works on its edge list (CSR
 segments per node), so a head costs O(E + n) memory, not O(n^2).
+``mgat_encode`` builds every channel's edge list once, in canonical node
+numbering, and all layers reuse it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import numeric as nm
 from .errors import AlignmentError, ConfigError
-from .hetgraph import EDGE_TYPES, EdgeIndex, Edges, HeteroGraph
+from .hetgraph import EDGE_TYPES, EdgeIndex, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 UNION_CHANNEL = "ALL"  # single-channel ablation: type-erased edge union
@@ -52,16 +54,19 @@ def add_mgat_params(store: ParamStore, cfg: MgatConfig, rng: np.random.Generator
         store.add(f"mgat{layer}.U", (cfg.d_in, width), rng)
 
 
-def channel_edges(graph: HeteroGraph, channel: str) -> EdgeIndex:
+def channel_edges(graph: HeteroGraph, channel: str,
+                  rank: np.ndarray | None = None) -> EdgeIndex:
     """The edges one channel attends over, in CSR form sorted by (src, dst):
     the channel's edge type (every type for the union channel, keeping the
     max weight of a pair that appears more than once) plus a unit self-loop
-    on every node."""
+    on every node. With ``rank``, node i is numbered ``rank[i]``."""
     ixs = [graph.index[t] for t in (EDGE_TYPES if channel == UNION_CHANNEL else (channel,))]
     n = graph.n_nodes
     src = np.concatenate([np.arange(n)] + [ix.src for ix in ixs])
     dst = np.concatenate([np.arange(n)] + [ix.dst for ix in ixs])
     w = np.concatenate([np.ones(n)] + [ix.weight for ix in ixs])
+    if rank is not None:
+        src, dst = rank[src], rank[dst]
     order = np.lexsort((-w, dst, src))  # a pair's largest weight comes first
     src, dst, w = src[order], dst[order], w[order]
     first = np.ones(len(src), dtype=bool)
@@ -70,17 +75,16 @@ def channel_edges(graph: HeteroGraph, channel: str) -> EdgeIndex:
     return EdgeIndex(src, dst, w, np.searchsorted(src, np.arange(n + 1)))
 
 
-def channel_attention(node_embs: Tensor, graph: HeteroGraph, channel: str,
+def channel_attention(node_embs: Tensor, ix: EdgeIndex,
                       head_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Per-node embeddings for one channel: heads concatenated, each head
     elu(sum_j alpha_ij W h_j) with alpha the softmax, within node i's
-    neighbourhood (self-loop weight 1 included), of the edge-weight-modulated
-    coefficients."""
-    n = graph.n_nodes
+    neighbourhood ``ix`` (self-loop weight 1 included), of the
+    edge-weight-modulated coefficients."""
+    n = len(ix.indptr) - 1
     if node_embs.shape[0] != n:
         raise AlignmentError(f"channel_attention: {node_embs.shape[0]} embeddings for "
                              f"{n} nodes")
-    ix = channel_edges(graph, channel)
     ew = ix.weight[:, None]
     heads = []
     for W, w in head_params:
@@ -98,35 +102,17 @@ def channel_attention(node_embs: Tensor, graph: HeteroGraph, channel: str,
     return heads[0] if len(heads) == 1 else nm.concat(heads, axis=1)
 
 
-def mgat_layer(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
-               layer: int, cfg: MgatConfig,
-               channels: tuple[str, ...] | None = None) -> Tensor:
-    """One layer: concat the per-channel embeddings, apply the shared U."""
-    channels = channels if channels is not None else cfg.channels
+def mgat_layer(node_embs: Tensor, channels: dict[str, EdgeIndex], store: ParamStore,
+               layer: int, cfg: MgatConfig) -> Tensor:
+    """One layer: concat the per-channel embeddings, in ``channels`` order,
+    and apply the shared U."""
     blocks = []
-    for ch in channels:
+    for ch, ix in channels.items():
         head_params = [(store[f"mgat{layer}.{ch}.h{m}.W"], store[f"mgat{layer}.{ch}.h{m}.w"])
                        for m in range(cfg.n_heads)]
-        blocks.append(channel_attention(node_embs, graph, ch, head_params))
+        blocks.append(channel_attention(node_embs, ix, head_params))
     stacked = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=1)
     return nm.matmul(stacked, nm.transpose(store[f"mgat{layer}.U"]))
-
-
-def _canonical_perm(graph: HeteroGraph) -> np.ndarray | None:
-    keys = [nd.sort_key() for nd in graph.nodes]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    perm = np.asarray(order, dtype=np.intp)
-    if np.array_equal(perm, np.arange(len(keys))):
-        return None
-    return perm
-
-
-def _permuted_graph(graph: HeteroGraph, perm: np.ndarray) -> HeteroGraph:
-    inv = np.argsort(perm)  # node i moves to inv[i]
-    nodes = [graph.nodes[i] for i in perm]
-    edges = {t: Edges(np.minimum(inv[e.a], inv[e.b]), np.maximum(inv[e.a], inv[e.b]), e.w)
-             for t, e in graph.edges.items()}
-    return HeteroGraph(nodes, edges)
 
 
 def mgat_encode(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
@@ -134,21 +120,17 @@ def mgat_encode(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
     """Stacked layers (with optional residual) over the graph; row order of
     the output matches the input node order.
 
-    Nodes are processed in a canonical order derived from their origins, so
-    relabeling the node list permutes the output rows bit-exactly.
+    Nodes are processed in their canonical order, so relabeling the node
+    list permutes the output rows bit-exactly.
     """
     if node_embs.shape[0] != graph.n_nodes:
         raise AlignmentError(f"mgat_encode: {node_embs.shape[0]} embedding rows for "
                              f"{graph.n_nodes} nodes")
-    perm = _canonical_perm(graph)
-    if perm is not None:
-        inv = np.argsort(perm)
-        graph = _permuted_graph(graph, perm)
-        node_embs = nm.gather_rows(node_embs, perm)
-    h = node_embs
+    order = graph.canonical_order()
+    rank = None if order is None else np.argsort(order)  # node i's canonical number
+    channels = {ch: channel_edges(graph, ch, rank) for ch in cfg.channels}
+    h = node_embs if order is None else nm.gather_rows(node_embs, order)
     for layer in range(cfg.n_layers):
-        out = mgat_layer(h, graph, store, layer, cfg)
+        out = mgat_layer(h, channels, store, layer, cfg)
         h = nm.add(h, out) if cfg.residual else out
-    if perm is not None:
-        h = nm.gather_rows(h, inv)
-    return h
+    return h if order is None else nm.gather_rows(h, rank)

@@ -19,7 +19,7 @@ import numpy as np
 from . import numeric as nm
 from .corpus import BoundaryIndex, Vocab
 from .errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
-from .hetgraph import HeteroGraph
+from .hetgraph import DOC, SENT, WORD, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 
@@ -186,9 +186,9 @@ def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:
     sep = set(enc.boundaries.sep_positions())
     for nd in graph.nodes:
         is_sep = nd.token_position in sep
-        if nd.kind == "word" and is_sep:
+        if nd.kind == WORD and is_sep:
             raise AlignmentError(f"word node at delimiter position {nd.token_position}")
-        if nd.kind in ("sentence", "document") and not is_sep:
+        if nd.kind in (SENT, DOC) and not is_sep:
             raise AlignmentError(f"{nd.kind} node at non-delimiter position "
                                  f"{nd.token_position}")
     return nm.gather_rows(enc.Q, positions)
@@ -235,28 +235,21 @@ def _decoder(ids: list[int], positions: np.ndarray,
     return nm.add(nm.matmul(x, store["out.w"]), store["out.b"])
 
 
-def _decoder_forward(memory: Tensor, mem_positions: np.ndarray, target_ids: list[int],
-                     store: ParamStore, cfg: TextModelConfig, train: bool = False,
-                     rng: np.random.Generator | None = None) -> Tensor:
-    """Full-prefix pass: every target position attends causally to the others."""
+def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,
+                          target_ids: list[int], store: ParamStore,
+                          cfg: TextModelConfig, train: bool = False,
+                          rng: np.random.Generator | None = None) -> Tensor:
+    """Logits [len(target) x vocab]; row i conditions on target[0..i], every
+    target position attending causally to the others."""
+    if not target_ids or target_ids[0] != Vocab.BOS:
+        raise DataError("decode_teacher_forced: target must begin with BOS")
+    if memory.shape[0] == 0:
+        raise DataError("decode_teacher_forced: empty memory")
     t = len(target_ids)
     mem_kv = _memory_kv(memory, mem_positions, store, cfg)
     return _decoder(target_ids, np.arange(t),
                     lambda i, x: _project_kv(x, store, f"dec{i}.self", cfg.n_heads), mem_kv,
                     causal_mask(t), store, cfg, train=train, rng=rng)
-
-
-def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,
-                          target_ids: list[int], store: ParamStore,
-                          cfg: TextModelConfig, train: bool = False,
-                          rng: np.random.Generator | None = None) -> Tensor:
-    """Logits [len(target) x vocab]; row i conditions on target[0..i]."""
-    if not target_ids or target_ids[0] != Vocab.BOS:
-        raise DataError("decode_teacher_forced: target must begin with BOS")
-    if memory.shape[0] == 0:
-        raise DataError("decode_teacher_forced: empty memory")
-    return _decoder_forward(memory, mem_positions, target_ids, store, cfg,
-                            train=train, rng=rng)
 
 
 def beam_search(step_logprobs: Callable[[list[list[int]]], np.ndarray], bos: int, eos: int,

@@ -197,7 +197,9 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
         total.backward()
     except NumericError as e:
         raise NumericError(f"cluster {bundle.cluster.id!r}: {e}") from e
-    grads = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+    # the parameters' own arrays: zero_grads() above makes the next backward
+    # allocate new ones
+    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for name, t in params.items()}
     breakdown = LossBreakdown(l_ce=float(l_ce.data),
                               l_gs=0.0 if l_gs is None else float(l_gs.data),
@@ -255,7 +257,7 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
 
     rng = np.random.default_rng(train_cfg.seed)
     optimizer = Adam(params, lr=train_cfg.lr)
-    best = params.clone()
+    best: ParamStore | None = None  # set by the first dev eval or at the end
     best_rl = -1.0
     bad_evals = 0
     log_records: list[dict] = []
@@ -263,6 +265,14 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
     acc: dict | None = None
     acc_count = 0
     stop = False
+
+    def apply_accumulated():
+        nonlocal acc, acc_count
+        for name, t in params.items():
+            t.grad = acc[name] / acc_count
+        optimizer.step()
+        params.zero_grads()
+        acc, acc_count = None, 0
 
     def run_dev_eval():
         nonlocal best, best_rl, bad_evals, stop
@@ -294,12 +304,7 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
                     acc[name] += grads[name]
             acc_count += 1
             if acc_count >= train_cfg.accum:
-                for name, t in params.items():
-                    t.grad = acc[name] / acc_count
-                optimizer.step()
-                params.zero_grads()
-                acc = None
-                acc_count = 0
+                apply_accumulated()
             if train_cfg.eval_every and step % train_cfg.eval_every == 0:
                 run_dev_eval()
                 if stop:
@@ -311,11 +316,8 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
             if stop:
                 break
 
-    if acc is not None and acc_count and not stop:
-        for name, t in params.items():
-            t.grad = acc[name] / acc_count
-        optimizer.step()
-        params.zero_grads()
+    if acc_count and not stop:  # a partial accumulation
+        apply_accumulated()
 
     if best_rl < 0:  # no dev evaluation ever ran
         best = params.clone()

@@ -15,7 +15,7 @@ import numpy as np
 import dgsum.numeric as nm
 from dgsum.corpus import RESERVED, Vocab
 from dgsum.errors import DataError
-from dgsum.text_model import _decoder_forward
+from dgsum.text_model import decode_teacher_forced
 from dgsum.training import encode_compress
 
 
@@ -344,7 +344,7 @@ def decode_greedy(memory, mem_positions, store, cfg, max_len=None):
     out = []
     for _ in range(max_len):
         with nm.no_grad():
-            row = _decoder_forward(memory, mem_positions, prefix, store, cfg).data[-1]
+            row = decode_teacher_forced(memory, mem_positions, prefix, store, cfg).data[-1]
         shifted = row - row.max()
         tok = int(np.argmax(shifted - np.log(np.exp(shifted).sum())))
         if tok == Vocab.EOS:
@@ -369,7 +369,7 @@ def decode_beam_oracle(memory, mem_positions, store, cfg, beam_width, max_len=No
         candidates = []
         for hyp_idx, (score, prefix) in enumerate(live):
             with nm.no_grad():
-                row = _decoder_forward(memory, mem_positions, prefix, store, cfg).data[-1]
+                row = decode_teacher_forced(memory, mem_positions, prefix, store, cfg).data[-1]
             shifted = row - row.max()
             logp = shifted - np.log(np.exp(shifted).sum())
             for tok in range(len(logp)):

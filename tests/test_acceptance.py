@@ -310,17 +310,18 @@ def test_criterion_4_mgat_properties(table_for):
             assert np.array_equal(out, base[perm])  # exact under row permutation
 
         # channel isolation: emptying one channel leaves other blocks bit-equal
-        from dgsum.mgat import channel_attention
+        from dgsum.mgat import channel_attention, channel_edges
         cluster = cluster_from_texts("iso", ["storm coast. flood town.", "rain now."])
         table = table_for([cluster])
         g = build_hetero_graph(cluster, table, MeanWordEmbedder(table), GraphConfig())
         h = Tensor(rng.normal(size=(g.n_nodes, 6)))
         heads = {ch: [(store[f"mgat0.{ch}.h{m}.W"], store[f"mgat0.{ch}.h{m}.w"])
                       for m in range(2)] for ch in EDGE_TYPES}
-        before = {ch: channel_attention(h, g, ch, heads[ch]).data for ch in EDGE_TYPES}
+        before = {ch: channel_attention(h, channel_edges(g, ch), heads[ch]).data
+                  for ch in EDGE_TYPES}
         stripped = HeteroGraph(g.nodes, {**g.edges, "WO": []})
         for ch in EDGE_TYPES:
-            after = channel_attention(h, stripped, ch, heads[ch]).data
+            after = channel_attention(h, channel_edges(stripped, ch), heads[ch]).data
             if ch == "WO":
                 assert not np.array_equal(after, before[ch])
             else:

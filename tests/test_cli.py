@@ -12,9 +12,14 @@ import pytest
 
 import dgsum
 from dgsum.cli import RunConfig, build_parser, main, resolve_config
+from dgsum.compressor import CompressorConfig
 from dgsum.errors import ConfigError
+from dgsum.hetgraph import GraphConfig
+from dgsum.mgat import MgatConfig
 from dgsum.rouge import corpus_rouge
-from conftest import write_cluster_file
+from dgsum.text_model import TextModelConfig
+from dgsum.training import ModelConfig, TrainConfig
+from conftest import all_tokens, write_cluster_file, write_embedding_file
 from oracles import rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy
 
 TOY_FLAGS = ["--d-model", "16", "--n-heads", "2", "--ffn-dim", "24",
@@ -97,6 +102,14 @@ class TestConfigResolution:
         assert cfg.min_freq == 2
         assert cfg.lr == 3e-4
         assert cfg.patience == 5
+
+    def test_defaults_equal_the_sub_config_defaults(self):
+        # each default is written twice: on RunConfig and on the config it feeds
+        cfg = RunConfig()
+        assert cfg.model_config() == ModelConfig(TextModelConfig(), MgatConfig(),
+                                                 CompressorConfig())
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.graph_config() == GraphConfig()
 
     def test_file_then_flags_layering(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -601,6 +614,33 @@ class TestGraphCommand:
                                            need_summary=False)
             assert exported != [[a, b, w] for a, b, w
                                 in mean_of_words.src_graph.edges["SS"]]
+
+    def test_sentence_embeddings_key_the_summary_graph(self, tmp_path):
+        # summary sentence s is read under "<id>:summary:0:<s>"
+        from dgsum.corpus import build_vocab, load_clusters
+        from dgsum.training import prepare_bundle
+        data = tmp_path / "data.jsonl"
+        write_cluster_file(data, [{"id": "c1", "documents": ["storm hits coast. waves flood."],
+                                   "summary": "storm hits. waves flood. town waits."}])
+        cluster = load_clusters(data)[0]
+        words = tmp_path / "vectors.txt"
+        write_embedding_file(words, all_tokens(cluster))
+        rng = np.random.default_rng(5)
+        keys = ["c1:0:0", "c1:0:1"] + [f"c1:summary:0:{s}" for s in range(3)]
+        vecs = {key: rng.normal(size=8) for key in keys}
+        sent_vecs = tmp_path / "sentences.txt"
+        sent_vecs.write_text("".join(f"{key} {' '.join(map(str, v))}\n"
+                                     for key, v in vecs.items()))
+        cfg = resolve_config(None, {"embeddings": str(words), "embedding_dim": 8,
+                                    "sentence_embeddings": str(sent_vecs)})
+        bundle = prepare_bundle(cluster, cfg.resources(build_vocab([cluster], min_freq=1)),
+                                cfg.model_config(), need_summary=True)
+        g = bundle.sum_graph
+        assert len(g.edges["SS"]) == 3
+        for a, b, w in g.edges["SS"]:
+            u, v = (vecs[f"c1:summary:0:{g.nodes[i].sent}"] for i in (a, b))
+            assert w == pytest.approx(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)),
+                                      rel=0, abs=1e-12)
 
     def test_pos_field_sets_the_nouns(self, tmp_path):
         # "went" is a closed-class word to the heuristic; the tags make it a noun

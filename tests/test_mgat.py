@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import dgsum.numeric as nm
+from dgsum import mgat
 from dgsum.embeddings import MeanWordEmbedder
 from dgsum.hetgraph import EDGE_TYPES, GraphConfig, HeteroGraph, NodeId, build_hetero_graph
 from dgsum.mgat import (UNION_CHANNEL, MgatConfig, add_mgat_params, channel_attention,
-                        mgat_encode, mgat_layer)
+                        channel_edges, mgat_encode, mgat_layer)
 from dgsum.numeric import ParamStore, Tensor
 from conftest import cluster_from_texts
 from oracles import (attention_coefficient, dense_channel_attention_oracle, dense_channel_oracle,
@@ -23,6 +24,10 @@ def small_graph(table_for, texts=("storm hits coast. waves flood town.",
     cluster = cluster_from_texts("g", list(texts))
     table = table_for([cluster])
     return build_hetero_graph(cluster, table, MeanWordEmbedder(table), GraphConfig())
+
+
+def channels_of(g, names=EDGE_TYPES):
+    return {ch: channel_edges(g, ch) for ch in names}
 
 
 def tiny_params(cfg: MgatConfig, seed=0) -> ParamStore:
@@ -68,7 +73,7 @@ class TestChannelAttention:
         W = Tensor(RNG.normal(size=(3, 5)))
         w = Tensor(RNG.normal(size=6))
         h = Tensor(RNG.normal(size=(1, 5)))
-        out = channel_attention(h, g, "WO", [(W, w)])
+        out = channel_attention(h, channel_edges(g, "WO"), [(W, w)])
         s = h.data @ W.data.T
         expected = np.where(s > 0, s, np.expm1(np.minimum(s, 0)))
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -102,7 +107,7 @@ class TestChannelAttention:
         W = rng.normal(size=(3, 4))
         w = rng.normal(size=6)
         h = rng.normal(size=(3, 4))
-        got = channel_attention(Tensor(h), g, "WO", [(Tensor(W), Tensor(w))])
+        got = channel_attention(Tensor(h), channel_edges(g, "WO"), [(Tensor(W), Tensor(w))])
         ew, mask = dense_channel_oracle(g, "WO")
         expected = dense_gat_channel_oracle(h, ew, mask, W, w)
         assert np.allclose(got.data, expected, atol=1e-10)
@@ -112,9 +117,9 @@ class TestChannelAttention:
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
         heads = [(Tensor(RNG.normal(size=(4, 6))), Tensor(RNG.normal(size=8)))
                  for _ in range(3)]
-        out = channel_attention(h, g, "SS", heads)
+        out = channel_attention(h, channel_edges(g, "SS"), heads)
         assert out.shape == (g.n_nodes, 12)
-        solo = channel_attention(h, g, "SS", heads[:1])
+        solo = channel_attention(h, channel_edges(g, "SS"), heads[:1])
         assert np.array_equal(out.data[:, :4], solo.data)
 
 
@@ -154,7 +159,7 @@ class TestEdgeListChannel:
             h = rng.normal(size=(n, 5))
             heads = [(rng.normal(size=(3, 5)), rng.normal(size=6)) for _ in range(2)]
             for ch in self.channels():
-                got = channel_attention(Tensor(h), g, ch,
+                got = channel_attention(Tensor(h), channel_edges(g, ch),
                                         [(Tensor(W), Tensor(w)) for W, w in heads])
                 ew, mask = self.dense(g, ch)
                 ref = np.concatenate([dense_gat_channel_oracle(h, ew, mask, W, w)
@@ -183,7 +188,7 @@ class TestEdgeListChannel:
                     nm.sum_(nm.mul(out, probe)).backward()
                     return out.data, [t.grad.copy() for t in leaves]
 
-                got_out, got = grads(channel_attention(h, g, ch, heads))
+                got_out, got = grads(channel_attention(h, channel_edges(g, ch), heads))
                 ew, mask = self.dense(g, ch)
                 ref_out, ref = grads(dense_channel_attention_oracle(h, ew, mask, heads))
                 assert rel_err(got_out, ref_out) <= 1e-12, ch
@@ -215,7 +220,7 @@ class TestMgatLayer:
         cfg = MgatConfig(n_layers=1, n_heads=2, d_in=6, d_head=3)
         store = tiny_params(cfg)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        out = mgat_layer(h, g, store, 0, cfg)
+        out = mgat_layer(h, channels_of(g), store, 0, cfg)
         assert out.shape == (g.n_nodes, 6)
 
     def test_zero_u_zero_output(self, table_for):
@@ -224,7 +229,7 @@ class TestMgatLayer:
         store = tiny_params(cfg)
         store["mgat0.U"].data[...] = 0.0
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        out = mgat_layer(h, g, store, 0, cfg)
+        out = mgat_layer(h, channels_of(g), store, 0, cfg)
         assert np.all(out.data == 0.0)
 
     def test_channel_block_permutation(self, table_for):
@@ -234,7 +239,7 @@ class TestMgatLayer:
         cfg = MgatConfig(n_layers=1, n_heads=1, d_in=6, d_head=3)
         store = tiny_params(cfg, seed=3)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        base = mgat_layer(h, g, store, 0, cfg)
+        base = mgat_layer(h, channels_of(g), store, 0, cfg)
 
         perm = [3, 0, 5, 1, 4, 2]
         channels = tuple(EDGE_TYPES[i] for i in perm)
@@ -251,7 +256,7 @@ class TestMgatLayer:
         blocks = [u[:, i * width:(i + 1) * width] for i in range(6)]
         t = permuted.add("mgat0.U", u.shape, rng)
         t.data[...] = np.concatenate([blocks[i] for i in perm], axis=1)
-        out = mgat_layer(h, g, permuted, 0, cfg, channels=channels)
+        out = mgat_layer(h, channels_of(g, channels), permuted, 0, cfg)
         assert np.allclose(out.data, base.data, atol=1e-12)
 
 
@@ -340,14 +345,14 @@ class TestProperties:
         store = tiny_params(cfg, seed=2)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
         blocks_before = {
-            ch: channel_attention(h, g, ch,
+            ch: channel_attention(h, channel_edges(g, ch),
                                   [(store[f"mgat0.{ch}.h0.W"], store[f"mgat0.{ch}.h0.w"])])
             for ch in EDGE_TYPES
         }
         zeroed = HeteroGraph(g.nodes, {**g.edges, "SS": []})
         for ch in EDGE_TYPES:
             after = channel_attention(
-                h, zeroed, ch,
+                h, channel_edges(zeroed, ch),
                 [(store[f"mgat0.{ch}.h0.W"], store[f"mgat0.{ch}.h0.w"])])
             if ch == "SS":
                 assert not np.array_equal(after.data, blocks_before[ch].data)
@@ -410,3 +415,64 @@ class TestProperties:
         params["h"] = h
         err = nm.grad_check(loss, params, max_entries=24)
         assert err < 1e-5
+
+
+class TestChannelsBuiltOnce:
+    """mgat_encode prepares each channel's edge list once, in canonical node
+    numbering, and every layer reuses it."""
+
+    def relabeled(self, table_for):
+        g = small_graph(table_for)
+        perm = np.random.default_rng(12).permutation(g.n_nodes)
+        return g, perm, permute_graph(g, perm)
+
+    def test_one_channel_edges_call_per_channel(self, table_for, monkeypatch):
+        g, _, gp = self.relabeled(table_for)
+        calls = []
+
+        def counting(graph, channel, rank=None):
+            calls.append(channel)
+            return channel_edges(graph, channel, rank)
+        monkeypatch.setattr(mgat, "channel_edges", counting)
+        for single_channel in (False, True):
+            cfg = MgatConfig(n_layers=2, n_heads=1, d_in=6, d_head=3,
+                             single_channel=single_channel)
+            store = tiny_params(cfg)
+            for graph in (g, gp):
+                calls.clear()
+                mgat_encode(Tensor(RNG.normal(size=(graph.n_nodes, 6))), graph, store, cfg)
+                assert sorted(calls) == sorted(cfg.channels)
+
+    def test_relabeled_graph_builds_no_graph(self, table_for, monkeypatch):
+        _, _, gp = self.relabeled(table_for)
+        cfg = MgatConfig(n_layers=2, n_heads=1, d_in=6, d_head=3)
+        store = tiny_params(cfg)
+        built = []
+        init = HeteroGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(HeteroGraph, "__init__", counting)
+        mgat_encode(Tensor(RNG.normal(size=(gp.n_nodes, 6))), gp, store, cfg)
+        assert built == []
+
+    def test_relabeled_channels_equal_the_canonical_ones(self, table_for):
+        g, perm, gp = self.relabeled(table_for)
+        assert g.canonical_order() is None
+        order = gp.canonical_order()
+        assert np.array_equal(order, np.argsort(perm))
+        rank = np.argsort(order)
+        for ch in EDGE_TYPES + (UNION_CHANNEL,):
+            got, want = channel_edges(gp, ch, rank), channel_edges(g, ch)
+            for field in ("src", "dst", "weight", "indptr"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (ch, field)
+
+    def test_embedding_count_is_checked_against_the_index(self, table_for):
+        from dgsum.errors import AlignmentError
+        g = small_graph(table_for)
+        W, w = Tensor(RNG.normal(size=(3, 6))), Tensor(RNG.normal(size=6))
+        with pytest.raises(AlignmentError, match="embeddings for"):
+            channel_attention(Tensor(RNG.normal(size=(g.n_nodes - 1, 6))),
+                              channel_edges(g, "WO"), [(W, w)])

@@ -9,7 +9,7 @@ from dgsum.embeddings import MeanWordEmbedder
 from dgsum.errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
 from dgsum.hetgraph import GraphConfig, build_hetero_graph
 from dgsum.numeric import ParamStore, Tensor
-from dgsum.text_model import (TextModelConfig, _cached_step, _decoder_forward,
+from dgsum.text_model import (TextModelConfig, _cached_step,
                               add_text_model_params, beam_search, causal_mask,
                               decode_beam, decode_teacher_forced,
                               encoder_mask, encode_text, unit_embeddings)
@@ -335,7 +335,7 @@ class TestCachedDecoding:
             assert len({len(p) for p, _ in scored}) > 3
             for prefix, row in scored:
                 with nm.no_grad():
-                    full = _decoder_forward(memory, positions, prefix, store, cfg).data[-1]
+                    full = decode_teacher_forced(memory, positions, prefix, store, cfg).data[-1]
                 shifted = full - full.max()
                 expected = shifted - np.log(np.exp(shifted).sum())
                 np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0)

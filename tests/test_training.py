@@ -1,5 +1,7 @@
 """Loss identities, gradient routing, the end-to-end pipeline, and fit."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,54 @@ class TestFit:
         tc = TrainConfig(epochs=2, accum=2, eval_every=10_000, patience=10_000)
         result = fit([bundle, bundle], [bundle], params, model_cfg, tc, resources)
         assert result.steps == 4
+
+    @staticmethod
+    def accumulation_setup():
+        clusters = [cluster_from_texts("a", ["storm hits coast. flood reaches town."],
+                                       summary="storm floods town."),
+                    cluster_from_texts("b", ["markets fall fast. traders sell shares."],
+                                       summary="markets fall."),
+                    cluster_from_texts("c", ["team wins final. fans cheer loudly."],
+                                       summary="team wins.")]
+        vocab = build_vocab(clusters, min_freq=1)
+        table = EmbeddingTable.random(set().union(*map(all_tokens, clusters)), 6, seed=1)
+        resources = Resources.default(vocab, table)
+        model_cfg = micro_model_cfg()
+        params = model_cfg.build_params(len(vocab), 5)
+        return resources, model_cfg, params, [prepare_bundle(c, resources, model_cfg)
+                                              for c in clusters]
+
+    @staticmethod
+    def adam_on_mean_gradients(bundles, params, model_cfg, tc):
+        """One epoch of fit by hand: one Adam step on the mean train_step
+        gradient of each run of ``tc.accum`` bundles, in fit's seeded order."""
+        rng = np.random.default_rng(tc.seed)
+        order = [bundles[int(i)] for i in rng.permutation(len(bundles))]
+        optimizer = nm.Adam(params, lr=tc.lr)
+        for start in range(0, len(order), tc.accum):
+            group = [train_step(b, params, model_cfg, tc, rng=rng)[1]
+                     for b in order[start:start + tc.accum]]
+            for name, t in params.items():
+                t.grad = functools.reduce(np.add, [g[name] for g in group]) / len(group)
+            optimizer.step()
+        return params
+
+    @pytest.mark.parametrize("n_bundles", [2, 3])
+    def test_accumulation_steps_on_the_mean_gradient(self, n_bundles):
+        # two bundles make one accumulated step; a third is a leftover that
+        # fit applies on its own at the end
+        resources, model_cfg, params, bundles = self.accumulation_setup()
+        bundles = bundles[:n_bundles]
+        tc = TrainConfig(accum=2, eval_every=10_000, patience=10_000)
+        expected = self.adam_on_mean_gradients(bundles, params.clone(), model_cfg, tc)
+        single = self.adam_on_mean_gradients(bundles, params.clone(), model_cfg,
+                                              TrainConfig(accum=1))
+        result = fit(bundles, bundles, params, model_cfg, tc, resources)
+        assert result.steps == n_bundles
+        for name, t in result.params.items():
+            assert np.array_equal(t.data, expected[name].data), name
+        assert any(not np.array_equal(t.data, single[name].data)
+                   for name, t in result.params.items())
 
     def test_dev_log_records(self):
         cluster, vocab, resources, model_cfg, params, bundle = micro_setup()
