@@ -85,8 +85,10 @@ class RunConfig:
         check their own fields."""
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be single or double, got {self.precision!r}")
-        if self.beam_width < 1:
-            raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
+        for name, floor in (("beam_width", 1), ("min_freq", 1), ("embedding_dim", 1),
+                            ("seed", 0), ("max_input_len", 16)):  # 16: the serializer's floor
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         self.model_config()
         self.train_config()
 
@@ -349,13 +351,23 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> 
     return 2 if n_failed else 0
 
 
+def _plain_file_name(cid: str) -> bool:
+    """Whether ``<cid>.json`` is one file name: no path, no NUL byte, at
+    most 255 bytes of UTF-8."""
+    try:
+        size = len(f"{cid}.json".encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return cid not in ("", ".", "..") and Path(cid).name == cid and "\0" not in cid and size <= 255
+
+
 def cmd_graph(cfg: RunConfig) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("graph requires --data and --out")
     resources = cfg.resources(Vocab([]))  # graph building reads no vocabulary
     clusters = load_clusters(cfg.data)
     for cluster in clusters:  # ids become file names under --out
-        if cluster.id in ("", ".", "..") or Path(cluster.id).name != cluster.id:
+        if not _plain_file_name(cluster.id):
             raise DataError(f"cluster id {cluster.id!r} is not a plain file name")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -372,9 +384,7 @@ def cmd_graph(cfg: RunConfig) -> int:
                            encoding="utf-8")
     print(f"exported {len(clusters)} graphs to {out_dir}; "
           f"{len(total_violations)} validation violations")
-    if total_violations:
-        return 2
-    return 0
+    return 2 if total_violations else 0
 
 
 # --- argument parsing -------------------------------------------------------

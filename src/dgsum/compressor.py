@@ -66,8 +66,9 @@ def extend_selection(selected_sentences: np.ndarray, graph: HeteroGraph) -> np.n
         raise DataError("extend_selection: selection contains non-sentence nodes")
     keep = np.zeros(graph.n_nodes, dtype=bool)
     keep[sel] = True
-    for ix in (graph.index["SW"], graph.index["DS"]):
-        keep[ix.dst[np.isin(ix.src, sel)]] = True
+    for e in (graph.edges["SW"], graph.edges["DS"]):
+        keep[e.b[np.isin(e.a, sel)]] = True
+        keep[e.a[np.isin(e.b, sel)]] = True
     return np.flatnonzero(keep)
 
 

@@ -156,38 +156,16 @@ class Edges:
     __iter__ = rows  # for readers of the tuple form
 
 
-@dataclass(frozen=True)
-class EdgeIndex:
-    """Both directions of one type's in-range edges in CSR form, sorted by
-    (src, dst, weight): node i's neighbours are dst[indptr[i]:indptr[i+1]]."""
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
-    indptr: np.ndarray
-
-    @classmethod
-    def from_edges(cls, edges: Edges, n: int) -> "EdgeIndex":
-        a, b, w = edges.a, edges.b, edges.w
-        ok = (np.minimum(a, b) >= 0) & (np.maximum(a, b) < n)  # validation reports the rest
-        src = np.concatenate([a[ok], b[ok]])
-        dst = np.concatenate([b[ok], a[ok]])
-        w = np.concatenate([w[ok], w[ok]])
-        order = np.lexsort((w, dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        return cls(src, dst, w, np.searchsorted(src, np.arange(n + 1)))
-
-
 class HeteroGraph:
     """Immutable typed graph. Nodes are held in canonical order (documents,
     then sentences, then words, each by origin); ``edges[t]`` is type t's
     ``Edges`` (a < b over node indices, in build order; any iterable of
-    (a, b, w) triples given becomes one) and ``index[t]`` its EdgeIndex."""
+    (a, b, w) triples given becomes one)."""
 
     def __init__(self, nodes: list[NodeId], edges: dict):
         self.nodes = nodes
         self.edges = {t: e if isinstance(e, Edges) else Edges.from_triples(e)
                       for t, e in ((t, edges.get(t, ())) for t in EDGE_TYPES)}
-        self.index = {t: EdgeIndex.from_edges(self.edges[t], len(nodes)) for t in EDGE_TYPES}
 
     @property
     def n_nodes(self) -> int:
@@ -209,9 +187,10 @@ class HeteroGraph:
 
     def adjacency(self, edge_type: str, idx: int) -> list[tuple[int, float]]:
         """(neighbour, weight) of node ``idx`` along one edge type, ascending."""
-        ix = self.index[edge_type]
-        span = slice(ix.indptr[idx], ix.indptr[idx + 1])
-        return list(zip(ix.dst[span].tolist(), ix.weight[span].tolist()))
+        e = self.edges[edge_type]
+        at_a, at_b = e.a == idx, e.b == idx
+        return sorted(zip(np.concatenate([e.b[at_a], e.a[at_b]]).tolist(),
+                          np.concatenate([e.w[at_a], e.w[at_b]]).tolist()))
 
     # export -----------------------------------------------------------
     def to_json(self) -> str:
@@ -321,12 +300,15 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
     report = ValidationReport()
     add = report.violations.append
     n = g.n_nodes
+    rows = {}  # (src, dst): both directions of each type's in-range edges
 
     for etype in EDGE_TYPES:
         e = g.edges[etype]
         lo, hi = np.minimum(e.a, e.b), np.maximum(e.a, e.b)
         self_edge = e.a == e.b
         outside = (lo < 0) | (hi >= n)
+        a, b = e.a[~outside], e.b[~outside]
+        rows[etype] = np.concatenate([a, b]), np.concatenate([b, a])
         low, high, violation = _WEIGHT_RANGE[etype]
         bad_weight = ~((low <= e.w) & (e.w <= high)) & ~outside  # NaN is bad too
         for k in np.flatnonzero(self_edge | outside | bad_weight).tolist():
@@ -344,7 +326,7 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
 
     for kind, etype in ((SENT, "DS"), (WORD, "SW")):
         idx = g.kind_indices(kind)
-        degree = np.diff(g.index[etype].indptr)[idx]
+        degree = np.bincount(rows[etype][0], minlength=n)[idx]
         for i in idx[degree != 1]:
             add(f"{kind} node {i}: expected exactly one {etype} edge")
     n_docs = len(g.kind_indices(DOC))
@@ -353,8 +335,7 @@ def validate_graph(g: HeteroGraph) -> ValidationReport:
         add(f"DD: {len(g.edges['DD'])} edges, complete graph needs {expected_dd}")
 
     if n:
-        src = np.concatenate([ix.src for ix in g.index.values()])
-        dst = np.concatenate([ix.dst for ix in g.index.values()])
+        src, dst = (np.concatenate(col) for col in zip(*rows.values()))
         reached = np.zeros(n, dtype=bool)
         reached[0] = True
         frontier = reached.copy()

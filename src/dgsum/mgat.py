@@ -7,8 +7,8 @@ d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]), slope 0.2; softmax runs over
 the typed neighborhood plus a unit-weight self-loop, so nodes without edges
 of a type still produce output. Each channel works on its edge list (CSR
 segments per node), so a head costs O(E + n) memory, not O(n^2).
-``mgat_encode`` builds every channel's edge list once, in canonical node
-numbering, and all layers reuse it.
+``mgat_encode`` builds every channel's edge list once from the graph's
+``edges``, in canonical node numbering, and all layers reuse it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numeric as nm
 from .errors import AlignmentError, ConfigError
-from .hetgraph import EDGE_TYPES, EdgeIndex, HeteroGraph
+from .hetgraph import EDGE_TYPES, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 UNION_CHANNEL = "ALL"  # single-channel ablation: type-erased edge union
@@ -54,17 +54,30 @@ def add_mgat_params(store: ParamStore, cfg: MgatConfig, rng: np.random.Generator
         store.add(f"mgat{layer}.U", (cfg.d_in, width), rng)
 
 
+@dataclass(frozen=True)
+class EdgeIndex:
+    """One channel's directed edges in CSR form, sorted by (src, dst): node
+    i's neighbours are dst[indptr[i]:indptr[i+1]]."""
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    indptr: np.ndarray
+
+
 def channel_edges(graph: HeteroGraph, channel: str,
                   rank: np.ndarray | None = None) -> EdgeIndex:
     """The edges one channel attends over, in CSR form sorted by (src, dst):
-    the channel's edge type (every type for the union channel, keeping the
-    max weight of a pair that appears more than once) plus a unit self-loop
-    on every node. With ``rank``, node i is numbered ``rank[i]``."""
-    ixs = [graph.index[t] for t in (EDGE_TYPES if channel == UNION_CHANNEL else (channel,))]
+    both directions of the channel's edge type (every type for the union
+    channel, keeping the max weight of a pair that appears more than once)
+    plus a unit self-loop on every node. With ``rank``, node i is numbered
+    ``rank[i]``."""
+    es = [graph.edges[t] for t in (EDGE_TYPES if channel == UNION_CHANNEL else (channel,))]
     n = graph.n_nodes
-    src = np.concatenate([np.arange(n)] + [ix.src for ix in ixs])
-    dst = np.concatenate([np.arange(n)] + [ix.dst for ix in ixs])
-    w = np.concatenate([np.ones(n)] + [ix.weight for ix in ixs])
+    src = np.concatenate([np.arange(n)] + [x for e in es for x in (e.a, e.b)])
+    dst = np.concatenate([np.arange(n)] + [x for e in es for x in (e.b, e.a)])
+    w = np.concatenate([np.ones(n)] + [x for e in es for x in (e.w, e.w)])
+    if not ((src >= 0) & (src < n)).all():
+        raise AlignmentError(f"channel {channel}: an edge endpoint is outside [0, {n})")
     if rank is not None:
         src, dst = rank[src], rank[dst]
     order = np.lexsort((-w, dst, src))  # a pair's largest weight comes first

@@ -37,10 +37,12 @@ class TextModelConfig:
     length_norm: bool = True
 
     def __post_init__(self):
+        for name, floor in (("d_model", 1), ("n_heads", 1), ("ffn_dim", 1), ("max_out_len", 1),
+                            ("attention_window", 1), ("n_layers_enc", 0), ("n_layers_dec", 0)):
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.attention_window < 1:
-            raise ConfigError(f"attention_window must be >= 1, got {self.attention_window}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -251,7 +251,9 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
         resources: Resources) -> FitResult:
     """Seeded epochs of train steps with periodic dev evaluation; keeps the
     parameters of the best dev summary-level ROUGE-L and stops early after
-    ``patience`` evaluations without improvement."""
+    ``patience`` evaluations without improvement. Each Adam step takes the
+    mean gradient of ``accum`` steps; groups do not span epochs, so an
+    epoch's leftover steps make a smaller group, applied before its eval."""
     if not train_bundles:
         raise DataError("fit: empty training set")
 
@@ -290,36 +292,26 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
 
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(train_bundles))
-        for bi in order:
+        for pos, bi in enumerate(order, 1):
             bundle = train_bundles[int(bi)]
             breakdown, grads = train_step(bundle, params, model_cfg, train_cfg, rng=rng)
             step += 1
             log_records.append({"kind": "step", "step": step, "cluster": bundle.cluster.id,
                                 "l_ce": breakdown.l_ce, "l_gs": breakdown.l_gs,
                                 "total": breakdown.total})
-            if acc is None:
-                acc = grads
-            else:
-                for name in acc:
-                    acc[name] += grads[name]
+            acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
             acc_count += 1
-            if acc_count >= train_cfg.accum:
+            if acc_count >= train_cfg.accum or pos == len(order):  # a group ends with its epoch
                 apply_accumulated()
             if train_cfg.eval_every and step % train_cfg.eval_every == 0:
                 run_dev_eval()
                 if stop:
                     break
+        if not stop and not train_cfg.eval_every:
+            run_dev_eval()
         if stop:
             break
-        if not train_cfg.eval_every and train_cfg.epochs > 0:
-            run_dev_eval()
-            if stop:
-                break
-
-    if acc_count and not stop:  # a partial accumulation
-        apply_accumulated()
 
     if best_rl < 0:  # no dev evaluation ever ran
-        best = params.clone()
-        best_rl = 0.0
+        best, best_rl = params.clone(), 0.0
     return FitResult(params=best, log=log_records, best_dev_rl=best_rl, steps=step)

@@ -169,7 +169,12 @@ class TestConfigResolution:
         ("--beta", "1.5"), ("--beta", "-0.1"), ("--label-smoothing", "1.5"),
         ("--label-smoothing", "1.0"), ("--label-smoothing", "-0.1"), ("--lr", "-0.01"),
         ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--epochs", "-1"),
-        ("--patience", "0"), ("--accum", "0"), ("--eval-every", "0")])
+        ("--patience", "0"), ("--accum", "0"), ("--eval-every", "0"),
+        ("--d-model", "0"), ("--n-heads", "0"), ("--n-heads", "-4"), ("--ffn-dim", "0"),
+        ("--max-out-len", "0"), ("--embedding-dim", "0"), ("--min-freq", "0"),
+        ("--min-freq", "-3"), ("--max-input-len", "15"), ("--max-input-len", "8"),
+        ("--attention-window", "0"), ("--n-layers-enc", "-1"), ("--n-layers-dec", "-2"),
+        ("--seed", "-1")])
     def test_bad_training_value_is_config_error_before_data(self, tmp_path, capsys,
                                                            flag, value):
         rc = main(["train", "--data", str(tmp_path / "missing.jsonl"),
@@ -571,17 +576,30 @@ class TestGraphCommand:
         assert len(dots) == 8 and len(jsons) == 8
         assert (out / "validation.txt").read_text() == ""
 
-    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/x", "", ".", ".."])
-    def test_path_like_ids_rejected(self, tmp_path, toy_embeddings_path, bad_id):
+    # the last four: a NUL byte, <id>.json over 255 bytes of UTF-8, a lone surrogate
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/x", "", ".", "..", "a\0b",
+                                        "x" * 251, "\u00e9" * 126, "a\ud800"])
+    def test_path_like_ids_rejected(self, tmp_path, capsys, toy_embeddings_path, bad_id):
         data = tmp_path / "data.jsonl"
         write_cluster_file(data, [{"id": "ok", "documents": ["storm hits the coast."]},
                                   {"id": bad_id, "documents": ["team wins the final."]}])
         out = tmp_path / "a" / "graphs"
         rc = main(["graph", "--data", str(data), "--embeddings", str(toy_embeddings_path),
                    "--out", str(out), "--embedding-dim", "8"])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert f"cluster id {bad_id!r}" in err and "Traceback" not in err
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
             Path("data.jsonl"), Path("vectors.txt")]
+
+    def test_id_of_255_byte_file_name_accepted(self, tmp_path, toy_embeddings_path):
+        data = tmp_path / "data.jsonl"
+        cid = "\u00e9" * 125  # <id>.json is 255 bytes
+        write_cluster_file(data, [{"id": cid, "documents": ["storm hits the coast."]}])
+        out = tmp_path / "graphs"
+        assert main(["graph", "--data", str(data), "--embeddings", str(toy_embeddings_path),
+                     "--out", str(out), "--embedding-dim", "8"]) == 0
+        assert (out / f"{cid}.json").exists() and (out / f"{cid}.dot").exists()
 
     def test_sentence_embeddings_set_ss_weights(self, tmp_path, toy_corpus_path,
                                                 toy_embeddings_path):

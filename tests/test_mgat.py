@@ -469,6 +469,24 @@ class TestChannelsBuiltOnce:
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (ch, field)
 
+    @pytest.mark.parametrize("endpoint", [-1, 3, 7])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_out_of_range_endpoint_is_alignment_error(self, endpoint, side):
+        # the graph stores such an edge as given; a negative endpoint must not wrap
+        from dgsum.errors import AlignmentError
+        nodes = [NodeId(kind="word", index=i, doc=0, sent=0, tok=i, token_position=i)
+                 for i in range(3)]
+        pair = (0, endpoint) if side == "b" else (endpoint, 1)
+        g = HeteroGraph(nodes, {"WO": [(0, 1, 1.0)], "SS": [(*pair, 0.5)]})
+        assert np.array_equal(channel_edges(g, "WO").dst, [0, 1, 0, 1, 2])
+        for ch in ("SS", UNION_CHANNEL):
+            with pytest.raises(AlignmentError, match=f"channel {ch}: .* outside \\[0, 3\\)"):
+                channel_edges(g, ch)
+        for single in (False, True):
+            cfg = MgatConfig(n_layers=1, n_heads=1, d_in=4, d_head=2, single_channel=single)
+            with pytest.raises(AlignmentError, match="outside"):
+                mgat_encode(Tensor(RNG.normal(size=(3, 4))), g, tiny_params(cfg), cfg)
+
     def test_embedding_count_is_checked_against_the_index(self, table_for):
         from dgsum.errors import AlignmentError
         g = small_graph(table_for)

@@ -286,23 +286,25 @@ class TestFit:
 
     @staticmethod
     def adam_on_mean_gradients(bundles, params, model_cfg, tc):
-        """One epoch of fit by hand: one Adam step on the mean train_step
-        gradient of each run of ``tc.accum`` bundles, in fit's seeded order."""
+        """``tc.epochs`` epochs of fit by hand: one Adam step on the mean
+        train_step gradient of each run of ``tc.accum`` bundles within an
+        epoch, in fit's seeded order."""
         rng = np.random.default_rng(tc.seed)
-        order = [bundles[int(i)] for i in rng.permutation(len(bundles))]
         optimizer = nm.Adam(params, lr=tc.lr)
-        for start in range(0, len(order), tc.accum):
-            group = [train_step(b, params, model_cfg, tc, rng=rng)[1]
-                     for b in order[start:start + tc.accum]]
-            for name, t in params.items():
-                t.grad = functools.reduce(np.add, [g[name] for g in group]) / len(group)
-            optimizer.step()
+        for _ in range(tc.epochs):
+            order = [bundles[int(i)] for i in rng.permutation(len(bundles))]
+            for start in range(0, len(order), tc.accum):
+                group = [train_step(b, params, model_cfg, tc, rng=rng)[1]
+                         for b in order[start:start + tc.accum]]
+                for name, t in params.items():
+                    t.grad = functools.reduce(np.add, [g[name] for g in group]) / len(group)
+                optimizer.step()
         return params
 
     @pytest.mark.parametrize("n_bundles", [2, 3])
     def test_accumulation_steps_on_the_mean_gradient(self, n_bundles):
         # two bundles make one accumulated step; a third is a leftover that
-        # fit applies on its own at the end
+        # fit applies on its own at the end of the epoch
         resources, model_cfg, params, bundles = self.accumulation_setup()
         bundles = bundles[:n_bundles]
         tc = TrainConfig(accum=2, eval_every=10_000, patience=10_000)
@@ -315,6 +317,30 @@ class TestFit:
             assert np.array_equal(t.data, expected[name].data), name
         assert any(not np.array_equal(t.data, single[name].data)
                    for name, t in result.params.items())
+
+    def test_leftover_is_applied_before_the_epoch_end_eval(self):
+        # three bundles at accum 2: a pair, then a leftover that is stepped
+        # before the dev eval, so the returned parameters contain it
+        resources, model_cfg, params, bundles = self.accumulation_setup()
+        tc = TrainConfig(accum=2, patience=10_000)
+        expected = self.adam_on_mean_gradients(bundles, params.clone(), model_cfg, tc)
+        result = fit(bundles, bundles, params, model_cfg, tc, resources)
+        assert result.steps == 3
+        assert [r["step"] for r in result.log if r["kind"] == "dev"] == [3]
+        for name, t in result.params.items():
+            assert np.array_equal(t.data, expected[name].data), name
+            assert np.array_equal(t.data, params[name].data), name
+
+    def test_accumulation_groups_do_not_span_epochs(self):
+        # each of two epochs makes a pair and a leftover: four Adam steps,
+        # not three groups of two running across the epoch boundary
+        resources, model_cfg, params, bundles = self.accumulation_setup()
+        tc = TrainConfig(accum=2, epochs=2, eval_every=10_000, patience=10_000)
+        expected = self.adam_on_mean_gradients(bundles, params.clone(), model_cfg, tc)
+        result = fit(bundles, bundles, params, model_cfg, tc, resources)
+        assert result.steps == 6
+        for name, t in result.params.items():
+            assert np.array_equal(t.data, expected[name].data), name
 
     def test_dev_log_records(self):
         cluster, vocab, resources, model_cfg, params, bundle = micro_setup()
