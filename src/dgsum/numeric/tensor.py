@@ -126,9 +126,10 @@ def _reachable(root: Tensor) -> list[Tensor]:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # 0.0 + g: the bits a zero-filled buffer would get, in one pass
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -348,23 +349,6 @@ def gather_rows(a, indices) -> Tensor:
 embedding = gather_rows  # table [V, d] indexed by token ids
 
 
-def segment_sum(a, indptr) -> Tensor:
-    """Sum the rows of ``a`` within each CSR segment: row i of the output is
-    a[indptr[i]:indptr[i+1]].sum(axis=0). Every segment must be non-empty."""
-    a = as_tensor(a)
-    indptr = np.asarray(indptr, dtype=np.intp)
-    counts = np.diff(indptr)
-    if (a.ndim == 0 or indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
-            or indptr[-1] != a.shape[0] or np.any(counts <= 0)):
-        raise ShapeError(f"segment_sum: offsets must rise strictly from 0 to rows of {a.shape}")
-    data = np.add.reduceat(a.data, indptr[:-1], axis=0)
-
-    def backward(g):
-        _accum(a, np.repeat(g, counts, axis=0))
-
-    return _make(data, (a,), backward)
-
-
 # --- reductions --------------------------------------------------------------
 
 def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -466,6 +450,69 @@ def attention_weights(q, kt, scale: float, mask_add: np.ndarray | None = None) -
         _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ g, kt.shape))
 
     return _make(w, (q, kt), backward)
+
+
+_MAX_CELLS = 1 << 20  # cells of one [edges, H, d_head] chunk in edge_attention
+
+
+def _edge_sum(coef, vals, ix, dot=None):
+    """Per node i, the sum over its edges k of coef[k] * vals[dst[k]] [n, H, dh];
+    with ``dot``, also <dot[src[k]], vals[dst[k]]> per edge [E, H]. Chunks end
+    on a node boundary unless one node's edges fill a chunk."""
+    src, dst, indptr, n_edges = ix.src, ix.dst, ix.indptr, len(ix.dst)
+    out = np.empty((len(indptr) - 1,) + vals.shape[1:], dtype=vals.dtype)
+    dots = None if dot is None else np.empty_like(coef)
+    step, k0 = max(1, _MAX_CELLS // int(np.prod(vals.shape[1:]))), 0
+    while k0 < n_edges:
+        k1 = min(n_edges, k0 + step)
+        end = indptr[np.searchsorted(indptr, k1, side="right") - 1]
+        k1 = end if k0 < end < k1 else k1
+        i0, i1 = src[k0], src[k1 - 1] + 1
+        starts = np.maximum(indptr[i0:i1], k0) - k0
+        x = np.take(vals, dst[k0:k1], axis=0)
+        if dot is not None:
+            rows = np.repeat(dot[i0:i1], np.diff(starts, append=k1 - k0), axis=0)
+            dots[k0:k1] = np.einsum("khd,khd->kh", x, rows)
+        x *= coef[k0:k1, :, None]
+        part = np.add.reduceat(x, starts, axis=0)
+        if indptr[i0] < k0:  # node i0's sum began in the last chunk
+            out[i0] += part[0]
+            part = part[1:]
+        out[i1 - len(part):i1] = part
+        k0 = k1
+    return out, dots
+
+
+def edge_attention(s, w, ix) -> Tensor:
+    """All heads of one attention channel over ``ix``, a symmetric
+    ``mgat.EdgeIndex``. For s [n, H, dh] and w [H, 2*dh], alpha is the softmax
+    per src segment of leaky_relu((s[src] . w[:, :dh] + s[dst] . w[:, dh:]) *
+    weight), slope 0.2, and the output [n, H, dh] is sum_k alpha_k s[dst_k]. It
+    saves alpha [E, H]; backward regathers s and scatters over dst by ``rev``."""
+    s, w = as_tensor(s), as_tensor(w)
+    n, heads, dh = s.shape
+    if w.shape != (heads, 2 * dh) or len(ix.indptr) != n + 1:
+        raise ShapeError(f"edge_attention: s {s.shape}, w {w.shape}, {len(ix.indptr) - 1} nodes")
+    src, dst, rev, starts = ix.src, ix.dst, ix.rev, ix.indptr[:-1]
+    ew = ix.weight.astype(s.data.dtype)[:, None]
+    w2 = w.data.reshape(heads, 2, dh)
+    a = np.einsum("nhd,hcd->nhc", s.data, w2)  # a_src, a_dst
+    alpha = (a[src, :, 0] + a[dst, :, 1]) * ew
+    alpha[alpha <= 0] *= 0.2
+    alpha -= np.maximum.reduceat(alpha, starts, axis=0)[src]
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduceat(alpha, starts, axis=0)[src]
+
+    def backward(g):
+        ds, dalpha = _edge_sum(alpha[rev], g, ix, dot=s.data)
+        dalpha = dalpha[rev]  # <g[src], s[dst]> per edge
+        dz = alpha * (dalpha - np.add.reduceat(alpha * dalpha, starts, axis=0)[src]) * ew
+        dz[(a[src, :, 0] + a[dst, :, 1]) * ew <= 0] *= 0.2
+        da = np.add.reduceat(np.stack([dz, dz[rev]], axis=2), starts, axis=0)  # d a_src, a_dst
+        _accum(s, ds + np.einsum("nhc,hcd->nhd", da, w2))
+        _accum(w, np.einsum("nhc,nhd->hcd", da, s.data).reshape(w.shape))
+
+    return _make(_edge_sum(alpha, s.data, ix)[0], (s, w), backward)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

@@ -14,7 +14,8 @@ import numpy as np
 
 import dgsum.numeric as nm
 from dgsum.corpus import RESERVED, Vocab
-from dgsum.errors import DataError
+from dgsum.errors import DataError, ShapeError
+from dgsum.numeric.tensor import _accum, _make
 from dgsum.text_model import decode_teacher_forced
 from dgsum.training import encode_compress
 
@@ -315,6 +316,46 @@ def dense_gat_channel_oracle(h, edge_weights, mask, W, w, slope=0.2):
             agg += a * s[j]
         out[i] = np.where(agg > 0, agg, np.expm1(np.minimum(agg, 0.0)))
     return out
+
+
+def segment_sum(a, indptr):
+    """Sum the rows of ``a`` within each CSR segment, on the tape: row i of
+    the output is a[indptr[i]:indptr[i+1]].sum(axis=0). Every segment must be
+    non-empty."""
+    a = nm.as_tensor(a)
+    indptr = np.asarray(indptr, dtype=np.intp)
+    counts = np.diff(indptr)
+    if (a.ndim == 0 or indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+            or indptr[-1] != a.shape[0] or np.any(counts <= 0)):
+        raise ShapeError(f"segment_sum: offsets must rise strictly from 0 to rows of {a.shape}")
+    data = np.add.reduceat(a.data, indptr[:-1], axis=0)
+
+    def backward(g):
+        _accum(a, np.repeat(g, counts, axis=0))
+
+    return _make(data, (a,), backward)
+
+
+def channel_attention_oracle(node_embs, ix, head_params):
+    """Edge-list channel attention one head at a time from tape primitives:
+    per head, gathers of a_src[src], a_dst[dst] and s[dst], a softmax within
+    each src segment, and a segment sum; heads concatenated. The fused
+    ``nm.edge_attention`` must match it."""
+    ew = ix.weight[:, None]
+    heads = []
+    for W, w in head_params:
+        s = nm.matmul(node_embs, nm.transpose(W))           # [n, d_head]
+        d_head = s.shape[1]
+        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
+        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
+        raw = nm.add(nm.gather_rows(a_src, ix.src), nm.gather_rows(a_dst, ix.dst))  # [E, 1]
+        d = nm.leaky_relu(nm.mul(raw, ew))
+        shift = np.maximum.reduceat(d.data, ix.indptr[:-1], axis=0)[ix.src]  # constant
+        e = nm.exp(nm.sub(d, shift))
+        alpha = nm.div(e, nm.gather_rows(segment_sum(e, ix.indptr), ix.src))
+        agg = segment_sum(nm.mul(alpha, nm.gather_rows(s, ix.dst)), ix.indptr)
+        heads.append(nm.elu(agg))
+    return heads[0] if len(heads) == 1 else nm.concat(heads, axis=1)
 
 
 def dense_channel_attention_oracle(h, edge_weights, mask, head_params, slope=0.2):

@@ -144,6 +144,31 @@ class TestTrainStep:
         assert "mgat0.ALL.h0.W" in params
         assert "mgat0.WE.h0.W" not in params
 
+    def test_single_precision_step_stays_float32(self):
+        """Parameters, gradients and Adam moments stay float32 through a
+        step whose graphs carry float64 edge weights, and the losses agree
+        with the double-precision step to single precision."""
+        base = micro_model_cfg()
+        model_cfg = ModelConfig(text=base.text, comp=base.comp,
+                                mgat=MgatConfig(n_layers=2, n_heads=2, d_in=12, d_head=4))
+        _, _, _, _, params, bundle = micro_setup(model_cfg)
+        want, _ = train_step(bundle, params, model_cfg, TrainConfig())
+        nm.set_precision("single")
+        try:
+            _, _, _, _, params, bundle = micro_setup(model_cfg)
+            got, grads = train_step(bundle, params, model_cfg, TrainConfig())
+            for name, t in params.items():
+                t.grad = grads[name]
+            adam = nm.Adam(params)
+            adam.step()
+        finally:
+            nm.set_precision("double")
+        for name, t in params.items():
+            assert t.data.dtype == grads[name].dtype == np.float32, name
+            assert adam._m[name].dtype == adam._v[name].dtype == np.float32, name
+        for a, b in ((got.l_ce, want.l_ce), (got.l_gs, want.l_gs), (got.total, want.total)):
+            assert a == pytest.approx(b, rel=1e-5)
+
     def test_end_to_end_gradient_check_micro_cluster(self):
         """Full train_step total-loss gradients on a micro cluster."""
         d = 10
@@ -352,6 +377,36 @@ class TestFit:
             assert {"r1", "r2", "rl", "step"} <= set(rec)
 
 
+@functools.lru_cache(maxsize=None)
+def long_step_peak():
+    """(total loss, tracemalloc peak in MB) of one default-size train_step on
+    a 480-token cluster."""
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    syll = ["ka", "lo", "mi", "ren", "tas", "vo", "du", "pel"]
+    words = [a + b for a in syll for b in syll]
+
+    def sentence(n):
+        return " ".join(rng.choice(words, size=n)) + "."
+
+    cluster = cluster_from_texts(
+        "long", [" ".join(sentence(17) for _ in range(5)) for _ in range(5)],
+        summary=" ".join(sentence(10) for _ in range(4)))
+    vocab = build_vocab([cluster], min_freq=1)
+    table = EmbeddingTable.random(all_tokens(cluster), 100, seed=1)
+    model_cfg = ModelConfig(text=TextModelConfig(), mgat=MgatConfig())
+    params = model_cfg.build_params(len(vocab), 0)
+    bundle = prepare_bundle(cluster, Resources.default(vocab, table), model_cfg)
+    assert len(bundle.src_ids) >= 400
+    tracemalloc.start()
+    try:
+        breakdown, _ = train_step(bundle, params, model_cfg, TrainConfig())
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    return breakdown.total, peak_mb
+
+
 class TestMemory:
     def test_train_step_peak_follows_the_live_tape(self):
         """One default-size train_step on a 480-token cluster stays under
@@ -359,28 +414,14 @@ class TestMemory:
         saved arrays until backward ends (and four n x n arrays per attention
         head) peaked at 315 MB here; releasing the tape during backward and
         the fused attention kernel bring it to about 105 MB."""
-        import tracemalloc
-        rng = np.random.default_rng(3)
-        syll = ["ka", "lo", "mi", "ren", "tas", "vo", "du", "pel"]
-        words = [a + b for a in syll for b in syll]
-
-        def sentence(n):
-            return " ".join(rng.choice(words, size=n)) + "."
-
-        cluster = cluster_from_texts(
-            "long", [" ".join(sentence(17) for _ in range(5)) for _ in range(5)],
-            summary=" ".join(sentence(10) for _ in range(4)))
-        vocab = build_vocab([cluster], min_freq=1)
-        table = EmbeddingTable.random(all_tokens(cluster), 100, seed=1)
-        model_cfg = ModelConfig(text=TextModelConfig(), mgat=MgatConfig())
-        params = model_cfg.build_params(len(vocab), 0)
-        bundle = prepare_bundle(cluster, Resources.default(vocab, table), model_cfg)
-        assert len(bundle.src_ids) >= 400
-        tracemalloc.start()
-        try:
-            breakdown, _ = train_step(bundle, params, model_cfg, TrainConfig())
-            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(breakdown.total)
+        total, peak_mb = long_step_peak()
+        assert np.isfinite(total)
         assert peak_mb < 160.0, f"train_step peaked at {peak_mb:.1f} MB"
+
+    def test_train_step_keeps_no_per_head_graph_attention_arrays(self):
+        """The same step stays under 90 MB. MGAT heads that each keep their
+        [edges, d_head] gathers for backward peaked at 104 MB here; one
+        edge_attention call per channel, keeping [edges, heads], at 83 MB."""
+        total, peak_mb = long_step_peak()
+        assert np.isfinite(total)
+        assert peak_mb < 90.0, f"train_step peaked at {peak_mb:.1f} MB"
