@@ -23,7 +23,7 @@ from pathlib import Path
 from . import numeric as nm
 from . import rouge
 from .compressor import CompressorConfig
-from .corpus import Vocab, build_vocab, load_clusters
+from .corpus import Vocab, build_vocab, load_clusters, read_records
 from .embeddings import EmbeddingTable, MeanWordEmbedder, PrecomputedEmbedder
 from .errors import ConfigError, DataError, DgsumError, NumericError, ShapeError
 from .hetgraph import GraphConfig, build_hetero_graph, validate_graph
@@ -91,6 +91,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         self.model_config()
         self.train_config()
+        self.graph_config()
 
     def model_config(self) -> ModelConfig:
         text = TextModelConfig(d_model=self.d_model, n_layers_enc=self.n_layers_enc,
@@ -177,40 +178,28 @@ def resolve_config(file_path: str | None, flags: dict,
     return cfg
 
 
-def echo_config(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True), encoding="utf-8")
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, creating its parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+def _write_jsonl(path, records) -> None:
+    _write_text(path, "".join(json.dumps(rec) + "\n" for rec in records))
+
+
+def _check_out(out: str | None, want_dir: bool) -> None:
+    """``--out`` must name nothing yet, or a directory (``want_dir``) or a file."""
+    if out and Path(out).exists() and Path(out).is_dir() != want_dir:
+        raise ConfigError(f"--out {out} is {'not ' if want_dir else ''}a directory")
 
 
 def _read_summaries(path) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"file not found: {p}")
     out: dict[str, str] = {}
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{p}:{lineno}: malformed record: {e}")
-            if not isinstance(rec, dict) or "id" not in rec or "summary" not in rec:
-                raise DataError(f"{p}:{lineno}: record must be an object with 'id' and "
-                                f"'summary'")
-            cid = str(rec["id"])
-            if cid in out:
-                raise DataError(f"{p}:{lineno}: duplicate id {cid!r}")
-            if not isinstance(rec["summary"], str):
-                raise DataError(f"{p}:{lineno}: cluster {cid!r}: 'summary' must be a string")
-            out[cid] = rec["summary"]
+    for lineno, cid, rec in read_records(path, "summaries", ("id", "summary")):
+        if not isinstance(rec["summary"], str):
+            raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'summary' must be a string")
+        out[cid] = rec["summary"]
     return out
 
 
@@ -259,7 +248,8 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     _, vocab, _, result = _train_model(cfg)
 
-    echo_config(cfg, out_dir)
+    _write_text(out_dir / "config.json",
+                json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     result.params.save(out_dir / "checkpoint.npz")
     vocab.save(out_dir / "vocab.json")
     _write_jsonl(out_dir / "metrics.jsonl", result.log)
@@ -290,10 +280,8 @@ def cmd_summarize(cfg: RunConfig, model_dir: str) -> int:
         tokens = summarize_bundle(bundle, params, model_cfg, vocab,
                                   beam_width=cfg.beam_width)
         records.append({"id": bundle.cluster.id, "summary": " ".join(tokens)})
-    out_path = Path(cfg.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(out_path, records)
-    print(f"wrote {len(records)} summaries to {out_path}")
+    _write_jsonl(cfg.out, records)
+    print(f"wrote {len(records)} summaries to {cfg.out}")
     return 2 if len(bundles) < len(clusters) else 0
 
 
@@ -305,9 +293,7 @@ def cmd_eval(cfg: RunConfig, generated_path: str, references_path: str) -> int:
           f"R-L {100 * report['rl']:.2f}  len {report['mean_length']:.1f}  "
           f"n {report['count']}")
     if cfg.out:
-        out_path = Path(cfg.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
+        _write_text(cfg.out, json.dumps(report, indent=2))
     return 0
 
 
@@ -345,9 +331,7 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> 
     print(f"trend (informational): mean length non-decreasing in {up}/{len(pairs)} "
           f"adjacent k pairs")
     if cfg.out:
-        out_path = Path(cfg.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(out_path, rows)
+        _write_jsonl(cfg.out, rows)
     return 2 if n_failed else 0
 
 
@@ -370,18 +354,15 @@ def cmd_graph(cfg: RunConfig) -> int:
         if not _plain_file_name(cluster.id):
             raise DataError(f"cluster id {cluster.id!r} is not a plain file name")
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     total_violations = []
     for cluster in clusters:
         g = build_hetero_graph(cluster, resources.table, resources.embedder,
                                resources.graph_cfg)
-        (out_dir / f"{cluster.id}.dot").write_text(g.to_dot(cluster.id), encoding="utf-8")
-        (out_dir / f"{cluster.id}.json").write_text(g.to_json(), encoding="utf-8")
+        _write_text(out_dir / f"{cluster.id}.dot", g.to_dot(cluster.id))
+        _write_text(out_dir / f"{cluster.id}.json", g.to_json())
         report = validate_graph(g)
         total_violations.extend(f"{cluster.id}: {v}" for v in report.violations)
-    report_path = out_dir / "validation.txt"
-    report_path.write_text("\n".join(total_violations) + ("\n" if total_violations else ""),
-                           encoding="utf-8")
+    _write_text(out_dir / "validation.txt", "".join(f"{v}\n" for v in total_violations))
     print(f"exported {len(clusters)} graphs to {out_dir}; "
           f"{len(total_violations)} validation violations")
     return 2 if total_violations else 0
@@ -436,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k in _TYPES}
         cfg = resolve_config(args.config, flags, getattr(args, "model", None))
+        _check_out(cfg.out, want_dir=args.command in ("train", "graph"))
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "summarize":
@@ -458,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ShapeError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # writing an output
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except DgsumError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -108,70 +108,82 @@ def _attach_pos(documents: list[Document], kept: list[int], pos, n_docs: int) ->
             sent.pos = t
 
 
-def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
-    """Parse a line-delimited cluster file in file order.
+def read_lines(path, what: str):
+    """Yield (line number, line) of the UTF-8 file ``path``. A file that
+    cannot be opened or decoded is a DataError naming ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {what} {path}: {getattr(e, 'strerror', None) or e}")
 
-    Malformed lines, repeated ids, and documents or a summary that are not
-    strings raise DataError naming the line number.
-    Records with an empty documents list (or whose documents all tokenize to
-    nothing) are skipped with a warning.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset not found: {path}")
-    clusters: list[DocumentCluster] = []
+
+def read_records(path, what: str, keys: tuple[str, ...]):
+    """Yield (line number, id, record) of a line-delimited JSON file, blank
+    lines skipped. Each record is an object holding ``keys``; the first key's
+    value, as a string, is a cluster id unique in the file. Errors name
+    ``path:line``."""
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if limit is not None and len(clusters) >= limit:
-                break
-            if not line.strip():
+    for lineno, line in read_lines(path, what):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: malformed record: {e}")
+        if not isinstance(rec, dict) or not all(k in rec for k in keys):
+            raise DataError(f"{path}:{lineno}: record must be an object with "
+                            + " and ".join(map(repr, keys)))
+        cid = str(rec[keys[0]])
+        if cid in seen:
+            raise DataError(f"{path}:{lineno}: duplicate cluster id {cid!r}")
+        seen.add(cid)
+        yield lineno, cid, rec
+
+
+def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
+    """Parse a line-delimited cluster file in file order, through
+    ``read_records``.
+
+    Documents or a summary that are not strings raise DataError naming the
+    line number. Records with an empty documents list (or whose documents
+    all tokenize to nothing) are skipped with a warning.
+    """
+    clusters: list[DocumentCluster] = []
+    for lineno, cid, rec in read_records(path, "dataset", ("id", "documents")):
+        if limit is not None and len(clusters) >= limit:
+            break
+        docs_raw = rec["documents"]
+        if not isinstance(docs_raw, list) or not all(isinstance(d, str) for d in docs_raw):
+            raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'documents' must be "
+                            f"an array of strings")
+        if not isinstance(rec.get("summary", ""), str):
+            raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'summary' must be "
+                            f"a string")
+        if not docs_raw:
+            log.warning("%s:%d: record %r has no documents; skipped", path, lineno, cid)
+            continue
+        documents = []
+        kept_doc_idx = []
+        for di, text in enumerate(docs_raw):
+            sents = tokenize(text)
+            if not sents:
+                log.warning("%s:%d: record %r document %d is empty; dropped",
+                            path, lineno, cid, di)
                 continue
+            documents.append(Document(sentences=sents))
+            kept_doc_idx.append(di)
+        if not documents:
+            log.warning("%s:%d: record %r has no non-empty documents; skipped",
+                        path, lineno, cid)
+            continue
+        if "pos" in rec:
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: malformed record: {e}")
-            if not isinstance(rec, dict) or "id" not in rec or "documents" not in rec:
-                raise DataError(f"{path}:{lineno}: record must have 'id' and 'documents'")
-            cid = str(rec["id"])
-            if cid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate cluster id {cid!r}")
-            seen.add(cid)
-            docs_raw = rec["documents"]
-            if not isinstance(docs_raw, list):
-                raise DataError(f"{path}:{lineno}: 'documents' must be an array")
-            if not all(isinstance(d, str) for d in docs_raw):
-                raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'documents' must be "
-                                f"an array of strings")
-            if not isinstance(rec.get("summary", ""), str):
-                raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'summary' must be "
-                                f"a string")
-            if not docs_raw:
-                log.warning("%s:%d: record %r has no documents; skipped",
-                            path, lineno, rec["id"])
-                continue
-            documents = []
-            kept_doc_idx = []
-            for di, text in enumerate(docs_raw):
-                sents = tokenize(text)
-                if not sents:
-                    log.warning("%s:%d: record %r document %d is empty; dropped",
-                                path, lineno, rec["id"], di)
-                    continue
-                documents.append(Document(sentences=sents))
-                kept_doc_idx.append(di)
-            if not documents:
-                log.warning("%s:%d: record %r has no non-empty documents; skipped",
-                            path, lineno, rec["id"])
-                continue
-            if "pos" in rec:
-                try:
-                    _attach_pos(documents, kept_doc_idx, rec["pos"], len(docs_raw))
-                except DataError as e:
-                    raise DataError(f"{path}:{lineno}: cluster {cid!r}: {e}")
-            summary = tokenize(rec.get("summary", "")) or None
-            clusters.append(DocumentCluster(id=cid, documents=documents,
-                                            summary=summary))
+                _attach_pos(documents, kept_doc_idx, rec["pos"], len(docs_raw))
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: cluster {cid!r}: {e}")
+        summary = tokenize(rec.get("summary", "")) or None
+        clusters.append(DocumentCluster(id=cid, documents=documents, summary=summary))
     return clusters
 
 
@@ -198,22 +210,22 @@ class Vocab:
     def decode(self, idx: int) -> str:
         return self.id_to_token[idx]
 
-    def to_json(self) -> str:
-        return json.dumps({"tokens": self.id_to_token[len(RESERVED):]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocab":
-        return cls(json.loads(text)["tokens"])
-
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        Path(path).write_text(json.dumps({"tokens": self.id_to_token[len(RESERVED):]}),
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"vocab not found: {p}")
-        return cls.from_json(p.read_text(encoding="utf-8"))
+        """Read what ``save`` writes: ``{"tokens": [strings]}``."""
+        text = "".join(line for _, line in read_lines(path, "vocab"))
+        try:
+            loaded = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: vocab is not JSON: {e}")
+        tokens = loaded.get("tokens") if isinstance(loaded, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f'{path}: vocab must be {{"tokens": [strings]}}')
+        return cls(tokens)
 
 
 def build_vocab(clusters: list[DocumentCluster], min_freq: int = 2) -> Vocab:

@@ -10,11 +10,10 @@ ground-truth-summary graphs) can replace them.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, read_lines
 from .errors import DataError
 
 log = logging.getLogger("dgsum.embeddings")
@@ -50,24 +49,20 @@ def pairwise_cosine(vectors, threshold: float | None = None):
     return i, j, sim[i, j]
 
 
-def _parse_vector_file(path, dimension: int) -> dict[str, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"embedding file not found: {path}")
+def _parse_vector_file(path, dimension: int, what: str) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split()
-            if len(parts) != dimension + 1:
-                skipped += 1
-                continue
-            try:
-                vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                skipped += 1
-                continue
-            table[parts[0]] = vec
+    for _, line in read_lines(path, what):
+        parts = line.split()
+        if len(parts) != dimension + 1:
+            skipped += 1
+            continue
+        try:
+            vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            skipped += 1
+            continue
+        table[parts[0]] = vec
     if skipped:
         log.warning("%s: skipped %d malformed lines", path, skipped)
     if not table:
@@ -87,7 +82,7 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path, dimension: int) -> "EmbeddingTable":
-        return cls(_parse_vector_file(path, dimension), dimension)
+        return cls(_parse_vector_file(path, dimension, "embeddings"), dimension)
 
     @classmethod
     def random(cls, tokens, dimension: int, seed: int = 0) -> "EmbeddingTable":
@@ -127,7 +122,7 @@ class PrecomputedEmbedder:
     mode = "precomputed-file"
 
     def __init__(self, path, dimension: int):
-        self._vectors = _parse_vector_file(path, dimension)
+        self._vectors = _parse_vector_file(path, dimension, "sentence embeddings")
         self.dimension = dimension
 
     def embed(self, sentence: Sentence, key: tuple | None = None) -> np.ndarray:

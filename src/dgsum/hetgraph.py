@@ -22,6 +22,7 @@ arrays (endpoints ``a``, ``b``, weight ``w``) in build order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import rouge
 from .corpus import BoundaryIndex, DocumentCluster, Sentence, layout
 from .embeddings import EmbeddingTable, MeanWordEmbedder, pairwise_cosine
 from .embeddings import cosine  # noqa: F401  (hetgraph.cosine is wrapped by perfbench)
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DOC, SENT, WORD = "document", "sentence", "word"
 EDGE_TYPES = ("WE", "WO", "SS", "DD", "DS", "SW")
@@ -106,6 +107,12 @@ class GraphConfig:
     we_threshold: float = 0.5   # 0 disables thresholding (all noun pairs kept)
     ss_threshold: float | None = None
     max_input_len: int = 4096
+
+    def __post_init__(self):
+        for name in ("we_threshold", "ss_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 NOUN_TAGS = frozenset({"NOUN", "PROPN"})

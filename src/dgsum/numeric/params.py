@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 from ..errors import ConfigError, DataError
@@ -85,8 +87,10 @@ class ParamStore:
     @classmethod
     def load(cls, path) -> "ParamStore":
         try:
-            with np.load(path) as archive:
-                if "__format_version__" not in archive:
+            with open(path, "rb") as fh:  # np.load leaks its own handle on a bad zip
+                archive = np.load(fh)
+                if not isinstance(archive, np.lib.npyio.NpzFile) or \
+                        "__format_version__" not in archive:
                     raise DataError(f"{path}: missing checkpoint format header")
                 version = int(archive["__format_version__"][0])
                 if version != CHECKPOINT_VERSION:
@@ -97,8 +101,8 @@ class ParamStore:
                         continue
                     out._params[name] = Tensor(archive[name], requires_grad=True)
                 return out
-        except FileNotFoundError:
-            raise DataError(f"checkpoint not found: {path}")
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise DataError(f"cannot read checkpoint {path}: {getattr(e, 'strerror', None) or e}")
 
     def load_data_from(self, path) -> None:
         """Fill this store's tensors from a checkpoint, validating shapes."""

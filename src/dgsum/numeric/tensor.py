@@ -457,29 +457,24 @@ _MAX_CELLS = 1 << 20  # cells of one [edges, H, d_head] chunk in edge_attention
 
 def _edge_sum(coef, vals, ix, dot=None):
     """Per node i, the sum over its edges k of coef[k] * vals[dst[k]] [n, H, dh];
-    with ``dot``, also <dot[src[k]], vals[dst[k]]> per edge [E, H]. Chunks end
-    on a node boundary unless one node's edges fill a chunk."""
-    src, dst, indptr, n_edges = ix.src, ix.dst, ix.indptr, len(ix.dst)
-    out = np.empty((len(indptr) - 1,) + vals.shape[1:], dtype=vals.dtype)
+    with ``dot``, also <dot[src[k]], vals[dst[k]]> per edge [E, H]. A chunk
+    holds the whole nodes whose edges fit in ``_MAX_CELLS`` cells, or one node
+    whose edges alone do not fit."""
+    dst, indptr, n = ix.dst, ix.indptr, len(ix.indptr) - 1
+    out = np.empty((n,) + vals.shape[1:], dtype=vals.dtype)
     dots = None if dot is None else np.empty_like(coef)
-    step, k0 = max(1, _MAX_CELLS // int(np.prod(vals.shape[1:]))), 0
-    while k0 < n_edges:
-        k1 = min(n_edges, k0 + step)
-        end = indptr[np.searchsorted(indptr, k1, side="right") - 1]
-        k1 = end if k0 < end < k1 else k1
-        i0, i1 = src[k0], src[k1 - 1] + 1
-        starts = np.maximum(indptr[i0:i1], k0) - k0
+    step, i0 = max(1, _MAX_CELLS // int(np.prod(vals.shape[1:]))), 0
+    while i0 < n:
+        k0 = indptr[i0]
+        i1 = max(i0 + 1, np.searchsorted(indptr, k0 + step, side="right") - 1)
+        k1 = indptr[i1]
         x = np.take(vals, dst[k0:k1], axis=0)
         if dot is not None:
-            rows = np.repeat(dot[i0:i1], np.diff(starts, append=k1 - k0), axis=0)
+            rows = np.repeat(dot[i0:i1], np.diff(indptr[i0:i1 + 1]), axis=0)
             dots[k0:k1] = np.einsum("khd,khd->kh", x, rows)
         x *= coef[k0:k1, :, None]
-        part = np.add.reduceat(x, starts, axis=0)
-        if indptr[i0] < k0:  # node i0's sum began in the last chunk
-            out[i0] += part[0]
-            part = part[1:]
-        out[i1 - len(part):i1] = part
-        k0 = k1
+        out[i0:i1] = np.add.reduceat(x, indptr[i0:i1] - k0, axis=0)
+        i0 = i1
     return out, dots
 
 

@@ -1,6 +1,7 @@
 """CLI wiring: config layering, commands, artifacts, exit codes."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -174,7 +175,7 @@ class TestConfigResolution:
         ("--max-out-len", "0"), ("--embedding-dim", "0"), ("--min-freq", "0"),
         ("--min-freq", "-3"), ("--max-input-len", "15"), ("--max-input-len", "8"),
         ("--attention-window", "0"), ("--n-layers-enc", "-1"), ("--n-layers-dec", "-2"),
-        ("--seed", "-1")])
+        ("--seed", "-1"), ("--we-threshold", "nan"), ("--ss-threshold", "inf")])
     def test_bad_training_value_is_config_error_before_data(self, tmp_path, capsys,
                                                            flag, value):
         rc = main(["train", "--data", str(tmp_path / "missing.jsonl"),
@@ -744,3 +745,102 @@ class TestGraphCommand:
         assert len(dumped["nodes"]) == g.n_nodes
         for etype, lst in g.edges.items():
             assert len(dumped["edges"][etype]) == len(lst)
+
+
+def _npz_bytes():
+    buf = io.BytesIO()
+    np.savez(buf, __format_version__=np.asarray([1]), w=np.zeros(64))
+    return buf.getvalue()
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
+NOT_UTF8 = "café storm".encode("latin-1")
+
+# id: (command, what is hostile, its content: None for a directory, else
+# bytes); "vocab.json" and "checkpoint.npz" are files of the --model directory
+HOSTILE_FILES = {
+    "data-directory": ("train", "--data", None),
+    "data-latin-1": ("train", "--data", json.dumps(
+        {"id": "a", "documents": ["café storm."]}, ensure_ascii=False).encode("latin-1")),
+    "embeddings-directory": ("graph", "--embeddings", None),
+    "embeddings-latin-1": ("graph", "--embeddings", NOT_UTF8 + b" 1 2 3 4 5 6 7 8\n"),
+    "sentence-embeddings-directory": ("graph", "--sentence-embeddings", None),
+    "sentence-embeddings-latin-1": ("graph", "--sentence-embeddings",
+                                    NOT_UTF8 + b" 1 2 3 4 5 6 7 8\n"),
+    "generated-latin-1": ("eval", "--generated", NOT_UTF8),
+    "vocab-not-json": ("summarize", "vocab.json", b"not json"),
+    "vocab-tokens-not-a-list": ("summarize", "vocab.json", b'{"tokens": 5}'),
+    "vocab-a-list": ("summarize", "vocab.json", b'["a"]'),
+    "checkpoint-empty": ("summarize", "checkpoint.npz", b""),
+    "checkpoint-junk": ("summarize", "checkpoint.npz", b"junk bytes \x00\x01\x02"),
+    "checkpoint-truncated-zip": ("summarize", "checkpoint.npz", _npz_bytes()[:200]),
+    "checkpoint-npy": ("summarize", "checkpoint.npz", _npy_bytes()),
+}
+
+
+class TestInputFiles:
+    """A file that cannot be read is a data error (exit 2) that names it."""
+
+    @pytest.mark.parametrize("command, target, content", list(HOSTILE_FILES.values()),
+                             ids=list(HOSTILE_FILES))
+    def test_hostile_file_is_named_data_error(self, tmp_path, capsys, toy_corpus_path,
+                                              toy_embeddings_path, command, target,
+                                              content):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "vocab.json").write_text('{"tokens": ["storm"]}', encoding="utf-8")
+        bad = model / target if target.endswith((".json", ".npz")) else tmp_path / "bad"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        given = {"--data": toy_corpus_path, "--embeddings": toy_embeddings_path,
+                 "--generated": toy_corpus_path, "--references": toy_corpus_path,
+                 "--model": model, "--out": tmp_path / "out"}
+        if target.startswith("--"):
+            given[target] = bad
+        wanted = {"train": ("--data", "--embeddings", "--out"),
+                  "graph": ("--data", "--embeddings", "--sentence-embeddings", "--out"),
+                  "eval": ("--generated", "--references"),
+                  "summarize": ("--model", "--data", "--embeddings", "--out")}[command]
+        argv = [command] + [a for flag in wanted if flag in given
+                            for a in (flag, str(given[flag]))]
+        assert main(argv + TOY_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, kind", [
+        ("train", "file"), ("graph", "file"), ("summarize", "directory"),
+        ("eval", "directory"), ("ksweep", "directory")])
+    def test_out_of_the_wrong_kind_is_config_error_before_data(self, tmp_path, capsys,
+                                                              command, kind):
+        out = tmp_path / "out"
+        if kind == "file":
+            out.write_text("keep", encoding="utf-8")
+        else:
+            out.mkdir()
+        missing = str(tmp_path / "missing.jsonl")
+        extra = {"summarize": ["--model", str(tmp_path / "model")],
+                 "eval": ["--generated", missing, "--references", missing],
+                 "ksweep": ["--k-values", "0.3,0.6"]}.get(command, [])
+        rc = main([command, "--data", missing, "--embeddings", missing,
+                   "--out", str(out), *extra])
+        assert rc == 1
+        assert str(out) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "keep" if kind == "file" else not any(out.iterdir())
+
+    def test_write_error_is_reported_without_traceback(self, tmp_path, capsys):
+        refs = tmp_path / "ref.jsonl"
+        write_cluster_file(refs, [{"id": "a", "summary": "storm floods the town."}])
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out = tmp_path / "taken" / "report.json"  # its parent is a file
+        assert main(["eval", "--generated", str(refs), "--references", str(refs),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "taken" in err and "Traceback" not in err

@@ -1,13 +1,14 @@
 """Tokenization, cluster loading, vocabulary, and serialization layout."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgsum.corpus import (DocumentCluster, Vocab, build_vocab,
-                          layout, load_clusters, serialize_encoder_input,
+from dgsum.corpus import (DocumentCluster, Vocab, build_vocab, layout, load_clusters,
+                          read_lines, read_records, serialize_encoder_input,
                           summary_as_cluster, tokenize)
 from dgsum.errors import DataError
 
@@ -60,6 +61,40 @@ class TestTokenize:
     def test_question_exclamation(self):
         sents = tokenize("Really? Yes! Fine.")
         assert [s.lower[0] for s in sents] == ["really", "yes", "fine"]
+
+
+class TestReadRecords:
+    KEYS = ("id", "summary")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        p.write_text('\n{"id": "a", "summary": "x"}\n  \n{"id": 2, "summary": "y"}\n\n',
+                     encoding="utf-8")
+        got = list(read_records(p, "summaries", self.KEYS))
+        assert [(line, cid) for line, cid, _ in got] == [(2, "a"), (4, "2")]
+        assert got[1][2] == {"id": 2, "summary": "y"}
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "record must be an object with 'id' and 'summary'"),
+        ('"text"', "record must be an object with 'id' and 'summary'"),
+        ('{"id": "b"}', "record must be an object with 'id' and 'summary'"),
+        ('{"summary": "y"}', "record must be an object with 'id' and 'summary'"),
+        ('{"id": "a", "summary": "z"}', "duplicate cluster id 'a'"),
+        ("{nope", "malformed record")])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        p = tmp_path / "s.jsonl"
+        p.write_text('{"id": "a", "summary": "x"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:3: {message}"):
+            list(read_records(p, "summaries", self.KEYS))
+
+    @pytest.mark.parametrize("make", [
+        lambda p: None, lambda p: p.mkdir(), lambda p: p.write_bytes(b"ok\ncaf\xe9\n")],
+        ids=["missing", "directory", "latin-1"])
+    def test_unreadable_file_is_named(self, tmp_path, make):
+        p = tmp_path / "s.jsonl"
+        make(p)
+        with pytest.raises(DataError, match=f"^cannot read summaries {re.escape(str(p))}: "):
+            list(read_lines(p, "summaries"))
 
 
 class TestLoadClusters:
@@ -201,6 +236,13 @@ class TestBuildVocab:
         vocab.save(p)
         loaded = Vocab.load(p)
         assert loaded.id_to_token == vocab.id_to_token
+
+    @pytest.mark.parametrize("text", ['{"words": ["a"]}', '{"tokens": ["a", 5]}'])
+    def test_vocab_file_of_another_shape_is_named(self, tmp_path, text):
+        p = tmp_path / "vocab.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(str(p))):
+            Vocab.load(p)
 
 
 def two_by_one_by_two():

@@ -529,11 +529,12 @@ class TestEdgeAttention:
                             {"s": s, "w": w})
         assert err < 1e-6
 
-    @pytest.mark.parametrize("chunk_edges", [3, None])
+    @pytest.mark.parametrize("chunk_edges", [
+        pytest.param(3, id="hubs_alone_in_3_edge_chunks"), None])
     def test_heads_match_the_per_head_oracle(self, chunk_edges, monkeypatch):
         """Every channel, 1-4 heads, an edgeless node and a single-node graph;
-        with chunks of 3 edges, every node with more edges is split across
-        chunks."""
+        with chunks of 3 edges, every node with more edges fills a chunk of
+        its own."""
         rng = np.random.default_rng(72)
         d_in, d_head = 5, 3
         graphs = [random_graph(rng, n) for n in (6, 19, 33)] + [single_node_graph()]
@@ -546,7 +547,7 @@ class TestEdgeAttention:
                 for ch in EDGE_TYPES + (UNION_CHANNEL,):
                     ix = channel_edges(g, ch)
                     if chunk_edges is not None and n > 1 and ch == UNION_CHANNEL:
-                        assert np.diff(ix.indptr).max() > chunk_edges  # a hub is split
+                        assert np.diff(ix.indptr).max() > chunk_edges  # a hub overfills
                     h = Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
                     params = [(Tensor(rng.normal(size=(d_head, d_in)), requires_grad=True),
                                Tensor(rng.normal(size=2 * d_head), requires_grad=True))
@@ -556,6 +557,24 @@ class TestEdgeAttention:
                     ref = tape_grads(channel_attention_oracle(h, ix, params), leaves, probe)
                     for a, b in zip(got, ref):
                         assert within_1e12(a, b), (n, ch, heads)
+
+    @pytest.mark.parametrize("chunk_edges", [1, 2, 3, 7])
+    def test_chunk_size_changes_no_bit(self, chunk_edges, monkeypatch):
+        """Chunks end on node boundaries, so each node's sum and each edge's
+        dot product are the unchunked ones, bit for bit."""
+        rng = np.random.default_rng(73)
+        heads, d_head = 3, 4
+        for n in (6, 19, 33):
+            ix = channel_edges(random_graph(rng, n), UNION_CHANNEL)
+            coef = rng.normal(size=(len(ix.dst), heads))
+            vals, dot = rng.normal(size=(2, n, heads, d_head))
+            whole = nm.tensor._edge_sum(coef, vals, ix, dot=dot)
+            monkeypatch.setattr(nm.tensor, "_MAX_CELLS", chunk_edges * heads * d_head)
+            chunked = nm.tensor._edge_sum(coef, vals, ix, dot=dot)
+            monkeypatch.undo()
+            assert len(ix.dst) > 2 * chunk_edges  # several chunks
+            for a, b in zip(chunked, whole):
+                assert np.array_equal(a, b), n
 
     def test_mgat_encode_matches_the_oracle(self, table_for, monkeypatch):
         g = small_graph(table_for)
