@@ -5,18 +5,25 @@ Run:  python3 demos/04_attention_and_beam.py
 
 import numpy as np
 
-from dgsum.text_model import beam_search, causal_mask, encoder_mask
+import dgsum.numeric as nm
+from dgsum.text_model import beam_search, causal_mask
 
 # The encoder is local: position i sees i +- window. Delimiter positions are
 # global: they see everything and everything sees them, so sentence and
-# document rows pool their whole span.
+# document rows pool their whole span. nm.band_attention scores each block of
+# `window` rows against its own key block and the two beside it, plus the
+# global keys, and gives the global rows a dense softmax over every key.
 n, window = 12, 2
 global_positions = [0, 6]  # pretend DOC_SEP at 0, SENT_SEP at 6
-mask = encoder_mask(n, window, global_positions)
+# Zero queries and keys give every allowed key the same score; identity
+# values make each output row that row's attention weights.
+zeros = np.zeros((1, 1, n, n))
+weights = nm.band_attention(zeros, zeros, np.eye(n)[None, None], 1.0, window,
+                            global_positions).data[0, 0]
 
-print("encoder attention mask (o = allowed, . = blocked):")
+print("encoder attention pattern (o = allowed, . = blocked):")
 for i in range(n):
-    row = "".join("o" if mask[i, j] == 0.0 else "." for j in range(n))
+    row = "".join("o" if weights[i, j] > 0.0 else "." for j in range(n))
     tag = "  <- global" if i in global_positions else ""
     print(f"  {i:2d} {row}{tag}")
 

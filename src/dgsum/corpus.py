@@ -199,7 +199,11 @@ class Vocab:
         self.id_to_token: list[str] = list(RESERVED) + list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
-            raise DataError("vocab contains duplicate tokens")
+            seen: set[str] = set()
+            for token in self.id_to_token:
+                if token in seen:
+                    raise DataError(f"vocab repeats the token {token!r}")
+                seen.add(token)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -225,7 +229,10 @@ class Vocab:
         tokens = loaded.get("tokens") if isinstance(loaded, dict) else None
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError(f'{path}: vocab must be {{"tokens": [strings]}}')
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except DataError as e:
+            raise DataError(f"{path}: {e}")
 
 
 def build_vocab(clusters: list[DocumentCluster], min_freq: int = 2) -> Vocab:

@@ -23,22 +23,37 @@ class Adam:
         """One update from the gradients currently stored on the parameters.
 
         Tensors with grad=None are treated as zero-gradient. Aborts on
-        non-finite gradients, naming the parameter.
+        non-finite gradients, naming the parameter. The update runs in place
+        through two scratch buffers, in the operation order of
+        m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so its bits are that formula's.
         """
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
+        largest: dict = {}  # dtype -> size of its largest parameter
+        for p in self.params.tensors():
+            largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.size)
+        # allocated per step: kept between steps, they would add to the next
+        # forward pass's peak memory
+        scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt, size in largest.items()}
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"adam: non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
+            a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[p.data.dtype])
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a

@@ -88,9 +88,11 @@ class ParamStore:
     def load(cls, path) -> "ParamStore":
         try:
             with open(path, "rb") as fh:  # np.load leaks its own handle on a bad zip
+                if fh.read(4) != b"PK\x03\x04":  # what np.savez writes first
+                    raise DataError(f"cannot read checkpoint {path}: not a checkpoint archive")
+                fh.seek(0)
                 archive = np.load(fh)
-                if not isinstance(archive, np.lib.npyio.NpzFile) or \
-                        "__format_version__" not in archive:
+                if "__format_version__" not in archive:
                     raise DataError(f"{path}: missing checkpoint format header")
                 version = int(archive["__format_version__"][0])
                 if version != CHECKPOINT_VERSION:

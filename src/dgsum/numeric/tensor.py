@@ -452,6 +452,118 @@ def attention_weights(q, kt, scale: float, mask_add: np.ndarray | None = None) -
     return _make(w, (q, kt), backward)
 
 
+def _softmax_rows(parts) -> None:
+    """In place, one softmax per row over the last axes of ``parts``
+    [..., rows, cols_i] taken together."""
+    m = parts[0].max(axis=-1, keepdims=True)
+    for p in parts[1:]:
+        if p.shape[-1]:
+            np.maximum(m, p.max(axis=-1, keepdims=True), out=m)
+    z = 0.0
+    for p in parts:
+        p -= m
+        np.exp(p, out=p)
+        z = z + p.sum(axis=-1, keepdims=True)
+    for p in parts:
+        p /= z
+
+
+def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
+    """Sliding-window attention with global positions (Longformer's pattern)
+    for stacked heads q [B, H, n, dh], keys kt [B, H, dh, n] and values
+    v [B, H, n, dh]: row i attends to key j when |i - j| <= window or either
+    is in ``glob``, which is softmax(q @ kt * scale + encoder mask) @ v.
+
+    Rows are cut into blocks of ``window``; a block scores its own key block
+    and the two beside it [B, H, blocks, w, 3w], with keys beyond the window,
+    past either end or in ``glob`` masked, plus every ``glob`` key [B, H, n, g]
+    unmasked, under one softmax per row. The ``glob`` rows take a softmax over
+    all keys [B, H, g, n] instead. Only these weights are saved; key and value
+    windows are strided views of one padded copy, rebuilt in backward."""
+    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
+    glob = np.unique(np.asarray(glob, dtype=np.intp))
+    b, h, n, dh = q.shape if q.ndim == 4 else (0,) * 4
+    if n < 1 or kt.shape != (b, h, dh, n) or v.shape != q.shape or window < 1 \
+            or (glob.size and (glob[0] < 0 or glob[-1] >= n)):
+        raise ShapeError(f"band_attention: q {q.shape}, kt {kt.shape}, v {v.shape}, "
+                         f"window {window}, global positions {glob.tolist()}")
+    w = min(window, n)  # a window of n or more already reaches every key
+    nb = -(-n // w)
+    scale = q.data.dtype.type(scale)
+    i = np.arange(nb * w).reshape(nb, w, 1)
+    j = np.arange(-w, 2 * w) + w * np.arange(nb)[:, None, None]
+    off = (np.abs(i - j) > w) | (j < 0) | (j >= n) | np.isin(j, glob)
+
+    def padded(x, before=0, after=nb * w - n):  # x [b, h, n, dh] between zero rows
+        out = np.zeros((b, h, before + n + after, dh), dtype=x.dtype)
+        out[:, :, before:before + n] = x
+        return out
+
+    def windows(x):  # rows (c-1)w .. (c+2)w-1 of x for block c [b, h, nb, 3w, dh], a view
+        xp = padded(x, w, nb * w - n + w)
+        return np.lib.stride_tricks.sliding_window_view(xp, 3 * w, axis=2)[:, :, ::w] \
+            .swapaxes(-1, -2)
+
+    def unpad_windows(d):  # sum the [b, h, nb, 3w, dh] window gradients into rows
+        out = np.zeros((b, h, nb + 2, w, dh), dtype=d.dtype)
+        d = d.reshape(b, h, nb, 3, w, dh)
+        for o in range(3):
+            out[:, :, o:o + nb] += d[:, :, :, o]
+        return out.reshape(b, h, -1, dh)[:, :, w:w + n]
+
+    k = kt.data.swapaxes(-1, -2)
+    qp = padded(q.data)  # [b, h, nb*w, dh]
+    kg, vg = k[:, :, glob], v.data[:, :, glob]
+    band = qp.reshape(b, h, nb, w, dh) @ windows(k).swapaxes(-1, -2)
+    band *= scale
+    np.copyto(band, MASK_FILL, where=off)
+    cols = qp @ kg.swapaxes(-1, -2)
+    cols *= scale
+    _softmax_rows([band.reshape(b, h, nb * w, 3 * w), cols])
+    rows = q.data[:, :, glob] @ kt.data
+    rows *= scale
+    _softmax_rows([rows])
+    out = (band @ windows(v.data)).reshape(b, h, nb * w, dh)
+    out += cols @ vg
+    out = out[:, :, :n]
+    out[:, :, glob] = rows @ v.data
+
+    def backward(g):
+        gp = padded(g)
+        gp[:, :, glob] = 0.0  # global rows take their gradient from ``rows`` alone
+        gb = gp.reshape(b, h, nb, w, dh)
+        dband = gb @ windows(v.data).swapaxes(-1, -2)
+        dcols = gp @ vg.swapaxes(-1, -2)
+        inner = np.einsum("...k,...k->...", dband, band).reshape(b, h, -1, 1)
+        inner += np.einsum("...k,...k->...", dcols, cols)[..., None]
+        dband -= inner.reshape(b, h, nb, w, 1)
+        dband *= band
+        dband *= scale
+        dcols -= inner
+        dcols *= cols
+        dcols *= scale
+        grow = g[:, :, glob]
+        drows = grow @ v.data.swapaxes(-1, -2)
+        drows -= np.einsum("...k,...k->...", drows, rows)[..., None]
+        drows *= rows
+        drows *= scale
+        dq = (dband @ windows(k)).reshape(b, h, nb * w, dh)
+        dq += dcols @ kg
+        dq = dq[:, :, :n]
+        dq[:, :, glob] += drows @ k
+        dk = unpad_windows(dband.swapaxes(-1, -2) @ qp.reshape(b, h, nb, w, dh))
+        dk[:, :, glob] += dcols.swapaxes(-1, -2) @ qp
+        dk += drows.swapaxes(-1, -2) @ q.data[:, :, glob]
+        dv = unpad_windows(band.swapaxes(-1, -2) @ gb)
+        dv[:, :, glob] += cols.swapaxes(-1, -2) @ gp
+        dv += rows.swapaxes(-1, -2) @ grow
+        _accum(q, dq)
+        _accum(kt, dk.swapaxes(-1, -2))
+        _accum(v, dv)
+
+    return _make(out, (q, kt, v), backward)
+
+
 _MAX_CELLS = 1 << 20  # cells of one [edges, H, d_head] chunk in edge_attention
 
 

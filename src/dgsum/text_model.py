@@ -4,9 +4,12 @@ search, at configurable small dimensions with random initialization.
 Encoder self-attention is local (each position sees a +-window radius) with
 global attention at sentence/document delimiter positions: delimiters attend
 to and are attended by every position, which lets their rows pool their full
-spans. The decoder is a standard causal transformer with cross-attention
-over the compressed node embeddings; memory rows get positional embeddings
-by their original token index in the source serialization.
+spans. It runs as one banded kernel, ``nm.band_attention`` (Longformer's
+sliding chunks plus global columns and rows), so no n x n array is formed.
+The decoder is a standard causal transformer with cross-attention over the
+compressed node embeddings, through ``nm.attention_weights`` with a causal
+mask or none; memory rows get positional embeddings by their original token
+index in the source serialization.
 """
 
 from __future__ import annotations
@@ -123,7 +126,13 @@ def _attend(q: Tensor, kt: Tensor, v: Tensor, store: ParamStore, prefix: str,
     projection. With one batch of keys, all rows attend to the same keys."""
     batch, n_heads, dh, _ = kt.shape
     w = nm.attention_weights(_heads(q, batch, n_heads), kt, 1.0 / np.sqrt(dh), mask_add)
-    merged = nm.reshape(nm.transpose(nm.matmul(w, v), (0, 2, 1, 3)), q.shape)
+    return _merge(nm.matmul(w, v), q.shape, store, prefix)
+
+
+def _merge(heads: Tensor, shape: tuple, store: ParamStore, prefix: str) -> Tensor:
+    """Attended values [B, H, nq, dh] as rows of ``shape``, then the output
+    projection."""
+    merged = nm.reshape(nm.transpose(heads, (0, 2, 1, 3)), shape)
     return nm.add(nm.matmul(merged, store[f"{prefix}.wo"]), store[f"{prefix}.bo"])
 
 
@@ -134,18 +143,6 @@ def _ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 def _ln(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return nm.layer_norm(x, store[f"{prefix}.g"], store[f"{prefix}.b"])
-
-
-def encoder_mask(n: int, window: int, global_positions) -> np.ndarray:
-    """Additive mask: 0 where attention is allowed (|i-j| <= window, or either
-    side is a delimiter), MASK_FILL elsewhere."""
-    idx = np.arange(n)
-    allowed = np.abs(idx[:, None] - idx[None, :]) <= window
-    g = np.zeros(n, dtype=bool)
-    g[np.asarray(list(global_positions), dtype=np.intp)] = True
-    allowed |= g[:, None]
-    allowed |= g[None, :]
-    return np.where(allowed, 0.0, nm.MASK_FILL)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -163,13 +160,15 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
     sep = boundaries.sep_positions()
     if sep and max(sep) >= n:
         raise AlignmentError(f"boundary position {max(sep)} outside input of length {n}")
-    mask = encoder_mask(n, cfg.attention_window, sep)
     x = nm.add(nm.embedding(store["emb.tok"], np.asarray(ids, dtype=np.intp)),
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
         p = f"enc{i}.attn"
-        a = _attend(_project_q(x, store, p), *_project_kv(x, store, p, cfg.n_heads),
-                    store, p, mask)
+        q = _project_q(x, store, p)
+        kt, v = _project_kv(x, store, p, cfg.n_heads)
+        heads = nm.band_attention(_heads(q, 1, cfg.n_heads), kt, v, 1.0 / np.sqrt(kt.shape[2]),
+                                  cfg.attention_window, sep)
+        a = _merge(heads, q.shape, store, p)
         a = nm.dropout(a, cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"enc{i}.ln1")
         f = _ffn(x, store, f"enc{i}.ffn")

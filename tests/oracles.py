@@ -284,6 +284,44 @@ def adam_two_step_oracle(p0, g1, g2, lr, beta1, beta2, eps):
     return p
 
 
+def adam_step_oracle(data, grads, m, v, t, lr, beta1, beta2, eps):
+    """Update ``t`` (counting from 1) of Adam, formula by formula with a fresh
+    array for each temporary, on dicts of arrays name -> parameter, its
+    gradient and its two moments; all but ``grads`` change in place."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in data.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+# --- attention ----------------------------------------------------------------
+
+def encoder_mask(n, window, global_positions):
+    """The encoder's attention pattern as a dense additive mask: 0 where
+    attention is allowed (|i-j| <= window, or either side is a delimiter),
+    MASK_FILL elsewhere."""
+    idx = np.arange(n)
+    allowed = np.abs(idx[:, None] - idx[None, :]) <= window
+    g = np.zeros(n, dtype=bool)
+    g[np.asarray(list(global_positions), dtype=np.intp)] = True
+    allowed |= g[:, None]
+    allowed |= g[None, :]
+    return np.where(allowed, 0.0, nm.MASK_FILL)
+
+
+def band_attention_oracle(q, kt, v, scale, window, glob):
+    """``nm.band_attention`` through the dense n x n mask, on the tape."""
+    mask = encoder_mask(q.shape[-2], window, glob)
+    return nm.matmul(nm.attention_weights(q, kt, scale, mask), v)
+
+
 def attention_coefficient(h_i, h_j, e_ij, W, w, slope=0.2):
     """d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]) for one node pair, on
     the tape, so its gradients can be checked too."""

@@ -50,7 +50,8 @@ VALUED_OPTIONS = {
 SWITCHES = {"--no-mgat": ("no_mgat", True), "--no-residual": ("mgat_residual", False),
             "--renorm-mask": ("renorm_mask", True),
             "--no-compressor": ("no_compressor", True),
-            "--no-length-norm": ("length_norm", False)}
+            "--no-length-norm": ("length_norm", False),
+            "--overwrite": ("overwrite", True)}
 COMMAND_OPTIONS = {"train": {}, "graph": {}, "summarize": {"--model": "model"},
                    "ksweep": {"--model": "model", "--k-values": "k_values"},
                    "eval": {"--generated": "generated", "--references": "references"}}
@@ -73,7 +74,7 @@ class TestParser:
             want.update({(opt,): (dest, "_StoreConstAction", const)
                          for opt, (dest, const) in SWITCHES.items()})
             assert got == want, command
-            assert len(got) == 38 + len(extra)
+            assert len(got) == 39 + len(extra)
 
     @pytest.mark.parametrize("switch", sorted(SWITCHES))
     def test_switch_sets_its_field_against_the_default(self, switch):
@@ -776,6 +777,7 @@ HOSTILE_FILES = {
     "vocab-not-json": ("summarize", "vocab.json", b"not json"),
     "vocab-tokens-not-a-list": ("summarize", "vocab.json", b'{"tokens": 5}'),
     "vocab-a-list": ("summarize", "vocab.json", b'["a"]'),
+    "vocab-repeated-token": ("summarize", "vocab.json", b'{"tokens": ["storm", "storm"]}'),
     "checkpoint-empty": ("summarize", "checkpoint.npz", b""),
     "checkpoint-junk": ("summarize", "checkpoint.npz", b"junk bytes \x00\x01\x02"),
     "checkpoint-truncated-zip": ("summarize", "checkpoint.npz", _npz_bytes()[:200]),
@@ -834,6 +836,53 @@ class TestInputFiles:
         assert str(out) in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [out]
         assert out.read_text() == "keep" if kind == "file" else not any(out.iterdir())
+
+    @pytest.mark.parametrize("target, message", [
+        ("vocab.json", "vocab repeats the token 'storm'"),
+        ("checkpoint.npz", "not a checkpoint archive")])
+    def test_bad_model_file_message_names_the_fault(self, tmp_path, capsys, trained_model,
+                                                    toy_corpus_path, toy_embeddings_path,
+                                                    target, message):
+        bad = trained_model / target
+        bad.write_bytes({"vocab.json": b'{"tokens": ["storm", "storm"]}',
+                         "checkpoint.npz": b"junk bytes \x00\x01\x02"}[target])
+        assert main(["summarize", "--model", str(trained_model), "--data",
+                     str(toy_corpus_path), "--embeddings", str(toy_embeddings_path),
+                     "--out", str(tmp_path / "hyp.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}" in err and message in err
+        assert "pickle" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "graph"])
+    def test_non_empty_out_needs_overwrite(self, tmp_path, capsys, toy_corpus_path,
+                                           toy_embeddings_path, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "checkpoint.npz").write_text("keep", encoding="utf-8")
+        missing = str(tmp_path / "missing.jsonl")
+        assert main([command, "--data", missing, "--embeddings", missing,
+                     "--out", str(out)]) == 1  # refused before the data is read
+        err = capsys.readouterr().err
+        assert str(out) in err and "--overwrite" in err
+        assert [p.name for p in out.iterdir()] == ["checkpoint.npz"]
+        assert (out / "checkpoint.npz").read_text() == "keep"
+        argv = [command, "--data", str(toy_corpus_path), "--embeddings",
+                str(toy_embeddings_path), "--out", str(out), *TOY_FLAGS]
+        assert main(argv) == 1
+        assert str(out) in capsys.readouterr().err
+        assert (out / "checkpoint.npz").read_text() == "keep"
+        assert main(argv + ["--overwrite"]) == 0
+        assert len(list(out.iterdir())) > 1
+        if command == "train":
+            assert (out / "checkpoint.npz").read_bytes()[:2] == b"PK"
+
+    def test_empty_out_directory_needs_no_overwrite(self, tmp_path, toy_corpus_path,
+                                                    toy_embeddings_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--data", str(toy_corpus_path), "--embeddings",
+                     str(toy_embeddings_path), "--out", str(out), *TOY_FLAGS]) == 0
+        assert (out / "checkpoint.npz").exists()
 
     def test_write_error_is_reported_without_traceback(self, tmp_path, capsys):
         refs = tmp_path / "ref.jsonl"

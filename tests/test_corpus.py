@@ -244,6 +244,16 @@ class TestBuildVocab:
         with pytest.raises(DataError, match=re.escape(str(p))):
             Vocab.load(p)
 
+    @pytest.mark.parametrize("tokens, repeated", [(["a", "a"], "a"),
+                                                  (["x", "b", "a", "b", "x"], "b"),
+                                                  (["z", "<bos>"], "<bos>")])
+    def test_repeated_token_is_named_with_the_file(self, tmp_path, tokens, repeated):
+        p = tmp_path / "vocab.json"
+        p.write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}: vocab repeats the token "
+                                                      f"{repeated!r}")):
+            Vocab.load(p)
+
 
 def two_by_one_by_two():
     docs = ["alpha beta.", "gamma delta."]

@@ -7,7 +7,8 @@ import pytest
 
 import dgsum.numeric as nm
 from dgsum.errors import ConfigError, DataError, NumericError, ShapeError
-from oracles import adam_two_step_oracle, segment_sum
+from oracles import (adam_step_oracle, adam_two_step_oracle, band_attention_oracle,
+                     segment_sum)
 
 RNG = np.random.default_rng(12345)
 
@@ -156,7 +157,7 @@ def rand_const(*shape):
 def one_key_row_mask(n):
     """``encoder_mask`` with a window of 1 and a delimiter at 2, whose first
     row may attend to key 3 only."""
-    from dgsum.text_model import encoder_mask
+    from oracles import encoder_mask
     m = encoder_mask(n, 1, [2])
     m[0] = nm.MASK_FILL
     m[0, 3] = 0.0
@@ -210,6 +211,59 @@ class TestAttentionWeights:
     def test_shape_error_names_the_kernel(self):
         with pytest.raises(ShapeError, match="attention_weights"):
             nm.attention_weights(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), 1.0)
+
+
+class TestBandAttention:
+    """``band_attention`` against the dense-mask path it replaces in the
+    encoder: softmax(q @ kt * scale + encoder mask) @ v."""
+
+    SCALE = 1.0 / np.sqrt(3.0)
+
+    @staticmethod
+    def operands(b, h, n, dh=3, seed=0):
+        rng = np.random.default_rng(seed)
+        return [nm.Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((b, h, n, dh), (b, h, dh, n), (b, h, n, dh))]
+
+    @pytest.mark.parametrize("n, window, glob", [
+        (1, 1, []), (1, 4, [0]), (2, 1, [1]), (5, 2, []), (5, 5, [2]), (5, 9, [0, 4]),
+        (16, 2, [0, 7]), (17, 3, [0, 1, 2, 16]), (24, 4, [5, 6, 7, 12]), (31, 1, [30]),
+        (40, 4, [0, 5, 6, 39]), (64, 16, [0, 63]), (100, 40, [3, 50]),
+        (213, 16, list(range(0, 213, 11))), (130, 7, list(range(0, 130, 2)))])
+    @pytest.mark.parametrize("b, h", [(1, 1), (2, 3)])
+    def test_matches_the_dense_mask_oracle(self, n, window, glob, b, h):
+        q, kt, v = self.operands(b, h, n)
+        probe = np.random.default_rng(1).normal(size=(b, h, n, 3))
+        results = []
+        for fn in (nm.band_attention, band_attention_oracle):
+            for t in (q, kt, v):
+                t.zero_grad()
+            out = fn(q, kt, v, self.SCALE, window, glob)
+            nm.sum_(nm.mul(out, probe)).backward()
+            results.append((out.data, q.grad, kt.grad, v.grad))
+        for name, got, ref in zip(("out", "dq", "dkt", "dv"), *results):
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_grad_check(self):
+        q, kt, v = self.operands(1, 2, 11, seed=3)
+        probe = rand_const(1, 2, 11, 3)
+        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, kt, v, self.SCALE, 2, [0, 4, 5, 10]),
+                                     probe)), {"q": q, "kt": kt, "v": v})
+
+    GOOD = ((1, 2, 5, 3), (1, 2, 3, 5), (1, 2, 5, 3))
+
+    @pytest.mark.parametrize("shapes, window, glob", [
+        (((1, 2, 5, 3), (1, 2, 3, 4), (1, 2, 5, 3)), 2, []),  # keys of another length
+        (((1, 2, 5, 3), (1, 2, 4, 5), (1, 2, 5, 3)), 2, []),  # keys of another width
+        (((1, 2, 5, 3), (1, 2, 3, 5), (1, 2, 5, 4)), 2, []),  # values of another width
+        (((2, 5, 3), (2, 3, 5), (2, 5, 3)), 2, []),            # no batch axis
+        (((1, 2, 0, 3), (1, 2, 3, 0), (1, 2, 0, 3)), 2, []),  # no rows
+        (GOOD, 0, []), (GOOD, 2, [5]), (GOOD, 2, [-1])])
+    def test_shape_error_names_the_kernel(self, shapes, window, glob):
+        q, kt, v = (rand_tensor(*s) for s in shapes)
+        with pytest.raises(ShapeError, match="band_attention"):
+            nm.band_attention(q, kt, v, 1.0, window, glob)
 
 
 class TestTapeRelease:
@@ -513,6 +567,35 @@ class TestAdam:
         opt.step()
         expected = adam_two_step_oracle(1.0, 0.5, -0.3, 0.1, 0.9, 0.999, 1e-8)
         assert t.data[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_in_place_step_equals_the_formula(self, precision):
+        """Three steps over parameters of mixed shapes give the bits of the
+        formula with a fresh array per temporary."""
+        from dgsum.numeric import ParamStore
+        nm.set_precision(precision)
+        try:
+            store, rng = ParamStore(), np.random.default_rng(5)
+            for i, shape in enumerate([(3, 4), (7,), (2, 3, 5), (1,), (6, 2)]):
+                store.add(f"p{i}", shape, rng)
+            data = {name: t.data.copy() for name, t in store.items()}
+            m = {name: np.zeros_like(d) for name, d in data.items()}
+            v = {name: np.zeros_like(d) for name, d in data.items()}
+            opt = nm.Adam(store, lr=0.01)
+            for step in (1, 2, 3):
+                grads = {name: (rng.normal(size=d.shape) * 10.0 ** rng.integers(-3, 3))
+                         .astype(d.dtype) for name, d in data.items()}
+                for name, t in store.items():
+                    t.grad = grads[name].copy()
+                opt.step()
+                adam_step_oracle(data, grads, m, v, step, 0.01, 0.9, 0.999, 1e-8)
+            for name, t in store.items():
+                assert t.data.dtype == data[name].dtype
+                assert np.array_equal(t.data, data[name]), name
+                assert np.array_equal(opt._m[name], m[name]), name
+                assert np.array_equal(opt._v[name], v[name]), name
+        finally:
+            nm.set_precision("double")
 
     def test_non_finite_grad_aborts(self):
         store, t = self._single(1.0)

@@ -12,9 +12,9 @@ from dgsum.numeric import ParamStore, Tensor
 from dgsum.text_model import (TextModelConfig, _cached_step,
                               add_text_model_params, beam_search, causal_mask,
                               decode_beam, decode_teacher_forced,
-                              encoder_mask, encode_text, unit_embeddings)
+                              encode_text, unit_embeddings)
 from conftest import cluster_from_texts
-from oracles import decode_beam_oracle, decode_greedy
+from oracles import band_attention_oracle, decode_beam_oracle, decode_greedy, encoder_mask
 
 
 def tiny_cfg(**kw):
@@ -370,3 +370,58 @@ class TestGradients:
 
         err = nm.grad_check(loss, dict(store.items()), max_entries=6)
         assert err < 1e-5
+
+
+def long_encoder_input(n_docs, n_sents, seed=3):
+    """Token ids, boundaries and vocabulary size of a cluster of ``n_docs``
+    documents of ``n_sents`` 17-word sentences."""
+    rng = np.random.default_rng(seed)
+    syll = ["ka", "lo", "mi", "ren", "tas", "vo", "du", "pel"]
+    words = [a + b for a in syll for b in syll]
+    cluster = cluster_from_texts("long", [
+        " ".join(" ".join(rng.choice(words, size=17)) + "." for _ in range(n_sents))
+        for _ in range(n_docs)])
+    vocab = build_vocab([cluster], min_freq=1)
+    ids, bounds = serialize_encoder_input(cluster, vocab, 4096)
+    return ids, bounds, len(vocab)
+
+
+class TestBandedEncoder:
+    @pytest.mark.parametrize("window", [1, 3, 16, 500])
+    def test_encoder_matches_the_dense_mask_path(self, window, monkeypatch):
+        """encode_text and its parameter gradients, with the banded kernel and
+        with the dense-mask oracle in its place."""
+        ids, bounds, v = long_encoder_input(3, 4)
+        cfg = tiny_cfg(n_layers_enc=2, attention_window=window, max_in_len=len(ids))
+        store = make_store(cfg, v, seed=4)
+        probe = np.random.default_rng(2).normal(size=(len(ids), cfg.d_model))
+        results = []
+        for kernel in (nm.band_attention, band_attention_oracle):
+            monkeypatch.setattr(nm, "band_attention", kernel)
+            store.zero_grads()
+            q = encode_text(ids, bounds, store, cfg).Q
+            nm.sum_(nm.mul(q, probe)).backward()
+            results.append([q.data] + [t.grad for _, t in store.items()
+                                       if t.grad is not None])
+        assert len(results[0]) == len(results[1]) > 1
+        for got, ref in zip(*results):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestMemory:
+    def test_encoder_keeps_no_n_by_n_arrays(self):
+        """encode_text forward plus backward on 1,000 tokens at the default
+        size stays under 120 MB of tracemalloc. A dense n x n mask and [H, n, n]
+        weights per layer peaked at 167 MB here; the banded kernel at 74 MB."""
+        import tracemalloc
+        ids, bounds, v = long_encoder_input(4, 13)
+        assert 950 <= len(ids) <= 1050
+        cfg = TextModelConfig()
+        store = make_store(cfg, v)
+        tracemalloc.start()
+        try:
+            nm.mean(encode_text(ids, bounds, store, cfg).Q).backward()
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 120.0, f"encode_text peaked at {peak_mb:.1f} MB"
