@@ -39,7 +39,6 @@ class RunConfig:
     data: str | None = None
     dev: str | None = None
     out: str | None = None
-    overwrite: bool = False
     max_input_len: int = 4096
     min_freq: int = 2
     # embeddings
@@ -163,14 +162,13 @@ def _read_layer(path: Path) -> dict:
 def resolve_config(file_path: str | None, flags: dict,
                    model_dir: str | None = None) -> RunConfig:
     """Layer, lowest first: the defaults; the stored ``config.json`` of
-    ``model_dir`` without its data, dev and out paths and its ``overwrite``;
-    the ``--config`` file; the flags. Then the stored shape keys override
-    all, so the checkpoint loads."""
+    ``model_dir`` without its data, dev and out paths; the ``--config`` file;
+    the flags. Then the stored shape keys override all, so the checkpoint
+    loads."""
     stored: dict = {}
     if model_dir and (Path(model_dir) / "config.json").exists():
         stored = _read_layer(Path(model_dir) / "config.json")
-    values = {k: v for k, v in stored.items()
-              if k not in ("data", "dev", "out", "overwrite")}
+    values = {k: v for k, v in stored.items() if k not in ("data", "dev", "out")}
     if file_path:
         values.update(_read_layer(Path(file_path)))
     values.update((k, v) for k, v in flags.items() if v is not None)
@@ -190,15 +188,15 @@ def _write_jsonl(path, records) -> None:
     _write_text(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
-def _check_out(out: str | None, want_dir: bool, overwrite: bool) -> None:
+def _check_out(out: str | None, want_dir: bool) -> None:
     """``--out`` must name nothing yet, or a directory (``want_dir``) or a
-    file; a directory that holds anything only with ``overwrite``."""
+    file; a directory only when it is empty, so no model is replaced."""
     if not out or not Path(out).exists():
         return
     if Path(out).is_dir() != want_dir:
         raise ConfigError(f"--out {out} is {'not ' if want_dir else ''}a directory")
-    if want_dir and not overwrite and any(Path(out).iterdir()):
-        raise ConfigError(f"--out {out} is not empty; pass --overwrite to replace its files")
+    if want_dir and any(Path(out).iterdir()):
+        raise ConfigError(f"--out {out} is not empty; remove it or choose another")
 
 
 def _read_summaries(path) -> dict[str, str]:
@@ -424,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k in _TYPES}
         cfg = resolve_config(args.config, flags, getattr(args, "model", None))
-        _check_out(cfg.out, args.command in ("train", "graph"), cfg.overwrite)
+        _check_out(cfg.out, want_dir=args.command in ("train", "graph"))
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "summarize":

@@ -24,7 +24,7 @@ class Adam:
 
         Tensors with grad=None are treated as zero-gradient. Aborts on
         non-finite gradients, naming the parameter. The update runs in place
-        through two scratch buffers, in the operation order of
+        through two scratch arrays per parameter, in the operation order of
         m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
         p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so its bits are that formula's.
         """
@@ -32,19 +32,14 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        largest: dict = {}  # dtype -> size of its largest parameter
-        for p in self.params.tensors():
-            largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.size)
-        # allocated per step: kept between steps, they would add to the next
-        # forward pass's peak memory
-        scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt, size in largest.items()}
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"adam: non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[p.data.dtype])
+            a = np.empty_like(p.data)
+            b = np.empty_like(p.data)
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2

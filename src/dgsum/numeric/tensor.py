@@ -477,9 +477,12 @@ def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
     Rows are cut into blocks of ``window``; a block scores its own key block
     and the two beside it [B, H, blocks, w, 3w], with keys beyond the window,
     past either end or in ``glob`` masked, plus every ``glob`` key [B, H, n, g]
-    unmasked, under one softmax per row. The ``glob`` rows take a softmax over
-    all keys [B, H, g, n] instead. Only these weights are saved; key and value
-    windows are strided views of one padded copy, rebuilt in backward."""
+    unmasked, under one softmax per row. When those blocks would hold as many
+    cells as n x n (a window of n/3 or more), all rows form one block that
+    scores all n keys [B, H, 1, n, n], as dense attention does. The ``glob``
+    rows take a softmax over all keys [B, H, g, n] instead. Only these weights
+    are saved; key and value windows are strided views of one padded copy,
+    rebuilt in backward."""
     q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
     glob = np.unique(np.asarray(glob, dtype=np.intp))
     b, h, n, dh = q.shape if q.ndim == 4 else (0,) * 4
@@ -487,29 +490,33 @@ def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
             or (glob.size and (glob[0] < 0 or glob[-1] >= n)):
         raise ShapeError(f"band_attention: q {q.shape}, kt {kt.shape}, v {v.shape}, "
                          f"window {window}, global positions {glob.tolist()}")
-    w = min(window, n)  # a window of n or more already reaches every key
+    w = min(window, n)
     nb = -(-n // w)
+    pieces = 3  # key blocks per row block: its own and the two beside it
+    if n * n <= nb * w * 3 * w:
+        w, nb, pieces = n, 1, 1
+    lead = w * (pieces // 2)  # zero key rows before the first block's window
     scale = q.data.dtype.type(scale)
     i = np.arange(nb * w).reshape(nb, w, 1)
-    j = np.arange(-w, 2 * w) + w * np.arange(nb)[:, None, None]
-    off = (np.abs(i - j) > w) | (j < 0) | (j >= n) | np.isin(j, glob)
+    j = np.arange(-lead, pieces * w - lead) + w * np.arange(nb)[:, None, None]
+    off = (np.abs(i - j) > window) | (j < 0) | (j >= n) | np.isin(j, glob)
 
     def padded(x, before=0, after=nb * w - n):  # x [b, h, n, dh] between zero rows
         out = np.zeros((b, h, before + n + after, dh), dtype=x.dtype)
         out[:, :, before:before + n] = x
         return out
 
-    def windows(x):  # rows (c-1)w .. (c+2)w-1 of x for block c [b, h, nb, 3w, dh], a view
-        xp = padded(x, w, nb * w - n + w)
-        return np.lib.stride_tricks.sliding_window_view(xp, 3 * w, axis=2)[:, :, ::w] \
+    def windows(x):  # key rows j of block c [b, h, nb, pieces*w, dh], a view
+        xp = padded(x, lead, (nb + pieces - 1) * w - lead - n)
+        return np.lib.stride_tricks.sliding_window_view(xp, pieces * w, axis=2)[:, :, ::w] \
             .swapaxes(-1, -2)
 
-    def unpad_windows(d):  # sum the [b, h, nb, 3w, dh] window gradients into rows
-        out = np.zeros((b, h, nb + 2, w, dh), dtype=d.dtype)
-        d = d.reshape(b, h, nb, 3, w, dh)
-        for o in range(3):
+    def unpad_windows(d):  # sum the [b, h, nb, pieces*w, dh] window gradients into rows
+        out = np.zeros((b, h, nb + pieces - 1, w, dh), dtype=d.dtype)
+        d = d.reshape(b, h, nb, pieces, w, dh)
+        for o in range(pieces):
             out[:, :, o:o + nb] += d[:, :, :, o]
-        return out.reshape(b, h, -1, dh)[:, :, w:w + n]
+        return out.reshape(b, h, -1, dh)[:, :, lead:lead + n]
 
     k = kt.data.swapaxes(-1, -2)
     qp = padded(q.data)  # [b, h, nb*w, dh]
@@ -519,7 +526,7 @@ def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
     np.copyto(band, MASK_FILL, where=off)
     cols = qp @ kg.swapaxes(-1, -2)
     cols *= scale
-    _softmax_rows([band.reshape(b, h, nb * w, 3 * w), cols])
+    _softmax_rows([band.reshape(b, h, nb * w, pieces * w), cols])
     rows = q.data[:, :, glob] @ kt.data
     rows *= scale
     _softmax_rows([rows])

@@ -5,7 +5,8 @@ Encoder self-attention is local (each position sees a +-window radius) with
 global attention at sentence/document delimiter positions: delimiters attend
 to and are attended by every position, which lets their rows pool their full
 spans. It runs as one banded kernel, ``nm.band_attention`` (Longformer's
-sliding chunks plus global columns and rows), so no n x n array is formed.
+sliding chunks plus global columns and rows), so no n x n array is formed
+unless the window is about n/3 or wider, where one dense block is cheaper.
 The decoder is a standard causal transformer with cross-attention over the
 compressed node embeddings, through ``nm.attention_weights`` with a causal
 mask or none; memory rows get positional embeddings by their original token

@@ -50,8 +50,7 @@ VALUED_OPTIONS = {
 SWITCHES = {"--no-mgat": ("no_mgat", True), "--no-residual": ("mgat_residual", False),
             "--renorm-mask": ("renorm_mask", True),
             "--no-compressor": ("no_compressor", True),
-            "--no-length-norm": ("length_norm", False),
-            "--overwrite": ("overwrite", True)}
+            "--no-length-norm": ("length_norm", False)}
 COMMAND_OPTIONS = {"train": {}, "graph": {}, "summarize": {"--model": "model"},
                    "ksweep": {"--model": "model", "--k-values": "k_values"},
                    "eval": {"--generated": "generated", "--references": "references"}}
@@ -74,7 +73,7 @@ class TestParser:
             want.update({(opt,): (dest, "_StoreConstAction", const)
                          for opt, (dest, const) in SWITCHES.items()})
             assert got == want, command
-            assert len(got) == 39 + len(extra)
+            assert len(got) == 38 + len(extra)
 
     @pytest.mark.parametrize("switch", sorted(SWITCHES))
     def test_switch_sets_its_field_against_the_default(self, switch):
@@ -854,8 +853,8 @@ class TestInputFiles:
         assert "pickle" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "graph"])
-    def test_non_empty_out_needs_overwrite(self, tmp_path, capsys, toy_corpus_path,
-                                           toy_embeddings_path, command):
+    def test_non_empty_out_is_refused(self, tmp_path, capsys, toy_corpus_path,
+                                      toy_embeddings_path, command):
         out = tmp_path / "out"
         out.mkdir()
         (out / "checkpoint.npz").write_text("keep", encoding="utf-8")
@@ -863,21 +862,27 @@ class TestInputFiles:
         assert main([command, "--data", missing, "--embeddings", missing,
                      "--out", str(out)]) == 1  # refused before the data is read
         err = capsys.readouterr().err
-        assert str(out) in err and "--overwrite" in err
-        assert [p.name for p in out.iterdir()] == ["checkpoint.npz"]
-        assert (out / "checkpoint.npz").read_text() == "keep"
+        assert str(out) in err and "not empty" in err
         argv = [command, "--data", str(toy_corpus_path), "--embeddings",
                 str(toy_embeddings_path), "--out", str(out), *TOY_FLAGS]
         assert main(argv) == 1
         assert str(out) in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["checkpoint.npz"]
         assert (out / "checkpoint.npz").read_text() == "keep"
-        assert main(argv + ["--overwrite"]) == 0
-        assert len(list(out.iterdir())) > 1
-        if command == "train":
-            assert (out / "checkpoint.npz").read_bytes()[:2] == b"PK"
 
-    def test_empty_out_directory_needs_no_overwrite(self, tmp_path, toy_corpus_path,
-                                                    toy_embeddings_path):
+    def test_config_of_a_model_cannot_retrain_over_it(self, tmp_path, capsys,
+                                                      toy_corpus_path, toy_embeddings_path):
+        model = tmp_path / "model"
+        assert main(["train", "--data", str(toy_corpus_path), "--embeddings",
+                     str(toy_embeddings_path), "--out", str(model), *TOY_FLAGS]) == 0
+        before = {p.name: p.read_bytes() for p in model.iterdir()}
+        # the echoed config names the model's own directory as its out
+        assert main(["train", "--config", str(model / "config.json")]) == 1
+        assert str(model) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in model.iterdir()} == before
+
+    def test_empty_out_directory_is_accepted(self, tmp_path, toy_corpus_path,
+                                             toy_embeddings_path):
         out = tmp_path / "out"
         out.mkdir()
         assert main(["train", "--data", str(toy_corpus_path), "--embeddings",

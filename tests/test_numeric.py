@@ -1,6 +1,7 @@
 """Autodiff primitives, init, Adam, checkpoints, and the gradient checker."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,11 +246,25 @@ class TestBandAttention:
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
-    def test_grad_check(self):
+    @pytest.mark.parametrize("window", [2, 4])  # three-block windows; one dense block
+    def test_grad_check(self, window):
         q, kt, v = self.operands(1, 2, 11, seed=3)
         probe = rand_const(1, 2, 11, 3)
-        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, kt, v, self.SCALE, 2, [0, 4, 5, 10]),
-                                     probe)), {"q": q, "kt": kt, "v": v})
+        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, kt, v, self.SCALE, window,
+                                                       [0, 4, 5, 10]), probe)),
+              {"q": q, "kt": kt, "v": v})
+
+    @pytest.mark.parametrize("window", [80, 120, 240, 1000])
+    def test_wide_window_needs_no_more_memory_than_dense(self, window):
+        # from a window of n/3 up, the kernel scores one n x n block
+        def peak(fn):
+            q, kt, v = self.operands(1, 2, 240, dh=8)
+            tracemalloc.start()
+            nm.sum_(fn(q, kt, v, self.SCALE, window, [0, 120])).backward()
+            got = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return got
+        assert peak(nm.band_attention) <= peak(band_attention_oracle)
 
     GOOD = ((1, 2, 5, 3), (1, 2, 3, 5), (1, 2, 5, 3))
 
