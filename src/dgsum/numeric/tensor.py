@@ -3,8 +3,17 @@
 A ``Tensor`` records the operation that produced it (parents + a backward
 closure); calling ``backward()`` on a scalar replays the recorded graph in
 reverse topological order and accumulates gradients into every tensor with
-``requires_grad``. Eager execution, no compilation: at desk scale the tape
-overhead is irrelevant.
+``requires_grad``. Eager execution, no compilation.
+
+What the tape holds until backward is each node's output plus what its
+closure saves: most primitives save only their operands, which are other
+nodes' outputs; ``linear`` computes x @ w + b as one node, so no bare product
+is kept; ``elu`` saves its output, from which its derivative follows; the
+attention kernels save only their weights. A backward hands an array over
+to ``_accum`` (``own=True``) only when it has just computed it and holds it
+nowhere else; the first gradient of a tensor is then that array itself, not
+a copy. Views of the incoming gradient (add, reshape, transpose, concat) are
+copied.
 
 Precision is a process-global switch (``set_precision``): double for
 gradient checking and deterministic reruns, single allowed for training.
@@ -123,13 +132,20 @@ def _reachable(root: Tensor) -> list[Tensor]:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
+    """Add ``g`` to ``t.grad``. A first gradient is 0.0 + g, the bits a
+    zero-filled buffer would get, in one pass. With ``own`` the caller hands
+    ``g`` over: if it has ``t``'s dtype, shape and (C-contiguous) layout, that
+    sum is written into ``g``, which becomes ``t.grad`` without a copy."""
     if not t.requires_grad:
         return
-    if t.grad is None:  # 0.0 + g: the bits a zero-filled buffer would get, in one pass
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif own and g.dtype == t.data.dtype and g.shape == t.shape \
+            and g.flags.c_contiguous and t.data.flags.c_contiguous:
+        t.grad = np.add(g, 0.0, out=g)
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -166,20 +182,6 @@ def add(a, b) -> Tensor:
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {a.shape} - {b.shape}")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -222,26 +224,6 @@ def power(a, p: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(data, (a,), backward)
-
-
 # --- linear algebra ---------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -255,10 +237,32 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: cannot broadcast {a.shape} @ {b.shape}")
 
     def backward(g):
-        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape), own=True)
+        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape), own=True)
 
     return _make(data, (a, b), backward)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """x @ w + b as one node, for rows x [..., k], weights w [k, m] and an
+    optional bias b [m]. The bias is added in place, so the bare product is
+    never kept; the arithmetic is that of the matmul/add chain, bit for bit."""
+    x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or (b is not None and b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {None if b is None else b.shape}")
+    data = x.data @ w.data
+    if b is not None:
+        data += b.data
+
+    def backward(g):
+        if b is not None:
+            _accum(b, _unbroadcast(g, b.shape), own=True)
+        _accum(x, g @ w.data.T, own=True)
+        _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.shape), own=True)
+
+    return _make(data, (x, w) if b is None else (x, w, b), backward)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -339,9 +343,15 @@ def gather_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accum(a, full)
+        if a.grad is None:
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            _accum(a, full, own=True)
+        else:  # scatter into the gathered rows only
+            rows, inv = np.unique(idx, return_inverse=True)
+            part = np.zeros((rows.size,) + a.shape[1:], dtype=a.data.dtype)
+            np.add.at(part, inv.reshape(idx.shape), g)
+            a.grad[rows] += part
 
     return _make(data, (a,), backward)
 
@@ -387,7 +397,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), own=True)
 
     return _make(data, (a,), backward)
 
@@ -404,11 +414,10 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
 
 def elu(a) -> Tensor:
     a = as_tensor(a)
-    neg = np.expm1(np.minimum(a.data, 0.0))
-    data = np.where(a.data > 0, a.data, neg)
+    data = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
 
-    def backward(g):
-        _accum(a, g * np.where(a.data > 0, 1.0, neg + 1.0))
+    def backward(g):  # where a <= 0, data is expm1(a) and its derivative data + 1
+        _accum(a, g * np.where(a.data > 0, 1.0, data + 1.0), own=True)
 
     return _make(data, (a,), backward)
 
@@ -446,8 +455,8 @@ def attention_weights(q, kt, scale: float, mask_add: np.ndarray | None = None) -
         g -= (g * w).sum(axis=-1, keepdims=True)
         g *= w
         g *= w.dtype.type(scale)
-        _accum(q, _unbroadcast(g @ kt.data.swapaxes(-1, -2), q.shape))
-        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ g, kt.shape))
+        _accum(q, _unbroadcast(g @ kt.data.swapaxes(-1, -2), q.shape), own=True)
+        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ g, kt.shape), own=True)
 
     return _make(w, (q, kt), backward)
 
@@ -564,9 +573,9 @@ def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
         dv = unpad_windows(band.swapaxes(-1, -2) @ gb)
         dv[:, :, glob] += cols.swapaxes(-1, -2) @ gp
         dv += rows.swapaxes(-1, -2) @ grow
-        _accum(q, dq)
-        _accum(kt, dk.swapaxes(-1, -2))
-        _accum(v, dv)
+        _accum(q, dq, own=True)
+        _accum(kt, dk.swapaxes(-1, -2), own=True)
+        _accum(v, dv, own=True)
 
     return _make(out, (q, kt, v), backward)
 
@@ -623,7 +632,7 @@ def edge_attention(s, w, ix) -> Tensor:
         dz = alpha * (dalpha - np.add.reduceat(alpha * dalpha, starts, axis=0)[src]) * ew
         dz[(a[src, :, 0] + a[dst, :, 1]) * ew <= 0] *= 0.2
         da = np.add.reduceat(np.stack([dz, dz[rev]], axis=2), starts, axis=0)  # d a_src, a_dst
-        _accum(s, ds + np.einsum("nhc,hcd->nhd", da, w2))
+        _accum(s, ds + np.einsum("nhc,hcd->nhd", da, w2), own=True)
         _accum(w, np.einsum("nhc,nhd->hcd", da, s.data).reshape(w.shape))
 
     return _make(_edge_sum(alpha, s.data, ix)[0], (s, w), backward)
@@ -661,7 +670,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         gx = g * gain.data
         gm = gx.mean(axis=-1, keepdims=True)
         gxh = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gx - gm - xhat * gxh))
+        _accum(x, inv * (gx - gm - xhat * gxh), own=True)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -733,6 +742,6 @@ def cross_entropy_smoothed(logits, targets, smoothing: float = 0.0,
     def backward(g):
         p = np.exp(logp)
         d = (p - q) * valid[:, None]
-        _accum(logits, g * d / n_valid)
+        _accum(logits, g * d / n_valid, own=True)
 
     return _make(np.asarray(loss, dtype=_DTYPE), (logits,), backward)

@@ -100,13 +100,13 @@ def _project_q(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     # callers project queries before keys and values: backward sums the
     # gradients of a shared input in reverse creation order, so the order
     # fixes the bits of training results
-    return nm.add(nm.matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.bq"])
+    return nm.linear(x, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
 
 
 def _project_kv(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
                 batch: int = 1) -> tuple[Tensor, Tensor]:
-    k = nm.matmul(x, store[f"{prefix}.wk"])
-    v = nm.add(nm.matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.bv"])
+    k = nm.linear(x, store[f"{prefix}.wk"])
+    v = nm.linear(x, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
     return _heads(k, batch, n_heads, keys=True), _heads(v, batch, n_heads)
 
 
@@ -134,12 +134,12 @@ def _merge(heads: Tensor, shape: tuple, store: ParamStore, prefix: str) -> Tenso
     """Attended values [B, H, nq, dh] as rows of ``shape``, then the output
     projection."""
     merged = nm.reshape(nm.transpose(heads, (0, 2, 1, 3)), shape)
-    return nm.add(nm.matmul(merged, store[f"{prefix}.wo"]), store[f"{prefix}.bo"])
+    return nm.linear(merged, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
 def _ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    h = nm.relu(nm.add(nm.matmul(x, store[f"{prefix}.w1"]), store[f"{prefix}.b1"]))
-    return nm.add(nm.matmul(h, store[f"{prefix}.w2"]), store[f"{prefix}.b2"])
+    h = nm.relu(nm.linear(x, store[f"{prefix}.w1"], store[f"{prefix}.b1"]))
+    return nm.linear(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
 
 
 def _ln(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -234,7 +234,7 @@ def _decoder(ids: list[int], positions: np.ndarray,
         f = _ffn(x, store, f"dec{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"dec{i}.ln3")
-    return nm.add(nm.matmul(x, store["out.w"]), store["out.b"])
+    return nm.linear(x, store["out.w"], store["out.b"])
 
 
 def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 import dgsum.numeric as nm
 from dgsum.corpus import RESERVED, Vocab
 from dgsum.errors import DataError, ShapeError
-from dgsum.numeric.tensor import _accum, _make
+from dgsum.numeric.tensor import _accum, _make, _unbroadcast
 from dgsum.text_model import decode_teacher_forced
 from dgsum.training import encode_compress
 
@@ -356,6 +356,56 @@ def dense_gat_channel_oracle(h, edge_weights, mask, W, w, slope=0.2):
     return out
 
 
+def sub(a, b):
+    """a - b on the tape, broadcasting."""
+    a, b = nm.as_tensor(a), nm.as_tensor(b)
+    data = a.data - b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.shape))
+        _accum(b, _unbroadcast(-g, b.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def exp(a):
+    """Elementwise exp on the tape."""
+    a = nm.as_tensor(a)
+    data = np.exp(a.data)
+
+    def backward(g):
+        _accum(a, g * data)
+
+    return _make(data, (a,), backward)
+
+
+def log(a):
+    """Elementwise natural log on the tape."""
+    a = nm.as_tensor(a)
+    data = np.log(a.data)
+
+    def backward(g):
+        _accum(a, g / a.data)
+
+    return _make(data, (a,), backward)
+
+
+def gather_rows_dense_oracle(a, indices):
+    """``nm.gather_rows`` whose backward scatters into a zero table the size
+    of ``a`` and accumulates all of it, whether or not ``a`` already has a
+    gradient."""
+    a = nm.as_tensor(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    data = a.data[idx]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        _accum(a, full)
+
+    return _make(data, (a,), backward)
+
+
 def segment_sum(a, indptr):
     """Sum the rows of ``a`` within each CSR segment, on the tape: row i of
     the output is a[indptr[i]:indptr[i+1]].sum(axis=0). Every segment must be
@@ -389,7 +439,7 @@ def channel_attention_oracle(node_embs, ix, head_params):
         raw = nm.add(nm.gather_rows(a_src, ix.src), nm.gather_rows(a_dst, ix.dst))  # [E, 1]
         d = nm.leaky_relu(nm.mul(raw, ew))
         shift = np.maximum.reduceat(d.data, ix.indptr[:-1], axis=0)[ix.src]  # constant
-        e = nm.exp(nm.sub(d, shift))
+        e = exp(sub(d, shift))
         alpha = nm.div(e, nm.gather_rows(segment_sum(e, ix.indptr), ix.src))
         agg = segment_sum(nm.mul(alpha, nm.gather_rows(s, ix.dst)), ix.indptr)
         heads.append(nm.elu(agg))

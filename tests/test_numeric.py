@@ -8,8 +8,8 @@ import pytest
 
 import dgsum.numeric as nm
 from dgsum.errors import ConfigError, DataError, NumericError, ShapeError
-from oracles import (adam_step_oracle, adam_two_step_oracle, band_attention_oracle,
-                     segment_sum)
+from oracles import (adam_step_oracle, adam_two_step_oracle, band_attention_oracle, exp,
+                     gather_rows_dense_oracle, log, segment_sum)
 
 RNG = np.random.default_rng(12345)
 
@@ -129,7 +129,7 @@ class TestPrimitiveGradients:
 
     def test_exp_log(self):
         a = nm.Tensor(RNG.uniform(0.5, 2.0, size=5), requires_grad=True)
-        check(lambda: nm.sum_(nm.log(nm.exp(a))), {"a": a})
+        check(lambda: nm.sum_(log(exp(a))), {"a": a})
 
     @pytest.mark.parametrize("sa,sb", [((3, 2, 4, 5), (3, 2, 5, 2)),
                                        ((3, 2, 4, 5), (1, 2, 5, 2)),
@@ -212,6 +212,126 @@ class TestAttentionWeights:
     def test_shape_error_names_the_kernel(self):
         with pytest.raises(ShapeError, match="attention_weights"):
             nm.attention_weights(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), 1.0)
+
+
+def seeded_leaves(seed, *shapes):
+    """Leaves from their own generator, so the tests that draw from ``RNG``
+    after them see the same values."""
+    rng = np.random.default_rng(seed)
+    return [nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+class TestLinear:
+    """``linear`` against the matmul/add chain it replaces in the text model:
+    output and gradients must be equal, not merely close."""
+
+    @staticmethod
+    def chain(x, w, b=None):
+        y = nm.matmul(x, w)
+        return y if b is None else nm.add(y, b)
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_equals_matmul_add_chain(self, precision, x_shape, bias):
+        nm.set_precision(precision)
+        try:
+            x, w, b = seeded_leaves(7, x_shape, (4, 3), (3,))
+            b = b if bias else None
+            leaves = [t for t in (x, w, b) if t is not None]
+            probe = np.random.default_rng(8).normal(size=x_shape[:-1] + (3,))
+            results = []
+            for fn in (nm.linear, self.chain):
+                for t in leaves:
+                    t.zero_grad()
+                y = fn(x, w, b)
+                # relu hands y a gradient with -0.0 entries where probe < 0
+                nm.sum_(nm.mul(nm.relu(y), probe)).backward()
+                results.append([y.data] + [t.grad for t in leaves])
+            for got, ref in zip(*results):
+                assert got.dtype == ref.dtype == nm.default_dtype()
+                assert np.array_equal(got, ref)
+        finally:
+            nm.set_precision("double")
+
+    def test_grad_check(self):
+        x, w, b = seeded_leaves(3, (2, 5, 4), (4, 3), (3,))
+        probe = rand_const(2, 5, 3)
+        check(lambda: nm.sum_(nm.mul(nm.linear(x, w, b), probe)), {"x": x, "w": w, "b": b})
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5, 4), (3, 3), None),      # inner sizes differ
+        ((5, 4), (4, 3), (4,)),      # bias of the input width
+        ((5, 4), (4, 3), (1, 3)),    # bias with a row axis
+        ((4,), (4, 3), None),        # no row axis
+        ((5, 4), (2, 4, 3), None)])  # stacked weights
+    def test_shape_error_names_the_primitive(self, x_shape, w_shape, b_shape):
+        x, w, b = seeded_leaves(4, x_shape, w_shape, b_shape or ())
+        with pytest.raises(ShapeError, match="linear"):
+            nm.linear(x, w, None if b_shape is None else b)
+
+
+class TestGradientOwnership:
+    """A backward hands ``_accum`` only arrays it holds nowhere else, so a
+    gradient kept without a copy is never another tensor's gradient or data."""
+
+    @staticmethod
+    def assert_apart(arrays):
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_one_tensor_twice_into_add(self):
+        x, w = seeded_leaves(5, (3, 4), (4, 2))
+        probe = rand_const(3, 2).data
+        h = nm.linear(x, w)
+        nm.sum_(nm.mul(nm.add(h, h), probe)).backward()
+        assert np.array_equal(x.grad, (2.0 * probe) @ w.data.T)
+        assert np.array_equal(w.grad, x.data.T @ (2.0 * probe))
+        self.assert_apart([x.grad, w.grad, x.data, w.data, probe])
+
+    def test_leaf_used_in_three_places(self):
+        a, = seeded_leaves(6, (4, 4))
+        probe, rows = rand_const(4, 4).data, np.array([3, 0, 3])
+
+        def loss():
+            return nm.add(nm.sum_(nm.mul(nm.matmul(a, a), probe)),
+                          nm.sum_(nm.relu(nm.gather_rows(a, rows))))
+
+        check(loss, {"a": a})
+        a.zero_grad()
+        loss().backward()
+        used = np.zeros_like(a.data)
+        np.add.at(used, rows, a.data[rows] > 0)
+        expected = probe @ a.data.T + a.data.T @ probe + used
+        assert np.allclose(a.grad, expected, rtol=1e-12, atol=1e-12)
+        self.assert_apart([a.grad, a.data, probe])
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_gather_rows_into_a_table_with_a_gradient_equals_dense_scatter(self, precision):
+        """Repeated rows, 1-d and 2-d indices, gathered into a table whose
+        gradient already exists: the row-sparse scatter gives the bits of the
+        full-size one."""
+        nm.set_precision(precision)
+        try:
+            rng = np.random.default_rng(11)
+            table = nm.Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+            rows1, rows2 = np.array([6, 1, 1, 3, 6, 6]), np.array([[1, 5], [1, 1], [8, 5]])
+            probes = [rng.normal(size=s) for s in ((6, 3), (3, 2, 3), (9, 3))]
+            results = []
+            for gather in (nm.gather_rows, gather_rows_dense_oracle):
+                table.zero_grad()
+                g1, g2 = gather(table, rows1), gather(table, rows2)
+                whole = nm.elu(table)  # backward runs it first: the table's first gradient
+                loss = nm.add(nm.add(nm.sum_(nm.mul(g1, probes[0])),
+                                     nm.sum_(nm.mul(g2, probes[1]))),
+                              nm.sum_(nm.mul(whole, probes[2])))
+                loss.backward()
+                results.append(table.grad)
+            assert np.array_equal(*results)
+            assert not np.all(results[0][[0, 2, 4, 7]] == 0.0)  # ungathered rows kept
+        finally:
+            nm.set_precision("double")
 
 
 class TestBandAttention:

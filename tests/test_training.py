@@ -124,6 +124,16 @@ class TestTrainStep:
         with pytest.raises(DataError):
             train_step(bundle, params, model_cfg, TrainConfig())
 
+    def test_gradients_share_no_memory(self):
+        """Gradients kept without a copy belong to one parameter each: none
+        overlaps another gradient or any parameter's data."""
+        _, _, _, model_cfg, params, bundle = micro_setup()
+        _, grads = train_step(bundle, params, model_cfg, TrainConfig(beta=0.5))
+        arrays = list(grads.values()) + [t.data for _, t in params.items()]
+        for i, g in enumerate(grads.values()):
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(g, other)
+
     def test_no_compressor_ablation_runs(self):
         model_cfg = micro_model_cfg(no_compressor=True)
         _, _, _, _, params, bundle = micro_setup(model_cfg)
@@ -417,6 +427,17 @@ class TestMemory:
         total, peak_mb = long_step_peak()
         assert np.isfinite(total)
         assert peak_mb < 160.0, f"train_step peaked at {peak_mb:.1f} MB"
+
+    def test_train_step_keeps_no_bare_products_or_gradient_copies(self):
+        """The same step stays under 66 MB. A matmul and an add node per
+        projection (the bare product kept until backward), every fresh
+        gradient copied once more, and a full-size scatter for each gather
+        into a table that already has a gradient peaked at 72.8 MB here; one
+        linear node per projection, gradients handed over and row-sparse
+        scatters, at about 60 MB."""
+        total, peak_mb = long_step_peak()
+        assert np.isfinite(total)
+        assert peak_mb < 66.0, f"train_step peaked at {peak_mb:.1f} MB"
 
     def test_train_step_keeps_no_per_head_graph_attention_arrays(self):
         """The same step stays under 90 MB. MGAT heads that each keep their
