@@ -135,14 +135,13 @@ def _reachable(root: Tensor) -> list[Tensor]:
 def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
     """Add ``g`` to ``t.grad``. A first gradient is 0.0 + g, the bits a
     zero-filled buffer would get, in one pass. With ``own`` the caller hands
-    ``g`` over: if it has ``t``'s dtype, shape and (C-contiguous) layout, that
-    sum is written into ``g``, which becomes ``t.grad`` without a copy."""
+    ``g`` over: if it has ``t``'s dtype and shape, that sum is written into
+    ``g``, which becomes ``t.grad`` without a copy."""
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad += g
-    elif own and g.dtype == t.data.dtype and g.shape == t.shape \
-            and g.flags.c_contiguous and t.data.flags.c_contiguous:
+    elif own and g.dtype == t.data.dtype and g.shape == t.shape:
         t.grad = np.add(g, 0.0, out=g)
     else:
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
@@ -342,16 +341,13 @@ def gather_rows(a, indices) -> Tensor:
         raise ShapeError(f"gather_rows: index out of range for {a.shape}")
     data = a.data[idx]
 
-    def backward(g):
+    def backward(g):  # scatter through the gathered rows only
+        rows, inv = np.unique(idx, return_inverse=True)
+        part = np.zeros((rows.size,) + a.shape[1:], dtype=a.data.dtype)
+        np.add.at(part, inv.reshape(idx.shape), g)
         if a.grad is None:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accum(a, full, own=True)
-        else:  # scatter into the gathered rows only
-            rows, inv = np.unique(idx, return_inverse=True)
-            part = np.zeros((rows.size,) + a.shape[1:], dtype=a.data.dtype)
-            np.add.at(part, inv.reshape(idx.shape), g)
-            a.grad[rows] += part
+            a.grad = np.zeros_like(a.data)
+        a.grad[rows] += part
 
     return _make(data, (a,), backward)
 
