@@ -38,7 +38,7 @@ logits = Tensor(rng.normal(size=(2, 5)))
 mask = np.array([[False, False, True, True, False],
                  [False, False, False, False, False]])
 masked = nm.masked_fill(logits, mask, nm.MASK_FILL)
-probs = nm.softmax(masked, axis=-1)
+probs = nm.softmax(masked)
 print("row sums:", probs.data.sum(axis=1), "| masked entries:", probs.data[0, 2:4])
 
 # Label-smoothed cross entropy: with uniform logits the loss is ln(V)

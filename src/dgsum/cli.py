@@ -249,7 +249,6 @@ def _train_model(cfg: RunConfig):
 def cmd_train(cfg: RunConfig) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("train requires --data and --out")
-    nm.set_precision(cfg.precision)
     out_dir = Path(cfg.out)
     _, vocab, _, result = _train_model(cfg)
 
@@ -275,7 +274,6 @@ def _load_model(cfg: RunConfig, model_dir: str):
 def cmd_summarize(cfg: RunConfig, model_dir: str) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("summarize requires --data and --out")
-    nm.set_precision(cfg.precision)
     vocab, model_cfg, params = _load_model(cfg, model_dir)
     resources = cfg.resources(vocab)
     clusters = load_clusters(cfg.data)
@@ -307,7 +305,6 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> 
         raise ConfigError(f"ksweep needs at least 2 k values, got {k_values}")
     if not cfg.data:
         raise ConfigError("ksweep requires --data")
-    nm.set_precision(cfg.precision)
     n_failed = 0
     if model_dir:  # one model, its clusters and graphs, re-compressed at each k
         vocab, model_cfg, params = _load_model(cfg, model_dir)
@@ -418,11 +415,13 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
+    caller_precision = None  # handed back however the command ends
     try:
         args = build_parser().parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k in _TYPES}
         cfg = resolve_config(args.config, flags, getattr(args, "model", None))
         _check_out(cfg.out, want_dir=args.command in ("train", "graph"))
+        caller_precision = nm.set_precision(cfg.precision)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "summarize":
@@ -451,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except DgsumError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if caller_precision is not None:
+            nm.set_precision(caller_precision)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ def node_scores(q_prime: Tensor, r: Tensor) -> Tensor:
     if q_prime.ndim != 2 or q_prime.shape[1] != r.shape[0]:
         raise AlignmentError(f"node_scores: embeddings {q_prime.shape} vs r {r.shape}")
     raw = nm.reshape(nm.matmul(q_prime, nm.reshape(r, (-1, 1))), (-1,))
-    return nm.softmax(raw, axis=-1)
+    return nm.softmax(raw)
 
 
 def select_topk_sentences(t: Tensor | np.ndarray, k: float, graph: HeteroGraph) -> np.ndarray:

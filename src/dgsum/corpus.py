@@ -141,7 +141,7 @@ def read_records(path, what: str, keys: tuple[str, ...]):
         yield lineno, cid, rec
 
 
-def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
+def load_clusters(path) -> list[DocumentCluster]:
     """Parse a line-delimited cluster file in file order, through
     ``read_records``.
 
@@ -151,8 +151,6 @@ def load_clusters(path, limit: int | None = None) -> list[DocumentCluster]:
     """
     clusters: list[DocumentCluster] = []
     for lineno, cid, rec in read_records(path, "dataset", ("id", "documents")):
-        if limit is not None and len(clusters) >= limit:
-            break
         docs_raw = rec["documents"]
         if not isinstance(docs_raw, list) or not all(isinstance(d, str) for d in docs_raw):
             raise DataError(f"{path}:{lineno}: cluster {cid!r}: 'documents' must be "

@@ -9,11 +9,12 @@ What the tape holds until backward is each node's output plus what its
 closure saves: most primitives save only their operands, which are other
 nodes' outputs; ``linear`` computes x @ w + b as one node, so no bare product
 is kept; ``elu`` saves its output, from which its derivative follows; the
-attention kernels save only their weights. A backward hands an array over
-to ``_accum`` (``own=True``) only when it has just computed it and holds it
+attention kernels take queries, keys and values, return the attended values
+and save only their softmax weights. A backward hands an array over to
+``_accum`` (``own=True``) only when it has just computed it and holds it
 nowhere else; the first gradient of a tensor is then that array itself, not
-a copy. Views of the incoming gradient (add, reshape, transpose, concat) are
-copied.
+a copy. Views of the incoming gradient (add, reshape, transpose, concat, the
+broadcasts of sum and mean) are copied.
 
 Precision is a process-global switch (``set_precision``): double for
 gradient checking and deterministic reruns, single allowed for training.
@@ -37,15 +38,17 @@ _SEQ = itertools.count()
 MASK_FILL = -1e9  # additive mask value; exp() underflows to exactly 0.0
 
 
-def set_precision(mode: str) -> None:
-    """Switch the dtype used for all tensors created afterwards."""
+def set_precision(mode: str) -> str:
+    """Switch the dtype of tensors created afterwards; returns the old mode."""
     global _DTYPE
+    previous = "single" if _DTYPE == np.float32 else "double"
     if mode == "double":
         _DTYPE = np.float64
     elif mode == "single":
         _DTYPE = np.float32
     else:
         raise NumericError(f"unknown precision mode {mode!r} (use 'single' or 'double')")
+    return previous
 
 
 def default_dtype():
@@ -359,31 +362,23 @@ embedding = gather_rows  # table [V, d] indexed by token ids
 
 def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    kept = a.data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(ge, a.shape).copy())
+        _accum(a, np.broadcast_to(g.reshape(kept.shape), a.shape))
 
-    return _make(data, (a,), backward)
+    return _make(kept if keepdims else np.squeeze(kept, axis), (a,), backward)
 
 
 def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     n = a.size if axis is None else a.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+    kept = a.data.mean(axis=axis, keepdims=True)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(ge / n, a.shape).copy())
+        _accum(a, np.broadcast_to(g.reshape(kept.shape) / n, a.shape))
 
-    return _make(data, (a,), backward)
+    return _make(kept if keepdims else np.squeeze(kept, axis), (a,), backward)
 
 
 # --- nonlinearities -----------------------------------------------------------
@@ -418,45 +413,6 @@ def elu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, data * (g - inner))
-
-    return _make(data, (a,), backward)
-
-
-def attention_weights(q, kt, scale: float, mask_add: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ kt * scale + mask_add) over the last axis, for stacked heads
-    ``q`` [..., nq, dh] and keys ``kt`` [..., dh, nk]. It works in place on
-    one buffer and saves only the weights; the arithmetic is that of the
-    matmul/mul/add/softmax chain, so results are bit-identical to it."""
-    q, kt = as_tensor(q), as_tensor(kt)
-    if q.ndim < 2 or kt.ndim < 2 or q.shape[-1] != kt.shape[-2]:
-        raise ShapeError(f"attention_weights: {q.shape} @ {kt.shape}")
-    w = q.data @ kt.data
-    w *= w.dtype.type(scale)
-    if mask_add is not None:
-        w += mask_add
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-
-    def backward(g):  # g is this node's own buffer, dropped after the call
-        g -= (g * w).sum(axis=-1, keepdims=True)
-        g *= w
-        g *= w.dtype.type(scale)
-        _accum(q, _unbroadcast(g @ kt.data.swapaxes(-1, -2), q.shape), own=True)
-        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ g, kt.shape), own=True)
-
-    return _make(w, (q, kt), backward)
-
-
 def _softmax_rows(parts) -> None:
     """In place, one softmax per row over the last axes of ``parts``
     [..., rows, cols_i] taken together."""
@@ -471,6 +427,50 @@ def _softmax_rows(parts) -> None:
         z = z + p.sum(axis=-1, keepdims=True)
     for p in parts:
         p /= z
+
+
+def _softmax_grad(g, w):
+    """In place in ``g``: the gradient of softmax rows ``w`` from theirs, ``g``."""
+    g -= (g * w).sum(axis=-1, keepdims=True)
+    g *= w
+    return g
+
+
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
+    a = as_tensor(a)
+    data = a.data.copy()
+    _softmax_rows([data])
+
+    def backward(g):  # g is this node's own buffer, dropped after the call
+        _accum(a, _softmax_grad(g, data), own=True)
+
+    return _make(data, (a,), backward)
+
+
+def attention(q, kt, v, scale: float, mask_add: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ kt * scale + mask_add) @ v over the last axis, for stacked
+    heads ``q`` [..., nq, dh], keys ``kt`` [..., dh, nk] and values ``v``
+    [..., nk, dv]. It saves only the weights; the arithmetic is that of the
+    matmul/mul/add/softmax/matmul chain, so results are bit-identical to it."""
+    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
+    if min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2] \
+            or kt.shape[-1] != v.shape[-2]:
+        raise ShapeError(f"attention: q {q.shape}, kt {kt.shape}, v {v.shape}")
+    w = q.data @ kt.data
+    w *= w.dtype.type(scale)
+    if mask_add is not None:
+        w += mask_add
+    _softmax_rows([w])
+
+    def backward(g):
+        _accum(v, _unbroadcast(w.swapaxes(-1, -2) @ g, v.shape), own=True)
+        dw = _softmax_grad(g @ v.data.swapaxes(-1, -2), w)
+        dw *= w.dtype.type(scale)
+        _accum(q, _unbroadcast(dw @ kt.data.swapaxes(-1, -2), q.shape), own=True)
+        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ dw, kt.shape), own=True)
+
+    return _make(w @ v.data, (q, kt, v), backward)
 
 
 def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:

@@ -8,9 +8,9 @@ spans. It runs as one banded kernel, ``nm.band_attention`` (Longformer's
 sliding chunks plus global columns and rows), so no n x n array is formed
 unless the window is about n/3 or wider, where one dense block is cheaper.
 The decoder is a standard causal transformer with cross-attention over the
-compressed node embeddings, through ``nm.attention_weights`` with a causal
-mask or none; memory rows get positional embeddings by their original token
-index in the source serialization.
+compressed node embeddings, through ``nm.attention`` with a causal mask or
+none; memory rows get positional embeddings by their original token index
+in the source serialization.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class TextModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-
-@dataclass
-class EncoderOutput:
-    Q: Tensor                  # [sequence length, d_model]
-    boundaries: BoundaryIndex
 
 
 def add_text_model_params(store: ParamStore, cfg: TextModelConfig, vocab_size: int,
@@ -126,8 +120,8 @@ def _attend(q: Tensor, kt: Tensor, v: Tensor, store: ParamStore, prefix: str,
     [B, H, dh, nk] and values ``v`` [B, H, nk, dh], then the output
     projection. With one batch of keys, all rows attend to the same keys."""
     batch, n_heads, dh, _ = kt.shape
-    w = nm.attention_weights(_heads(q, batch, n_heads), kt, 1.0 / np.sqrt(dh), mask_add)
-    return _merge(nm.matmul(w, v), q.shape, store, prefix)
+    heads = nm.attention(_heads(q, batch, n_heads), kt, v, 1.0 / np.sqrt(dh), mask_add)
+    return _merge(heads, q.shape, store, prefix)
 
 
 def _merge(heads: Tensor, shape: tuple, store: ParamStore, prefix: str) -> Tensor:
@@ -152,7 +146,8 @@ def causal_mask(n: int) -> np.ndarray:
 
 def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
                 cfg: TextModelConfig, train: bool = False,
-                rng: np.random.Generator | None = None) -> EncoderOutput:
+                rng: np.random.Generator | None = None) -> Tensor:
+    """The encoder's output rows [len(ids), d_model]."""
     n = len(ids)
     if n == 0:
         raise DataError("encode_text: empty input")
@@ -175,17 +170,18 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
         f = _ffn(x, store, f"enc{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
         x = _ln(nm.add(x, f), store, f"enc{i}.ln2")
-    return EncoderOutput(Q=x, boundaries=boundaries)
+    return x
 
 
-def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:
-    """Initial node embeddings: word nodes take their token row, sentence and
-    document nodes take their delimiter row."""
-    n = enc.Q.shape[0]
+def unit_embeddings(rows: Tensor, boundaries: BoundaryIndex, graph: HeteroGraph) -> Tensor:
+    """Initial node embeddings from the encoder's output ``rows`` of the
+    input that ``boundaries`` delimits: word nodes take their token row,
+    sentence and document nodes take their delimiter row."""
+    n = rows.shape[0]
     positions = graph.token_positions()
     if positions.size and (positions.min() < 0 or positions.max() >= n):
         raise AlignmentError(f"node token_position outside encoder output of length {n}")
-    sep = set(enc.boundaries.sep_positions())
+    sep = set(boundaries.sep_positions())
     for nd in graph.nodes:
         is_sep = nd.token_position in sep
         if nd.kind == WORD and is_sep:
@@ -193,7 +189,7 @@ def unit_embeddings(enc: EncoderOutput, graph: HeteroGraph) -> Tensor:
         if nd.kind in (SENT, DOC) and not is_sep:
             raise AlignmentError(f"{nd.kind} node at non-delimiter position "
                                  f"{nd.token_position}")
-    return nm.gather_rows(enc.Q, positions)
+    return nm.gather_rows(rows, positions)
 
 
 def _memory_kv(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,

@@ -135,16 +135,14 @@ def encode_compress(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelC
                     train: bool = False, rng: np.random.Generator | None = None):
     """Source pipeline: text encode -> graph encode -> compress. Returns
     (Q_p, memory positions, scores-or-None, selection)."""
-    enc = encode_text(bundle.src_ids, bundle.src_bounds, params, model_cfg.text,
-                      train=train, rng=rng)
-    h0 = unit_embeddings(enc, bundle.src_graph)
+    rows = encode_text(bundle.src_ids, bundle.src_bounds, params, model_cfg.text,
+                       train=train, rng=rng)
+    h0 = unit_embeddings(rows, bundle.src_bounds, bundle.src_graph)
     q_prime = mgat_encode(h0, bundle.src_graph, params, model_cfg.mgat)
     if model_cfg.no_compressor:
         positions = bundle.src_graph.token_positions()
         return q_prime, positions, None, np.arange(bundle.src_graph.n_nodes)
-    q_p, positions, t, selection = compress_graph(q_prime, bundle.src_graph, params,
-                                                  model_cfg.comp)
-    return q_p, positions, t, selection
+    return compress_graph(q_prime, bundle.src_graph, params, model_cfg.comp)
 
 
 def encode_summary_graph(bundle: ClusterBundle, params: ParamStore,
@@ -152,9 +150,9 @@ def encode_summary_graph(bundle: ClusterBundle, params: ParamStore,
                          rng: np.random.Generator | None = None) -> Tensor:
     """Q'_z: the summary's graph encoding through the same text and graph
     encoders (one graph encoder processes both sides)."""
-    enc = encode_text(bundle.sum_ids, bundle.sum_bounds, params, model_cfg.text,
-                      train=train, rng=rng)
-    h0 = unit_embeddings(enc, bundle.sum_graph)
+    rows = encode_text(bundle.sum_ids, bundle.sum_bounds, params, model_cfg.text,
+                       train=train, rng=rng)
+    h0 = unit_embeddings(rows, bundle.sum_bounds, bundle.sum_graph)
     return mgat_encode(h0, bundle.sum_graph, params, model_cfg.mgat)
 
 

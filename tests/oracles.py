@@ -319,7 +319,7 @@ def encoder_mask(n, window, global_positions):
 def band_attention_oracle(q, kt, v, scale, window, glob):
     """``nm.band_attention`` through the dense n x n mask, on the tape."""
     mask = encoder_mask(q.shape[-2], window, glob)
-    return nm.matmul(nm.attention_weights(q, kt, scale, mask), v)
+    return nm.attention(q, kt, v, scale, mask)
 
 
 def attention_coefficient(h_i, h_j, e_ij, W, w, slope=0.2):
@@ -458,7 +458,7 @@ def dense_channel_attention_oracle(h, edge_weights, mask, head_params, slope=0.2
         a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
         raw = nm.add(a_src, nm.transpose(a_dst))
         d = nm.leaky_relu(nm.mul(raw, edge_weights), slope)
-        alpha = nm.softmax(nm.masked_fill(d, ~mask, nm.MASK_FILL), axis=-1)
+        alpha = nm.softmax(nm.masked_fill(d, ~mask, nm.MASK_FILL))
         heads.append(nm.elu(nm.matmul(alpha, s)))
     return nm.concat(heads, axis=1)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dgsum
+import dgsum.numeric as nm
 from dgsum.cli import RunConfig, build_parser, main, resolve_config
 from dgsum.compressor import CompressorConfig
 from dgsum.errors import ConfigError
@@ -380,6 +381,47 @@ def with_oversized_cluster(records):
     bad = {"id": "oversized", "documents": [" ".join(["storm"] * 4100) + "."],
            "summary": "storm."}
     return records[:4] + [bad] + records[4:]
+
+
+class TestPrecision:
+    """A command runs at its configured precision and hands the caller's
+    precision back, whether it succeeds or fails."""
+
+    def test_single_precision_train_then_summarize(self, tmp_path, toy_corpus_path,
+                                                   toy_corpus_records, toy_embeddings_path):
+        model = tmp_path / "model"
+        rc = main(["train", "--data", str(toy_corpus_path),
+                   "--embeddings", str(toy_embeddings_path), "--out", str(model),
+                   *TOY_FLAGS, "--precision", "single"])
+        assert rc == 0
+        assert nm.default_dtype() == np.float64
+        with np.load(model / "checkpoint.npz") as ckpt:
+            params = [ckpt[name] for name in ckpt.files if name != "__format_version__"]
+        assert params and all(a.dtype == np.float32 for a in params)
+
+        out = tmp_path / "hyp.jsonl"  # the stored config.json says single
+        rc = main(["summarize", "--model", str(model), "--data", str(toy_corpus_path),
+                   "--embeddings", str(toy_embeddings_path), "--out", str(out)])
+        assert rc == 0
+        assert nm.default_dtype() == np.float64
+        assert [r["id"] for r in read_jsonl(out)] == [r["id"] for r in toy_corpus_records]
+
+        data = tmp_path / "mixed.jsonl"
+        write_cluster_file(data, with_oversized_cluster(toy_corpus_records))
+        rc = main(["summarize", "--model", str(model), "--data", str(data),
+                   "--embeddings", str(toy_embeddings_path), "--out", str(tmp_path / "h2.jsonl")])
+        assert rc == 2
+        assert nm.default_dtype() == np.float64
+
+    def test_a_single_precision_caller_stays_single(self, tmp_path, capsys):
+        refs = tmp_path / "refs.jsonl"
+        write_cluster_file(refs, [{"id": "a", "summary": "storm floods the town."}])
+        nm.set_precision("single")
+        try:
+            assert main(["eval", "--generated", str(refs), "--references", str(refs)]) == 0
+            assert nm.default_dtype() == np.float32
+        finally:
+            nm.set_precision("double")
 
 
 class TestEval:

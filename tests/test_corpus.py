@@ -103,11 +103,6 @@ class TestLoadClusters:
         write_jsonl(p, [make_cluster(f"c{i}", ["One sentence here."]) for i in range(3)])
         assert len(load_clusters(p)) == 3
 
-    def test_limit(self, tmp_path):
-        p = tmp_path / "data.jsonl"
-        write_jsonl(p, [make_cluster(f"c{i}", ["One sentence here."]) for i in range(5)])
-        assert len(load_clusters(p, limit=2)) == 2
-
     def test_empty_documents_skipped_with_warning(self, tmp_path, caplog):
         p = tmp_path / "data.jsonl"
         write_jsonl(p, [make_cluster("good", ["Text here."]),

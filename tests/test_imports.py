@@ -35,3 +35,45 @@ def test_src_imports_only_numpy_and_the_standard_library():
              for root in imported_roots(path.read_text(encoding="utf-8"))}
     assert "numpy" in found
     assert set(found) <= ALLOWED, {root: found[root] for root in set(found) - ALLOWED}
+
+
+# tape primitives that no ``src/dgsum`` module calls, each kept for a reason
+UNCALLED_PRIMITIVES = {
+    "masked_fill": "perfbench/spans.py patches it",
+    "slice_axis": "perfbench/spans.py patches it",
+    "leaky_relu": "perfbench/spans.py patches it",
+    "power": "acceptance criterion 3's gradient suite and demo 03 use it",
+}
+
+
+def tape_primitives(source: str) -> set[str]:
+    """Names of the top-level functions in ``source`` that call ``_make``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "_make" for n in ast.walk(node))}
+
+
+def nm_calls(source: str) -> set[str]:
+    """Names ``f`` of the calls ``nm.f(...)`` in ``source``."""
+    return {node.func.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "nm"}
+
+
+def test_tape_primitives_reads_make_calls_at_any_depth():
+    source = ("def a(x):\n    return _make(x, (), None)\n"
+              "def b(x):\n    def inner():\n        return _make(x, (), None)\n    return inner()\n"
+              "def c(x):\n    return make(x)\n"
+              "def _make(d, p, b):\n    return Tensor(d)\n")
+    assert tape_primitives(source) == {"a", "b"}
+    assert nm_calls("nm.add(x, nm.mul(y, 2))\nnm.MASK_FILL\nnp.add(x, y)\n") == {"add", "mul"}
+
+
+def test_every_tape_primitive_has_a_caller_in_src():
+    pkg = Path(dgsum.__file__).parent
+    primitives = tape_primitives((pkg / "numeric" / "tensor.py").read_text(encoding="utf-8"))
+    assert len(primitives) > 20
+    called = set().union(*(nm_calls(path.read_text(encoding="utf-8"))
+                           for path in pkg.rglob("*.py")))
+    assert primitives - called == set(UNCALLED_PRIMITIVES)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dgsum.numeric as nm
+from dgsum.numeric import tensor
 from dgsum.errors import ConfigError, DataError, NumericError, ShapeError
 from oracles import (adam_step_oracle, adam_two_step_oracle, band_attention_oracle, exp,
                      gather_rows_dense_oracle, log, segment_sum)
@@ -47,7 +48,7 @@ class TestPrimitiveGradients:
     def test_softmax(self):
         a = rand_tensor(3, 5)
         w = rand_const(3, 5)
-        check(lambda: nm.sum_(nm.mul(nm.softmax(a, axis=-1), w)), {"a": a})
+        check(lambda: nm.sum_(nm.mul(nm.softmax(a), w)), {"a": a})
 
     def test_leaky_relu(self):
         a = rand_tensor(6, 3)
@@ -155,6 +156,13 @@ def rand_const(*shape):
     return nm.Tensor(np.random.default_rng(99).normal(size=shape))
 
 
+def seeded_leaves(seed, *shapes):
+    """Leaves from their own generator, so the tests that draw from ``RNG``
+    after them see the same values."""
+    rng = np.random.default_rng(seed)
+    return [nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
 def one_key_row_mask(n):
     """``encoder_mask`` with a window of 1 and a delimiter at 2, whose first
     row may attend to key 3 only."""
@@ -166,59 +174,62 @@ def one_key_row_mask(n):
 
 
 class TestAttentionWeights:
-    """``attention_weights`` against the matmul/mul/add/softmax chain it
-    replaces: forward and gradients must be equal, not merely close."""
+    """``attention`` against the matmul/mul/add/softmax/matmul chain it
+    replaces: the attended values and the q, kt and v gradients must be
+    equal, not merely close."""
 
     SCALE = 1.0 / np.sqrt(3.0)
 
     @staticmethod
-    def chain(q, kt, scale, mask):
+    def chain(q, kt, v, scale, mask):
         scores = nm.mul(nm.matmul(q, kt), scale)
         if mask is not None:
             scores = nm.add(scores, mask)
-        return nm.softmax(scores, axis=-1)
+        return nm.matmul(nm.softmax(scores), v)
 
     @pytest.mark.parametrize("b,h", [(1, 1), (1, 4), (3, 1), (3, 4)])
     @pytest.mark.parametrize("k_batch", ["own", "broadcast"])
     @pytest.mark.parametrize("mask", ["none", "causal", "encoder"])
     def test_equals_composed_chain(self, b, h, k_batch, mask):
         from dgsum.text_model import causal_mask
-        n, dh = 6, 3
+        n, dh, dv = 6, 3, 2
         mask_add = {"none": None, "causal": causal_mask(n),
                     "encoder": one_key_row_mask(n)}[mask]
+        kb = b if k_batch == "own" else 1
         q = rand_tensor(b, h, n, dh)
-        kt = rand_tensor(b if k_batch == "own" else 1, h, dh, n)
-        probe = rand_const(b, h, n, n)
+        kt = rand_tensor(kb, h, dh, n)
+        v, = seeded_leaves(20, (kb, h, n, dv))
+        probe = rand_const(b, h, n, dv)
         results = []
-        for fn in (nm.attention_weights, self.chain):
-            q.zero_grad()
-            kt.zero_grad()
-            w = fn(q, kt, self.SCALE, mask_add)
-            nm.sum_(nm.mul(w, probe)).backward()
-            results.append((w.data, q.grad.copy(), kt.grad.copy()))
-        for got, ref in zip(*results):
-            assert np.array_equal(got, ref)
-        if mask == "encoder":
-            assert np.count_nonzero(results[0][0][..., 0, :]) == b * h
+        for fn in (nm.attention, self.chain):
+            for t in (q, kt, v):
+                t.zero_grad()
+            out = fn(q, kt, v, self.SCALE, mask_add)
+            nm.sum_(nm.mul(out, probe)).backward()
+            results.append((out.data, q.grad, kt.grad, v.grad))
+        for name, got, ref in zip(("out", "dq", "dkt", "dv"), *results):
+            assert got.shape == ref.shape, name
+            assert np.array_equal(got, ref), name
+        if mask == "encoder":  # row 0 weighs key 3 alone, by exactly 1.0
+            assert np.array_equal(results[0][0][..., 0, :],
+                                  np.broadcast_to(v.data[..., 3, :], (b, h, dv)))
 
     def test_grad_check(self):
         q = rand_tensor(2, 3, 6, 3)
         kt = rand_tensor(1, 3, 3, 6)
-        probe = rand_const(2, 3, 6, 6)
+        v, = seeded_leaves(21, (1, 3, 6, 2))
+        probe = rand_const(2, 3, 6, 2)
         mask = one_key_row_mask(6)
-        check(lambda: nm.sum_(nm.mul(nm.attention_weights(q, kt, self.SCALE, mask), probe)),
-              {"q": q, "kt": kt})
+        check(lambda: nm.sum_(nm.mul(nm.attention(q, kt, v, self.SCALE, mask), probe)),
+              {"q": q, "kt": kt, "v": v})
 
     def test_shape_error_names_the_kernel(self):
-        with pytest.raises(ShapeError, match="attention_weights"):
-            nm.attention_weights(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), 1.0)
-
-
-def seeded_leaves(seed, *shapes):
-    """Leaves from their own generator, so the tests that draw from ``RNG``
-    after them see the same values."""
-    rng = np.random.default_rng(seed)
-    return [nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        v, = seeded_leaves(22, (1, 2, 4, 3))
+        with pytest.raises(ShapeError, match="^attention: "):  # q width != key width
+            nm.attention(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), v, 1.0)
+        q, kt, v = seeded_leaves(23, (1, 2, 4, 3), (1, 2, 3, 5), (1, 2, 4, 3))
+        with pytest.raises(ShapeError, match="^attention: "):  # 5 keys, 4 values
+            nm.attention(q, kt, v, 1.0)
 
 
 class TestLinear:
@@ -431,8 +442,38 @@ class TestTapeRelease:
 class TestPrimitiveContracts:
     def test_softmax_rows_sum_to_one(self):
         a = rand_tensor(7, 9)
-        s = nm.softmax(a, axis=-1)
+        s = nm.softmax(a)
         assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 4, 5)])  # the compressor's; stacked heads
+    def test_softmax_equals_the_formula(self, shape):
+        a, = seeded_leaves(30, shape)
+        g = np.random.default_rng(31).normal(size=shape)
+        e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        s = nm.softmax(a)
+        nm.sum_(nm.mul(s, g)).backward()
+        assert np.array_equal(s.data, ref)
+        assert np.array_equal(a.grad, ref * (g - (g * ref).sum(axis=-1, keepdims=True)))
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_sum_and_mean_equal_numpy(self, axis, keepdims):
+        """One backward serves every axis: it broadcasts the gradient of the
+        kept-dims result back over the reduced axis."""
+        a, = seeded_leaves(32, (3, 4, 5))
+        for reduce, ref in ((nm.sum_, np.sum), (nm.mean, np.mean)):
+            a.zero_grad()
+            out = reduce(a, axis=axis, keepdims=keepdims)
+            assert out.shape == ref(a.data, axis=axis, keepdims=keepdims).shape
+            assert np.array_equal(out.data, ref(a.data, axis=axis, keepdims=keepdims))
+            g = np.random.default_rng(33).normal(size=out.shape)
+            nm.sum_(nm.mul(out, g)).backward()
+            n = a.size // out.size
+            want = g if keepdims or axis is None else np.expand_dims(g, axis)
+            if reduce is nm.mean:
+                want = want / n
+            assert np.array_equal(a.grad, np.broadcast_to(want, a.shape))
 
     def test_concat_split_round_trip(self):
         a = rand_tensor(2, 3)
@@ -761,3 +802,24 @@ class TestGradCheckHarness:
         w = rand_tensor(40, 40)  # 1600 entries, sampled
         err = nm.grad_check(lambda: nm.mean(nm.power(w, 2.0)), {"w": w}, max_entries=64)
         assert err < 1e-6
+
+    def test_harness_losses_pass_on_fresh_draws(self):
+        """The two losses above, on 50 draws each: the central difference's
+        own rounding is not counted as gradient error."""
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            w = nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+            assert nm.grad_check(lambda: nm.sum_(nm.power(w, 2.0)), {"w": w}) < 1e-9
+            w = nm.Tensor(rng.normal(size=(40, 40)), requires_grad=True)
+            assert nm.grad_check(lambda: nm.mean(nm.power(w, 2.0)), {"w": w}) < 1e-6
+
+    @pytest.mark.parametrize("rel", [1e-8, 1e-5])
+    def test_backward_off_by_a_small_relative_error_is_reported(self, rel):
+        def square(a):  # a primitive whose backward is off by a factor 1 + rel
+            def backward(g):
+                tensor._accum(a, g * 2.0 * a.data * (1.0 + rel))
+            return tensor._make(a.data ** 2, (a,), backward)
+
+        w, = seeded_leaves(41, (5, 4))
+        err = nm.grad_check(lambda: nm.sum_(square(w)), {"w": w})
+        assert 0.9 * rel < err < 1.1 * rel

@@ -55,8 +55,8 @@ class TestConfig:
 class TestEncoder:
     def test_output_shape(self, table_for):
         _, _, cfg, store, ids, bounds, _ = encode_fixture(table_for)
-        enc = encode_text(ids, bounds, store, cfg)
-        assert enc.Q.shape == (len(ids), cfg.d_model)
+        rows = encode_text(ids, bounds, store, cfg)
+        assert rows.shape == (len(ids), cfg.d_model)
 
     def test_over_length_error(self, table_for):
         _, _, cfg, store, ids, bounds, _ = encode_fixture(table_for)
@@ -107,11 +107,11 @@ class TestEncoder:
         i, j = 3, 12  # token positions far apart, non-delimiter
         sep = set(bounds.sep_positions())
         assert i not in sep and j not in sep and abs(i - j) > 2 * cfg.attention_window
-        base = encode_text(ids, bounds, store, cfg).Q.data
+        base = encode_text(ids, bounds, store, cfg).data
         swapped = list(ids)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert swapped != ids
-        out = encode_text(swapped, bounds, store, cfg).Q.data
+        out = encode_text(swapped, bounds, store, cfg).data
         w = cfg.attention_window
         affected = set(range(i - w, i + w + 1)) | set(range(j - w, j + w + 1)) | sep
         for row in range(len(ids)):
@@ -123,16 +123,16 @@ class TestEncoder:
 class TestUnitEmbeddings:
     def test_count_and_word_rows(self, table_for):
         _, _, cfg, store, ids, bounds, graph = encode_fixture(table_for)
-        enc = encode_text(ids, bounds, store, cfg)
-        h0 = unit_embeddings(enc, graph)
+        rows = encode_text(ids, bounds, store, cfg)
+        h0 = unit_embeddings(rows, bounds, graph)
         assert h0.shape == (graph.n_nodes, cfg.d_model)
         for node_idx, nd in enumerate(graph.nodes):
-            assert np.array_equal(h0.data[node_idx], enc.Q.data[nd.token_position])
+            assert np.array_equal(h0.data[node_idx], rows.data[nd.token_position])
 
     def test_alignment_against_boundary_oracle(self, table_for):
         _, _, cfg, store, ids, bounds, graph = encode_fixture(table_for)
-        enc = encode_text(ids, bounds, store, cfg)
-        unit_embeddings(enc, graph)  # must not raise
+        rows = encode_text(ids, bounds, store, cfg)
+        unit_embeddings(rows, bounds, graph)  # must not raise
         doc_positions = {p for _, p in bounds.doc_slots}
         sent_positions = {s.sep_pos for s in bounds.sent_slots}
         for nd in graph.nodes:
@@ -150,9 +150,9 @@ class TestUnitEmbeddings:
         vocab2 = build_vocab([cluster2], min_freq=1)
         ids2, bounds2 = serialize_encoder_input(cluster2, vocab2, cfg.max_in_len)
         store2 = make_store(cfg, len(vocab2))
-        enc2 = encode_text(ids2, bounds2, store2, cfg)
+        rows2 = encode_text(ids2, bounds2, store2, cfg)
         with pytest.raises(AlignmentError):
-            unit_embeddings(enc2, graph)
+            unit_embeddings(rows2, bounds2, graph)
         # boundaries that point past the sequence are rejected up front
         with pytest.raises(AlignmentError):
             encode_text(ids2, bounds, store2, cfg)
@@ -363,8 +363,8 @@ class TestGradients:
         gold = np.array([6, 7, Vocab.EOS])
 
         def loss():
-            enc = encode_text(ids, bounds, store, cfg)
-            logits = decode_teacher_forced(enc.Q, np.arange(len(ids)), target,
+            rows = encode_text(ids, bounds, store, cfg)
+            logits = decode_teacher_forced(rows, np.arange(len(ids)), target,
                                            store, cfg)
             return nm.cross_entropy_smoothed(logits, gold, 0.1)
 
@@ -399,7 +399,7 @@ class TestBandedEncoder:
         for kernel in (nm.band_attention, band_attention_oracle):
             monkeypatch.setattr(nm, "band_attention", kernel)
             store.zero_grads()
-            q = encode_text(ids, bounds, store, cfg).Q
+            q = encode_text(ids, bounds, store, cfg)
             nm.sum_(nm.mul(q, probe)).backward()
             results.append([q.data] + [t.grad for _, t in store.items()
                                        if t.grad is not None])
@@ -420,7 +420,7 @@ class TestMemory:
         store = make_store(cfg, v)
         tracemalloc.start()
         try:
-            nm.mean(encode_text(ids, bounds, store, cfg).Q).backward()
+            nm.mean(encode_text(ids, bounds, store, cfg)).backward()
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
