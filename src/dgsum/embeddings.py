@@ -50,19 +50,19 @@ def pairwise_cosine(vectors, threshold: float | None = None):
 
 
 def _parse_vector_file(path, dimension: int, what: str) -> dict[str, np.ndarray]:
-    table: dict[str, np.ndarray] = {}
-    skipped = 0
-    for _, line in read_lines(path, what):
+    tokens, vecs, n_lines = [], [], 0
+    for n_lines, line in read_lines(path, what):
         parts = line.split()
         if len(parts) != dimension + 1:
-            skipped += 1
             continue
         try:
-            vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+            vecs.append(np.asarray([float(x) for x in parts[1:]], dtype=np.float64))
         except ValueError:
-            skipped += 1
             continue
-        table[parts[0]] = vec
+        tokens.append(parts[0])
+    finite = np.isfinite(np.array(vecs).reshape(-1, dimension)).all(axis=1)  # nan, inf
+    table = {token: vec for token, vec, ok in zip(tokens, vecs, finite.tolist()) if ok}
+    skipped = n_lines - int(finite.sum())  # every line not kept, blank ones too
     if skipped:
         log.warning("%s: skipped %d malformed lines", path, skipped)
     if not table:

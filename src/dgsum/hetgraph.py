@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -143,7 +144,7 @@ class ValidationReport:
 @dataclass(frozen=True, eq=False)
 class Edges:
     """One edge type: endpoints ``a``, ``b`` (intp) and weight ``w``
-    (float64), parallel arrays in build order."""
+    (float64), parallel arrays in build order; iterating yields (a, b, w)."""
     a: np.ndarray
     b: np.ndarray
     w: np.ndarray
@@ -156,18 +157,26 @@ class Edges:
     def __len__(self) -> int:
         return len(self.a)
 
-    def rows(self):
-        """(a, b, w) rows as Python scalars, each column converted once."""
+    def __iter__(self):  # rows as Python scalars, each column converted once
         return zip(self.a.tolist(), self.b.tolist(), self.w.tolist())
 
-    __iter__ = rows  # for readers of the tuple form
+    def join(self, head, mid, tail, sep: str) -> str:
+        """``head(a) + mid(b) + tail(w)`` of each edge, joined by ``sep``. Each
+        function maps a list of a column's distinct values (by bits: -0.0 is
+        not 0.0) to their strings, so each distinct value is formatted once."""
+        pieces = []
+        for x, fmt in ((self.a, head), (self.b, mid), (self.w, tail)):
+            distinct, inverse = np.unique(x.view(f"i{x.itemsize}"), return_inverse=True)
+            pieces.append(map(fmt(distinct.view(x.dtype).tolist()).__getitem__, inverse.tolist()))
+        a, b, w = pieces
+        return sep.join(map(add, map(add, a, b), w))
 
 
 class HeteroGraph:
-    """Immutable typed graph. Nodes are held in canonical order (documents,
-    then sentences, then words, each by origin); ``edges[t]`` is type t's
-    ``Edges`` (a < b over node indices, in build order; any iterable of
-    (a, b, w) triples given becomes one)."""
+    """Immutable typed graph: nodes in canonical order (documents, sentences,
+    words, each by origin); ``edges[t]`` is type t's ``Edges`` (a < b, build
+    order; given (a, b, w) triples become one). ``to_json`` and ``to_dot``
+    format each distinct endpoint and weight of a type once."""
 
     def __init__(self, nodes: list[NodeId], edges: dict):
         self.nodes = nodes
@@ -201,22 +210,28 @@ class HeteroGraph:
 
     # export -----------------------------------------------------------
     def to_json(self) -> str:
-        return json.dumps({
-            "nodes": [{"kind": nd.kind, "index": nd.index, "doc": nd.doc,
-                       "sent": nd.sent, "tok": nd.tok,
-                       "token_position": nd.token_position} for nd in self.nodes],
-            "edges": {t: [list(row) for row in self.edges[t].rows()] for t in EDGE_TYPES},
-        })
+        def tails(u):  # as json.dumps writes each weight (NaN, Infinity), closing its row
+            return [s + "]" for s in json.dumps(u)[1:-1].split(", ")]
+        rows = (e.join(lambda v: [f"[{i}, " for i in v], lambda v: [f"{i}, " for i in v],
+                       tails, ", ") for e in self.edges.values())
+        edges = ", ".join(f'"{t}": [{r}]' for t, r in zip(self.edges, rows))
+        nodes = json.dumps([{"kind": nd.kind, "index": nd.index, "doc": nd.doc,
+                             "sent": nd.sent, "tok": nd.tok,
+                             "token_position": nd.token_position} for nd in self.nodes])
+        return f'{{"nodes": {nodes}, "edges": {{{edges}}}}}'
 
     def to_dot(self, name: str = "cluster") -> str:
         letter = {DOC: "d", SENT: "s", WORD: "w"}
         names = [letter[nd.kind] + str(nd.index) for nd in self.nodes]
-        lines = [f'graph "{name}" {{']
+        quoted = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines = [f'graph "{quoted}" {{']
         for nd, nd_name in zip(self.nodes, names):
             lines.append(f'  {nd_name} [kind="{nd.kind}" pos="{nd.token_position}"];')
-        for etype in EDGE_TYPES:
-            lines.extend(f'  {names[a]} -- {names[b]} [type="{etype}" weight="{w:.6f}"];'
-                         for a, b, w in self.edges[etype].rows())
+        for etype, e in self.edges.items():
+            if len(e):  # an empty type writes no line, not a blank one
+                lines.append(e.join(lambda v: [f"  {names[i]} -- " for i in v],
+                                    lambda v: [f'{names[i]} [type="{etype}" weight="' for i in v],
+                                    lambda u: [f'{x:.6f}"];' for x in u], "\n"))
         lines.append("}")
         return "\n".join(lines)
 

@@ -75,6 +75,23 @@ def write_embedding_file(path, tokens, dim=8, seed=0):
             fh.write(tok + " " + " ".join(f"{x:.8f}" for x in vec) + "\n")
 
 
+def generated_records(seed, n_clusters):
+    """Clusters of random sentences mixing a small pseudo-noun lexicon with
+    closed-class words, so nouns repeat across occurrences and many WE edges
+    share a weight."""
+    rng = np.random.default_rng(seed)
+    nouns = ["".join(rng.choice(list("bdgkmnprstv")) + rng.choice(list("aeiou"))
+                     for _ in range(3)) for _ in range(12)]
+    words = nouns + ["the", "of", "and", "was", "in", "said"]
+
+    def sentence():
+        return " ".join(rng.choice(words, size=int(rng.integers(3, 10)))) + "."
+    return [{"id": f"gen{seed}-{k}",
+             "documents": [" ".join(sentence() for _ in range(int(rng.integers(1, 4))))
+                           for _ in range(int(rng.integers(2, 5)))]}
+            for k in range(n_clusters)]
+
+
 @pytest.fixture
 def toy_corpus_records():
     """8 tiny clusters for overfit runs: <=3 docs, <=40 tokens per doc,

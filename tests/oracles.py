@@ -7,6 +7,7 @@ would have to appear twice, in two different shapes, to slip through.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ import numpy as np
 import dgsum.numeric as nm
 from dgsum.corpus import RESERVED, Vocab
 from dgsum.errors import DataError, ShapeError
+from dgsum.hetgraph import EDGE_TYPES
 from dgsum.numeric.tensor import _accum, _make, _unbroadcast
 from dgsum.text_model import decode_teacher_forced
 from dgsum.training import encode_compress
@@ -215,6 +217,32 @@ def graph_to_oracle_form(graph):
             emap[pair] = w
         edges[etype] = emap
     return nodes, edges
+
+
+def to_json_oracle(graph):
+    """``HeteroGraph.to_json`` as one ``json.dumps`` of per-edge row lists."""
+    return json.dumps({
+        "nodes": [{"kind": nd.kind, "index": nd.index, "doc": nd.doc,
+                   "sent": nd.sent, "tok": nd.tok,
+                   "token_position": nd.token_position} for nd in graph.nodes],
+        "edges": {t: [list(row) for row in graph.edges[t]] for t in EDGE_TYPES},
+    })
+
+
+def to_dot_oracle(graph, name="cluster"):
+    """``HeteroGraph.to_dot`` formatting every edge's line and weight alone;
+    the name is quoted with ``\\`` and ``"`` escaped."""
+    letter = {"document": "d", "sentence": "s", "word": "w"}
+    names = [letter[nd.kind] + str(nd.index) for nd in graph.nodes]
+    quoted = "".join("\\" + c if c in '\\"' else c for c in name)
+    lines = [f'graph "{quoted}" {{']
+    for nd, nd_name in zip(graph.nodes, names):
+        lines.append(f'  {nd_name} [kind="{nd.kind}" pos="{nd.token_position}"];')
+    for etype in EDGE_TYPES:
+        lines.extend(f'  {names[a]} -- {names[b]} [type="{etype}" weight="{w:.6f}"];'
+                     for a, b, w in graph.edges[etype])
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def dense_channel_oracle(graph, edge_type):

@@ -21,8 +21,9 @@ from dgsum.mgat import MgatConfig
 from dgsum.rouge import corpus_rouge
 from dgsum.text_model import TextModelConfig
 from dgsum.training import ModelConfig, TrainConfig
-from conftest import all_tokens, write_cluster_file, write_embedding_file
-from oracles import rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy
+from conftest import all_tokens, generated_records, write_cluster_file, write_embedding_file
+from oracles import (rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy, to_dot_oracle,
+                     to_json_oracle)
 
 TOY_FLAGS = ["--d-model", "16", "--n-heads", "2", "--ffn-dim", "24",
              "--n-layers-enc", "1", "--n-layers-dec", "1",
@@ -770,6 +771,40 @@ class TestGraphCommand:
                 assert node_stmt.match(stmt) or edge_stmt.match(stmt), stmt
                 saw_edge = saw_edge or " -- " in stmt
             assert saw_edge
+
+    def test_files_equal_the_oracles(self, tmp_path):
+        from dgsum.corpus import load_clusters
+        from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder
+        from dgsum.hetgraph import build_hetero_graph
+        quoted_id = 'a"b\\'  # a plain file name that DOT must escape
+        records = generated_records(7, 3) + [{**generated_records(8, 1)[0], "id": quoted_id}]
+        data, vectors, out = tmp_path / "data.jsonl", tmp_path / "vectors.txt", tmp_path / "g"
+        write_cluster_file(data, records)
+        clusters = load_clusters(data)
+        write_embedding_file(vectors, set().union(*map(all_tokens, clusters)))
+        assert main(["graph", "--data", str(data), "--embeddings", str(vectors),
+                     "--out", str(out), "--embedding-dim", "8", "--we-threshold", "0"]) == 0
+        table = EmbeddingTable.load(vectors, 8)
+        cfg = GraphConfig(we_threshold=0.0)
+        for cluster in clusters:
+            g = build_hetero_graph(cluster, table, MeanWordEmbedder(table), cfg)
+            files = out / f"{cluster.id}.json", out / f"{cluster.id}.dot"
+            assert files[0].read_bytes() == to_json_oracle(g).encode()
+            assert files[1].read_bytes() == to_dot_oracle(g, cluster.id).encode()
+        assert (out / f"{quoted_id}.dot").read_text().startswith('graph "a\\"b\\\\" {\n')
+
+    def test_non_finite_word_vector_is_skipped(self, tmp_path, caplog):
+        # a nan vector would give NaN WE weights; the line is malformed instead
+        data, vectors, out = tmp_path / "data.jsonl", tmp_path / "vectors.txt", tmp_path / "g"
+        write_cluster_file(data, [{"id": "c1", "documents": ["storm hits coast. storm waves.",
+                                                             "coast storm town."]}])
+        vectors.write_text("storm nan 1.0\ncoast 1.0 0.5\ntown 0.5 1.0\n")
+        with caplog.at_level("WARNING", logger="dgsum.embeddings"):
+            assert main(["graph", "--data", str(data), "--embeddings", str(vectors),
+                         "--out", str(out), "--embedding-dim", "2", "--we-threshold", "0"]) == 0
+        assert "skipped 1 malformed lines" in caplog.text
+        assert "NaN" not in (out / "c1.json").read_text()
+        assert (out / "validation.txt").read_text() == ""
 
     def test_json_counts_match_graph(self, tmp_path, toy_corpus_path,
                                      toy_embeddings_path):

@@ -36,6 +36,29 @@ class TestLoad:
         table = EmbeddingTable.load(p, 3)
         assert list(table.vectors) == ["dog"]
 
+    NON_FINITE = ["storm nan 1.0", "c1:0:0 1.0 2.0", "coast 1.0 -inf", "town 1e999 0.5",
+                  "wave 1.0", "", "river Infinity NaN", "sea 0.5 0.25"]
+
+    def test_non_finite_lines_skipped_and_counted(self, tmp_path, caplog):
+        p = tmp_path / "vec.txt"
+        write_vectors(p, self.NON_FINITE)
+        with caplog.at_level("WARNING", logger="dgsum.embeddings"):
+            table = EmbeddingTable.load(p, 2)
+        assert list(table.vectors) == ["c1:0:0", "sea"]
+        assert np.array_equal(table.get("storm"), [0.75, 1.125])  # the mean of the two kept
+        assert f"{p}: skipped 6 malformed lines" in caplog.text
+
+    def test_non_finite_sentence_vectors_skipped_and_counted(self, tmp_path, caplog):
+        p = tmp_path / "sent.txt"
+        write_vectors(p, self.NON_FINITE)
+        with caplog.at_level("WARNING", logger="dgsum.embeddings"):
+            emb = PrecomputedEmbedder(p, 2)
+        assert f"{p}: skipped 6 malformed lines" in caplog.text
+        sent = tokenize("whatever words")[0]
+        assert np.array_equal(emb.embed(sent, key=("c1", 0, 0)), [1.0, 2.0])
+        with pytest.raises(DataError, match="'storm'"):
+            emb.embed(sent, key=("storm",))
+
     def test_zero_valid_lines_error(self, tmp_path):
         p = tmp_path / "vec.txt"
         write_vectors(p, ["cat 1.0", "dog 0.0 1.0"])

@@ -8,13 +8,13 @@ import pytest
 from dgsum.corpus import layout, summary_as_cluster, tokenize
 from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder, cosine
 from dgsum.errors import DataError
-from dgsum.hetgraph import (EDGE_TYPES, GraphConfig, HeteroGraph, NodeId,
+from dgsum.hetgraph import (EDGE_TYPES, Edges, GraphConfig, HeteroGraph, NodeId,
                             build_hetero_graph, noun_candidates, validate_graph)
 from dgsum.mgat import UNION_CHANNEL, channel_edges
 from dgsum.rouge import rouge_avg_f1
-from conftest import cluster_from_texts
+from conftest import cluster_from_texts, generated_records
 from oracles import (dense_channel_oracle, enumerate_graph_oracle, graph_to_oracle_form,
-                     union_channel_oracle)
+                     to_dot_oracle, to_json_oracle, union_channel_oracle)
 
 
 def build(cluster, table, **cfg_kw):
@@ -402,6 +402,74 @@ def expected_cosine_edges(cluster, table, cfg, g):
         sent_vecs.append(MeanWordEmbedder(table).embed(sent))
     return {"WE": pair_loop_edges(nouns, noun_vecs, cfg.we_threshold or None),
             "SS": pair_loop_edges(sent_ids, sent_vecs, cfg.ss_threshold)}
+
+
+class TestExport:
+    """``to_json`` and ``to_dot`` format each distinct weight once; their
+    bytes equal the per-edge oracles'."""
+
+    @staticmethod
+    def assert_oracle_bytes(g, name="cluster"):
+        assert g.to_json() == to_json_oracle(g)
+        assert g.to_dot(name) == to_dot_oracle(g, name)
+
+    def test_handcrafted_clusters(self, table_for):
+        clusters = TestAgainstEnumerationOracle().handcrafted_clusters()
+        table = table_for(clusters)
+        for cluster in clusters:
+            for cfg in ({}, {"we_threshold": 0.0}, {"ss_threshold": 0.1}):
+                self.assert_oracle_bytes(build(cluster, table, **cfg), cluster.id)
+
+    def test_generated_clusters(self, table_for):
+        for seed in range(3):
+            clusters = [cluster_from_texts(rec["id"], rec["documents"])
+                        for rec in generated_records(seed, 3)]
+            table = table_for(clusters, seed=seed)
+            for cluster in clusters:
+                g = build(cluster, table, we_threshold=0.0)
+                we = g.edges["WE"].w
+                assert len(np.unique(we)) < len(we)  # occurrences repeat a pair's weight
+                self.assert_oracle_bytes(g, cluster.id)
+
+    def test_weights_told_apart_by_bits(self):
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+                        dtype=np.int64).view(np.float64)  # quiet NaN, a payload, a negative NaN
+        weights = np.array([0.0, -0.0, *nans, np.inf, -np.inf, 5e-324, 0.3,
+                            np.nextafter(0.3, 1.0), 0.0000005, 0.1234565, 0.0000015,
+                            -0.0, 0.3, np.inf])
+        k = np.arange(len(weights))
+        edges = Edges((k % 2 + 2).astype(np.intp), (k % 3 + 1).astype(np.intp), weights)
+        g = HeteroGraph(hand_built_nodes(), {"WE": edges, "SS": edges})
+        self.assert_oracle_bytes(g, "special")
+        rows = g.to_json().split('"WE": [')[1].split('], "WO"')[0]
+        assert rows.split("], [")[:10] == [
+            "[2, 1, 0.0", "3, 2, -0.0", "2, 3, NaN", "3, 1, NaN", "2, 2, NaN",
+            "3, 3, Infinity", "2, 1, -Infinity", "3, 2, 5e-324", "2, 3, 0.3",
+            "3, 1, 0.30000000000000004"]
+        dot = g.to_dot("special").splitlines()
+        assert [line[line.index("weight="):] for line in dot[5:11]] == [
+            'weight="0.000000"];', 'weight="-0.000000"];', 'weight="nan"];',
+            'weight="nan"];', 'weight="nan"];', 'weight="inf"];']
+
+    @pytest.mark.parametrize("weights", [[], [0.25], [0.7] * 5],
+                             ids=["empty", "single", "all-equal"])
+    def test_few_or_equal_weights(self, weights):
+        k = np.arange(len(weights), dtype=np.intp)
+        g = HeteroGraph(hand_built_nodes(), {"SS": Edges(k % 3, k % 3 + 1,
+                                                         np.array(weights, dtype=np.float64))})
+        self.assert_oracle_bytes(g)
+
+    def test_json_of_out_of_range_endpoints(self):
+        # a graph that fails validation still exports its endpoints as numbers
+        g = HeteroGraph(hand_built_nodes(), {"WO": [(-1, 2, 1.0), (2, 9, 1.0), (-7, 2**40, 0.5)]})
+        assert g.to_json() == to_json_oracle(g)
+        assert '"WO": [[-1, 2, 1.0], [2, 9, 1.0], [-7, 1099511627776, 0.5]]' in g.to_json()
+
+    def test_dot_name_is_quoted(self):
+        g = HeteroGraph(hand_built_nodes(), {"WO": [(2, 3, 1.0)]})
+        assert g.to_dot('a"b\\').splitlines()[0] == 'graph "a\\"b\\\\" {'
+        for name in ('a"b\\', '\\"', "plain", ""):
+            self.assert_oracle_bytes(g, name)
 
 
 class TestEdgeIndex:
