@@ -15,11 +15,11 @@ from dgsum.text_model import beam_search, causal_mask
 # global keys, and gives the global rows a dense softmax over every key.
 n, window = 12, 2
 global_positions = [0, 6]  # pretend DOC_SEP at 0, SENT_SEP at 6
-# Zero queries and keys give every allowed key the same score; identity
-# values make each output row that row's attention weights.
-zeros = np.zeros((1, 1, n, n))
-weights = nm.band_attention(zeros, zeros, np.eye(n)[None, None], 1.0, window,
-                            global_positions).data[0, 0]
+# The kernel takes query, key and value rows and a head count. Zero queries
+# and keys give every allowed key the same score; identity values in one head
+# make each output row that row's attention weights.
+zeros = np.zeros((n, n))
+weights = nm.band_attention(zeros, zeros, np.eye(n), 1, window, global_positions).data
 
 print("encoder attention pattern (o = allowed, . = blocked):")
 for i in range(n):

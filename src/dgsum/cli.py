@@ -444,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ShapeError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"numeric error: out of memory: {e}", file=sys.stderr)
+        return 3
     except OSError as e:  # writing an output
         print(f"error: {e}", file=sys.stderr)
         return 1

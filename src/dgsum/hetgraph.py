@@ -222,12 +222,16 @@ class HeteroGraph:
 
     def to_dot(self, name: str = "cluster") -> str:
         letter = {DOC: "d", SENT: "s", WORD: "w"}
-        names = [letter[nd.kind] + str(nd.index) for nd in self.nodes]
+        names, n = [letter[nd.kind] + str(nd.index) for nd in self.nodes], self.n_nodes
         quoted = name.replace("\\", "\\\\").replace('"', '\\"')
         lines = [f'graph "{quoted}" {{']
         for nd, nd_name in zip(self.nodes, names):
             lines.append(f'  {nd_name} [kind="{nd.kind}" pos="{nd.token_position}"];')
         for etype, e in self.edges.items():
+            outside = np.flatnonzero((np.minimum(e.a, e.b) < 0) | (np.maximum(e.a, e.b) >= n))
+            if outside.size:
+                a, b = int(e.a[outside[0]]), int(e.b[outside[0]])
+                raise DataError(f"to_dot: {etype} edge ({a},{b}) has an endpoint outside [0, {n})")
             if len(e):  # an empty type writes no line, not a blank one
                 lines.append(e.join(lambda v: [f"  {names[i]} -- " for i in v],
                                     lambda v: [f'{names[i]} [type="{etype}" weight="' for i in v],

@@ -9,12 +9,13 @@ What the tape holds until backward is each node's output plus what its
 closure saves: most primitives save only their operands, which are other
 nodes' outputs; ``linear`` computes x @ w + b as one node, so no bare product
 is kept; ``elu`` saves its output, from which its derivative follows; the
-attention kernels take queries, keys and values, return the attended values
-and save only their softmax weights. A backward hands an array over to
-``_accum`` (``own=True``) only when it has just computed it and holds it
-nowhere else; the first gradient of a tensor is then that array itself, not
-a copy. Views of the incoming gradient (add, reshape, transpose, concat, the
-broadcasts of sum and mean) are copied.
+attention kernels take query, key and value rows [n, d] and a head count,
+split heads by strided views of those rows, return the attended rows and
+save only their softmax weights, so no head-split copy is kept. A backward
+hands an array over to ``_accum`` (``own=True``) only when it has just
+computed it and holds it nowhere else; the first gradient of a tensor is
+then that array itself, not a copy. Views of the incoming gradient (add,
+reshape, transpose, concat, the broadcasts of sum and mean) are copied.
 
 Precision is a process-global switch (``set_precision``): double for
 gradient checking and deterministic reruns, single allowed for training.
@@ -448,132 +449,151 @@ def softmax(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def attention(q, kt, v, scale: float, mask_add: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ kt * scale + mask_add) @ v over the last axis, for stacked
-    heads ``q`` [..., nq, dh], keys ``kt`` [..., dh, nk] and values ``v``
-    [..., nk, dv]. It saves only the weights; the arithmetic is that of the
-    matmul/mul/add/softmax/matmul chain, so results are bit-identical to it."""
-    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
-    if min(q.ndim, kt.ndim, v.ndim) < 2 or q.shape[-1] != kt.shape[-2] \
-            or kt.shape[-1] != v.shape[-2]:
-        raise ShapeError(f"attention: q {q.shape}, kt {kt.shape}, v {v.shape}")
-    w = q.data @ kt.data
-    w *= w.dtype.type(scale)
+def _heads(x, n_heads: int, batch: tuple = ()):
+    """Rows ``x`` [..., d] as heads [*batch, H, n, d/H], a strided view."""
+    return x.reshape(*batch, -1, n_heads, x.shape[-1] // n_heads).swapaxes(-3, -2)
+
+
+def _rows(x, shape):
+    """Heads [..., H, n, dh] back as rows of ``shape``."""
+    return x.swapaxes(-3, -2).reshape(shape)
+
+
+def attention(q, k, v, n_heads: int, mask_add: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q @ kᵀ / sqrt(dh) + mask_add) @ v for query rows
+    ``q`` [B·nq, d] and key and value rows ``k``, ``v`` [B, nk, d]; keys
+    [nk, d], or a batch of 1, are shared by all query rows. Heads are strided
+    views of the rows (dh = d / n_heads) and the attended values come back as
+    rows [B·nq, d]. It saves only the weights [B, H, nq, nk]; the arithmetic
+    is that of the matmul/mul/add/softmax/matmul chain over those views, so
+    results are bit-identical to it."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    kb = k.shape[0] if k.ndim == 3 else 1
+    if q.ndim != 2 or k.ndim not in (2, 3) or v.shape != k.shape or k.shape[-1] != q.shape[1] \
+            or n_heads < 1 or q.shape[1] % n_heads or q.shape[0] % kb:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+    qh, kh, vh = (_heads(x.data, n_heads, (kb,)) for x in (q, k, v))
+    scale = qh.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
     if mask_add is not None:
         w += mask_add
     _softmax_rows([w])
 
     def backward(g):
-        _accum(v, _unbroadcast(w.swapaxes(-1, -2) @ g, v.shape), own=True)
-        dw = _softmax_grad(g @ v.data.swapaxes(-1, -2), w)
-        dw *= w.dtype.type(scale)
-        _accum(q, _unbroadcast(dw @ kt.data.swapaxes(-1, -2), q.shape), own=True)
-        _accum(kt, _unbroadcast(q.data.swapaxes(-1, -2) @ dw, kt.shape), own=True)
+        gh = _heads(g, n_heads, (kb,))
+        _accum(v, _rows(w.swapaxes(-1, -2) @ gh, v.shape), own=True)
+        dw = _softmax_grad(gh @ vh.swapaxes(-1, -2), w)
+        dw *= scale
+        _accum(q, _rows(dw @ kh, q.shape), own=True)
+        _accum(k, _rows((qh.swapaxes(-1, -2) @ dw).swapaxes(-1, -2), k.shape), own=True)
 
-    return _make(w @ v.data, (q, kt, v), backward)
+    return _make(_rows(w @ vh, q.shape), (q, k, v), backward)
 
 
-def band_attention(q, kt, v, scale: float, window: int, glob) -> Tensor:
+def band_attention(q, k, v, n_heads: int, window: int, glob) -> Tensor:
     """Sliding-window attention with global positions (Longformer's pattern)
-    for stacked heads q [B, H, n, dh], keys kt [B, H, dh, n] and values
-    v [B, H, n, dh]: row i attends to key j when |i - j| <= window or either
-    is in ``glob``, which is softmax(q @ kt * scale + encoder mask) @ v.
+    for query, key and value rows [n, d] in ``n_heads`` heads: row i attends
+    to key j when |i - j| <= window or either is in ``glob``, which is
+    ``attention`` under the encoder mask. Heads are strided views of the rows,
+    and the attended values come back as rows [n, d].
 
     Rows are cut into blocks of ``window``; a block scores its own key block
-    and the two beside it [B, H, blocks, w, 3w], with keys beyond the window,
-    past either end or in ``glob`` masked, plus every ``glob`` key [B, H, n, g]
+    and the two beside it [H, blocks, w, 3w], with keys beyond the window,
+    past either end or in ``glob`` masked, plus every ``glob`` key [H, n, g]
     unmasked, under one softmax per row. When those blocks would hold as many
     cells as n x n (a window of n/3 or more), all rows form one block that
-    scores all n keys [B, H, 1, n, n], as dense attention does. The ``glob``
-    rows take a softmax over all keys [B, H, g, n] instead. Only these weights
+    scores all n keys [H, 1, n, n], as dense attention does. The ``glob``
+    rows take a softmax over all keys [H, g, n] instead. Only these weights
     are saved; key and value windows are strided views of one padded copy,
     rebuilt in backward."""
-    q, kt, v = as_tensor(q), as_tensor(kt), as_tensor(v)
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     glob = np.unique(np.asarray(glob, dtype=np.intp))
-    b, h, n, dh = q.shape if q.ndim == 4 else (0,) * 4
-    if n < 1 or kt.shape != (b, h, dh, n) or v.shape != q.shape or window < 1 \
-            or (glob.size and (glob[0] < 0 or glob[-1] >= n)):
-        raise ShapeError(f"band_attention: q {q.shape}, kt {kt.shape}, v {v.shape}, "
-                         f"window {window}, global positions {glob.tolist()}")
+    n, d = q.shape if q.ndim == 2 else (0, 0)
+    if n < 1 or k.shape != q.shape or v.shape != q.shape or n_heads < 1 or d % n_heads \
+            or window < 1 or (glob.size and (glob[0] < 0 or glob[-1] >= n)):
+        raise ShapeError(f"band_attention: q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"{n_heads} heads, window {window}, global positions {glob.tolist()}")
+    h, dh = n_heads, d // n_heads
     w = min(window, n)
     nb = -(-n // w)
     pieces = 3  # key blocks per row block: its own and the two beside it
     if n * n <= nb * w * 3 * w:
         w, nb, pieces = n, 1, 1
     lead = w * (pieces // 2)  # zero key rows before the first block's window
-    scale = q.data.dtype.type(scale)
+    scale = q.data.dtype.type(1.0 / np.sqrt(dh))
     i = np.arange(nb * w).reshape(nb, w, 1)
     j = np.arange(-lead, pieces * w - lead) + w * np.arange(nb)[:, None, None]
     off = (np.abs(i - j) > window) | (j < 0) | (j >= n) | np.isin(j, glob)
 
-    def padded(x, before=0, after=nb * w - n):  # x [b, h, n, dh] between zero rows
-        out = np.zeros((b, h, before + n + after, dh), dtype=x.dtype)
-        out[:, :, before:before + n] = x
+    def padded(x, before=0, after=nb * w - n):  # x [h, n, dh] between zero rows
+        out = np.zeros((h, before + n + after, dh), dtype=x.dtype)
+        out[:, before:before + n] = x
         return out
 
-    def windows(x):  # key rows j of block c [b, h, nb, pieces*w, dh], a view
+    def windows(x):  # key rows j of block c [h, nb, pieces*w, dh], a view
         xp = padded(x, lead, (nb + pieces - 1) * w - lead - n)
-        return np.lib.stride_tricks.sliding_window_view(xp, pieces * w, axis=2)[:, :, ::w] \
+        return np.lib.stride_tricks.sliding_window_view(xp, pieces * w, axis=1)[:, ::w] \
             .swapaxes(-1, -2)
 
-    def unpad_windows(d):  # sum the [b, h, nb, pieces*w, dh] window gradients into rows
-        out = np.zeros((b, h, nb + pieces - 1, w, dh), dtype=d.dtype)
-        d = d.reshape(b, h, nb, pieces, w, dh)
+    def unpad_windows(d):  # sum the [h, nb, pieces*w, dh] window gradients into rows
+        out = np.zeros((h, nb + pieces - 1, w, dh), dtype=d.dtype)
+        d = d.reshape(h, nb, pieces, w, dh)
         for o in range(pieces):
-            out[:, :, o:o + nb] += d[:, :, :, o]
-        return out.reshape(b, h, -1, dh)[:, :, lead:lead + n]
+            out[:, o:o + nb] += d[:, :, o]
+        return out.reshape(h, -1, dh)[:, lead:lead + n]
 
-    k = kt.data.swapaxes(-1, -2)
-    qp = padded(q.data)  # [b, h, nb*w, dh]
-    kg, vg = k[:, :, glob], v.data[:, :, glob]
-    band = qp.reshape(b, h, nb, w, dh) @ windows(k).swapaxes(-1, -2)
+    qh, kh, vh = (_heads(x.data, h) for x in (q, k, v))
+    qp = padded(qh)  # [h, nb*w, dh]
+    kg, vg = kh[:, glob], vh[:, glob]
+    band = qp.reshape(h, nb, w, dh) @ windows(kh).swapaxes(-1, -2)
     band *= scale
     np.copyto(band, MASK_FILL, where=off)
     cols = qp @ kg.swapaxes(-1, -2)
     cols *= scale
-    _softmax_rows([band.reshape(b, h, nb * w, pieces * w), cols])
-    rows = q.data[:, :, glob] @ kt.data
+    _softmax_rows([band.reshape(h, nb * w, pieces * w), cols])
+    rows = qh[:, glob] @ kh.swapaxes(-1, -2)
     rows *= scale
     _softmax_rows([rows])
-    out = (band @ windows(v.data)).reshape(b, h, nb * w, dh)
+    out = (band @ windows(vh)).reshape(h, nb * w, dh)
     out += cols @ vg
-    out = out[:, :, :n]
-    out[:, :, glob] = rows @ v.data
+    out = out[:, :n]
+    out[:, glob] = rows @ vh
 
     def backward(g):
+        g = _heads(g, h)
         gp = padded(g)
-        gp[:, :, glob] = 0.0  # global rows take their gradient from ``rows`` alone
-        gb = gp.reshape(b, h, nb, w, dh)
-        dband = gb @ windows(v.data).swapaxes(-1, -2)
+        gp[:, glob] = 0.0  # global rows take their gradient from ``rows`` alone
+        gb = gp.reshape(h, nb, w, dh)
+        dband = gb @ windows(vh).swapaxes(-1, -2)
         dcols = gp @ vg.swapaxes(-1, -2)
-        inner = np.einsum("...k,...k->...", dband, band).reshape(b, h, -1, 1)
+        inner = np.einsum("...k,...k->...", dband, band).reshape(h, -1, 1)
         inner += np.einsum("...k,...k->...", dcols, cols)[..., None]
-        dband -= inner.reshape(b, h, nb, w, 1)
+        dband -= inner.reshape(h, nb, w, 1)
         dband *= band
         dband *= scale
         dcols -= inner
         dcols *= cols
         dcols *= scale
-        grow = g[:, :, glob]
-        drows = grow @ v.data.swapaxes(-1, -2)
+        grow = g[:, glob]
+        drows = grow @ vh.swapaxes(-1, -2)
         drows -= np.einsum("...k,...k->...", drows, rows)[..., None]
         drows *= rows
         drows *= scale
-        dq = (dband @ windows(k)).reshape(b, h, nb * w, dh)
+        dq = (dband @ windows(kh)).reshape(h, nb * w, dh)
         dq += dcols @ kg
-        dq = dq[:, :, :n]
-        dq[:, :, glob] += drows @ k
-        dk = unpad_windows(dband.swapaxes(-1, -2) @ qp.reshape(b, h, nb, w, dh))
-        dk[:, :, glob] += dcols.swapaxes(-1, -2) @ qp
-        dk += drows.swapaxes(-1, -2) @ q.data[:, :, glob]
+        dq = dq[:, :n]
+        dq[:, glob] += drows @ kh
+        dk = unpad_windows(dband.swapaxes(-1, -2) @ qp.reshape(h, nb, w, dh))
+        dk[:, glob] += dcols.swapaxes(-1, -2) @ qp
+        dk += drows.swapaxes(-1, -2) @ qh[:, glob]
         dv = unpad_windows(band.swapaxes(-1, -2) @ gb)
-        dv[:, :, glob] += cols.swapaxes(-1, -2) @ gp
+        dv[:, glob] += cols.swapaxes(-1, -2) @ gp
         dv += rows.swapaxes(-1, -2) @ grow
-        _accum(q, dq, own=True)
-        _accum(kt, dk.swapaxes(-1, -2), own=True)
-        _accum(v, dv, own=True)
+        for t, dt in ((q, dq), (k, dk), (v, dv)):
+            _accum(t, _rows(dt, t.shape), own=True)
 
-    return _make(out, (q, kt, v), backward)
+    return _make(_rows(out, q.shape), (q, k, v), backward)
 
 
 _MAX_CELLS = 1 << 20  # cells of one [edges, H, d_head] chunk in edge_attention

@@ -10,7 +10,9 @@ unless the window is about n/3 or wider, where one dense block is cheaper.
 The decoder is a standard causal transformer with cross-attention over the
 compressed node embeddings, through ``nm.attention`` with a causal mask or
 none; memory rows get positional embeddings by their original token index
-in the source serialization.
+in the source serialization. Both kernels take the projected rows [n, d]
+and a head count and return attended rows, so the head layout never leaves
+them: this module makes no reshape or transpose node.
 """
 
 from __future__ import annotations
@@ -97,38 +99,13 @@ def _project_q(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return nm.linear(x, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
 
 
-def _project_kv(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
-                batch: int = 1) -> tuple[Tensor, Tensor]:
-    k = nm.linear(x, store[f"{prefix}.wk"])
-    v = nm.linear(x, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
-    return _heads(k, batch, n_heads, keys=True), _heads(v, batch, n_heads)
+def _project_kv(x: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+    return (nm.linear(x, store[f"{prefix}.wk"]),
+            nm.linear(x, store[f"{prefix}.wv"], store[f"{prefix}.bv"]))
 
 
-def _heads(x: Tensor, batch: int, n_heads: int, keys: bool = False) -> Tensor:
-    """Rows of ``x`` [batch·n, d] as [batch, heads, n, dh]; keys come
-    pre-transposed, as [batch, heads, dh, n]."""
-    n, dh = x.shape[0] // batch, x.shape[1] // n_heads
-    if n == 1:
-        return nm.reshape(x, (batch, n_heads, dh, 1) if keys else (batch, n_heads, 1, dh))
-    return nm.transpose(nm.reshape(x, (batch, n, n_heads, dh)),
-                        (0, 2, 3, 1) if keys else (0, 2, 1, 3))
-
-
-def _attend(q: Tensor, kt: Tensor, v: Tensor, store: ParamStore, prefix: str,
-            mask_add: np.ndarray | None) -> Tensor:
-    """Multi-head attention of query rows ``q`` [B·nq, d] over keys ``kt``
-    [B, H, dh, nk] and values ``v`` [B, H, nk, dh], then the output
-    projection. With one batch of keys, all rows attend to the same keys."""
-    batch, n_heads, dh, _ = kt.shape
-    heads = nm.attention(_heads(q, batch, n_heads), kt, v, 1.0 / np.sqrt(dh), mask_add)
-    return _merge(heads, q.shape, store, prefix)
-
-
-def _merge(heads: Tensor, shape: tuple, store: ParamStore, prefix: str) -> Tensor:
-    """Attended values [B, H, nq, dh] as rows of ``shape``, then the output
-    projection."""
-    merged = nm.reshape(nm.transpose(heads, (0, 2, 1, 3)), shape)
-    return nm.linear(merged, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
+def _project_out(a: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    return nm.linear(a, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
 def _ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -160,12 +137,9 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
         p = f"enc{i}.attn"
-        q = _project_q(x, store, p)
-        kt, v = _project_kv(x, store, p, cfg.n_heads)
-        heads = nm.band_attention(_heads(q, 1, cfg.n_heads), kt, v, 1.0 / np.sqrt(kt.shape[2]),
-                                  cfg.attention_window, sep)
-        a = _merge(heads, q.shape, store, p)
-        a = nm.dropout(a, cfg.dropout, rng, train)
+        a = nm.band_attention(_project_q(x, store, p), *_project_kv(x, store, p), cfg.n_heads,
+                              cfg.attention_window, sep)
+        a = nm.dropout(_project_out(a, store, p), cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"enc{i}.ln1")
         f = _ffn(x, store, f"enc{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
@@ -194,10 +168,9 @@ def unit_embeddings(rows: Tensor, boundaries: BoundaryIndex, graph: HeteroGraph)
 
 def _memory_kv(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
                cfg: TextModelConfig) -> list[tuple[Tensor, Tensor]]:
-    """Each decoder layer's cross-attention keys and values of the memory,
-    split into heads."""
+    """Each decoder layer's cross-attention key and value rows of the memory."""
     mem = nm.add(memory, nm.gather_rows(store["emb.pos_enc"], mem_positions))
-    return [_project_kv(mem, store, f"dec{i}.cross", cfg.n_heads)
+    return [_project_kv(mem, store, f"dec{i}.cross")
             for i in range(cfg.n_layers_dec)]
 
 
@@ -208,9 +181,9 @@ def _decoder(ids: list[int], positions: np.ndarray,
              rng: np.random.Generator | None = None) -> Tensor:
     """Logits of the decoder rows for tokens ``ids`` at ``positions``.
 
-    ``self_kv(i, x)`` gives layer i's self-attention keys and values for its
-    input rows ``x``, split into heads as ``_attend`` takes them; ``mask`` is
-    the additive mask of those queries over those keys. ``mem_kv`` comes from
+    ``self_kv(i, x)`` gives layer i's self-attention key and value rows for
+    its input rows ``x``, as ``nm.attention`` takes them; ``mask`` is the
+    additive mask of those queries over those keys. ``mem_kv`` comes from
     ``_memory_kv``.
     """
     if positions.size and positions.max() > cfg.max_out_len:
@@ -220,12 +193,12 @@ def _decoder(ids: list[int], positions: np.ndarray,
                nm.gather_rows(store["emb.pos_dec"], positions))
     for i in range(cfg.n_layers_dec):
         p = f"dec{i}.self"
-        a = _attend(_project_q(x, store, p), *self_kv(i, x), store, p, mask)
-        a = nm.dropout(a, cfg.dropout, rng, train)
+        a = nm.attention(_project_q(x, store, p), *self_kv(i, x), cfg.n_heads, mask)
+        a = nm.dropout(_project_out(a, store, p), cfg.dropout, rng, train)
         x = _ln(nm.add(x, a), store, f"dec{i}.ln1")
         p = f"dec{i}.cross"
-        c = _attend(_project_q(x, store, p), *mem_kv[i], store, p, None)
-        c = nm.dropout(c, cfg.dropout, rng, train)
+        c = nm.attention(_project_q(x, store, p), *mem_kv[i], cfg.n_heads)
+        c = nm.dropout(_project_out(c, store, p), cfg.dropout, rng, train)
         x = _ln(nm.add(x, c), store, f"dec{i}.ln2")
         f = _ffn(x, store, f"dec{i}.ffn")
         f = nm.dropout(f, cfg.dropout, rng, train)
@@ -246,7 +219,7 @@ def decode_teacher_forced(memory: Tensor, mem_positions: np.ndarray,
     t = len(target_ids)
     mem_kv = _memory_kv(memory, mem_positions, store, cfg)
     return _decoder(target_ids, np.arange(t),
-                    lambda i, x: _project_kv(x, store, f"dec{i}.self", cfg.n_heads), mem_kv,
+                    lambda i, x: _project_kv(x, store, f"dec{i}.self"), mem_kv,
                     causal_mask(t), store, cfg, train=train, rng=rng)
 
 
@@ -309,17 +282,17 @@ def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
                  cfg: TextModelConfig) -> Callable[[list[list[int]]], np.ndarray]:
     """The batched ``beam_search`` scorer of ``decode_beam``.
 
-    The memory's cross-attention keys and values are projected and split
-    into heads once. Each decoder layer keeps a cache of self-attention keys
-    ``[B, H, dh, t]`` and values ``[B, H, t, dh]``, one batch row per
-    hypothesis the previous call scored. A call re-gathers the cache by each
-    prefix's parent (the prefix without its last token), embeds only the B
-    last tokens, and attends each over its own cache row.
+    The memory's cross-attention keys and values are projected once. Each
+    decoder layer keeps a cache of self-attention key and value rows
+    ``[B, t, d]``, one batch row per hypothesis the previous call scored. A
+    call re-gathers the cache by each prefix's parent (the prefix without its
+    last token), embeds only the B last tokens, and attends each over its own
+    cache row.
     """
     with nm.no_grad():
         mem_kv = _memory_kv(memory, mem_positions, store, cfg)
-    empty = np.zeros((1, cfg.n_heads, cfg.d_model // cfg.n_heads, 0), dtype=nm.default_dtype())
-    cache = [(empty, empty.swapaxes(2, 3))] * cfg.n_layers_dec
+    empty = np.zeros((1, 0, cfg.d_model), dtype=nm.default_dtype())
+    cache = [(empty, empty)] * cfg.n_layers_dec
     rows = {(): 0}  # scored prefix -> its cache row
 
     def step(prefixes: list[list[int]]) -> np.ndarray:
@@ -329,9 +302,8 @@ def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
         grown = []
 
         def self_kv(i: int, x: Tensor) -> tuple[Tensor, Tensor]:
-            new = _project_kv(x, store, f"dec{i}.self", cfg.n_heads, batch=b)
-            kv = [np.concatenate([old[parents], n.data], axis=axis)
-                  for old, n, axis in zip(cache[i], new, (3, 2))]
+            kv = [np.concatenate([old[parents], new.data[:, None]], axis=1)
+                  for old, new in zip(cache[i], _project_kv(x, store, f"dec{i}.self"))]
             grown.append(kv)
             return Tensor(kv[0]), Tensor(kv[1])
 

@@ -344,10 +344,10 @@ def encoder_mask(n, window, global_positions):
     return np.where(allowed, 0.0, nm.MASK_FILL)
 
 
-def band_attention_oracle(q, kt, v, scale, window, glob):
-    """``nm.band_attention`` through the dense n x n mask, on the tape."""
-    mask = encoder_mask(q.shape[-2], window, glob)
-    return nm.attention(q, kt, v, scale, mask)
+def band_attention_oracle(q, k, v, n_heads, window, glob):
+    """``nm.band_attention`` of rows [n, d] through the dense n x n mask, on
+    the tape."""
+    return nm.attention(q, k, v, n_heads, encoder_mask(q.shape[0], window, glob))
 
 
 def attention_coefficient(h_i, h_j, e_ij, W, w, slope=0.2):

@@ -823,6 +823,20 @@ class TestGraphCommand:
         for etype, lst in g.edges.items():
             assert len(dumped["edges"][etype]) == len(lst)
 
+    def test_out_of_memory_is_a_numeric_error(self, tmp_path, capsys, monkeypatch,
+                                              toy_corpus_path, toy_embeddings_path):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(dgsum.cli, "cmd_graph", exhausted)
+        rc = main(["graph", "--data", str(toy_corpus_path), "--embeddings",
+                   str(toy_embeddings_path), "--out", str(tmp_path / "graphs"),
+                   "--embedding-dim", "8"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "numeric error: out of memory: Unable to allocate 8.00 GiB" in err
+        assert "Traceback" not in err
+
 
 def _npz_bytes():
     buf = io.BytesIO()

@@ -465,6 +465,15 @@ class TestExport:
         assert g.to_json() == to_json_oracle(g)
         assert '"WO": [[-1, 2, 1.0], [2, 9, 1.0], [-7, 1099511627776, 0.5]]' in g.to_json()
 
+    def test_dot_refuses_an_endpoint_outside_the_graph(self):
+        # DOT names nodes, so an endpoint past either end has no name to write
+        for edge in ((-1, 2), (2, 9)):
+            g = HeteroGraph(hand_built_nodes(), {"WO": [(2, 3, 1.0), edge + (1.0,)]})
+            with pytest.raises(DataError, match=rf"^to_dot: WO edge \({edge[0]},{edge[1]}\) "
+                                                r"has an endpoint outside \[0, 4\)$"):
+                g.to_dot("toy")
+            assert g.to_json() == to_json_oracle(g)
+
     def test_dot_name_is_quoted(self):
         g = HeteroGraph(hand_built_nodes(), {"WO": [(2, 3, 1.0)]})
         assert g.to_dot('a"b\\').splitlines()[0] == 'graph "a\\"b\\\\" {'

@@ -173,63 +173,89 @@ def one_key_row_mask(n):
     return m
 
 
+def heads(x, h, batch):
+    """Rows ``x`` [batch·n, d] or [batch, n, d] as [batch, h, n, d/h]: the
+    strided view the attention kernel takes of its operands."""
+    return x.reshape(batch, -1, h, x.shape[-1] // h).swapaxes(1, 2)
+
+
+def unheads(x, shape):
+    return x.swapaxes(1, 2).reshape(shape)
+
+
 class TestAttentionWeights:
     """``attention`` against the matmul/mul/add/softmax/matmul chain it
-    replaces: the attended values and the q, kt and v gradients must be
-    equal, not merely close."""
-
-    SCALE = 1.0 / np.sqrt(3.0)
+    replaces, run on leaves that wrap the head views the kernel takes of its
+    rows: the attended values and the q, k and v gradients must be equal,
+    not merely close."""
 
     @staticmethod
-    def chain(q, kt, v, scale, mask):
-        scores = nm.mul(nm.matmul(q, kt), scale)
+    def chain(q, k, v, h, mask, probe):
+        """(out, dq, dk, dv) as rows, from the chain over head views."""
+        kb = k.shape[0] if k.ndim == 3 else 1
+        qh, kt, vh = (nm.Tensor(x, requires_grad=True) for x in (
+            heads(q, h, kb), heads(k, h, kb).swapaxes(-1, -2), heads(v, h, kb)))
+        scores = nm.mul(nm.matmul(qh, kt), 1.0 / np.sqrt(q.shape[1] // h))
         if mask is not None:
             scores = nm.add(scores, mask)
-        return nm.matmul(nm.softmax(scores), v)
+        out = nm.matmul(nm.softmax(scores), vh)
+        nm.sum_(nm.mul(out, heads(probe, h, kb))).backward()
+        return (unheads(out.data, q.shape), unheads(qh.grad, q.shape),
+                unheads(kt.grad.swapaxes(-1, -2), k.shape), unheads(vh.grad, v.shape))
+
+    @staticmethod
+    def kernel(q, k, v, h, mask, probe):
+        leaves = [nm.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = nm.attention(*leaves, h, mask)
+        nm.sum_(nm.mul(out, probe)).backward()
+        return (out.data,) + tuple(t.grad for t in leaves)
 
     @pytest.mark.parametrize("b,h", [(1, 1), (1, 4), (3, 1), (3, 4)])
     @pytest.mark.parametrize("k_batch", ["own", "broadcast"])
     @pytest.mark.parametrize("mask", ["none", "causal", "encoder"])
     def test_equals_composed_chain(self, b, h, k_batch, mask):
+        """Query rows [b·n, d] over keys of their own batch [b, n, d], or over
+        keys [n, d] that all b·n rows share; those rows form one batch, so
+        the mask of one batch's n rows is tiled over the b batches."""
         from dgsum.text_model import causal_mask
-        n, dh, dv = 6, 3, 2
+        n, dh = 6, 3
         mask_add = {"none": None, "causal": causal_mask(n),
                     "encoder": one_key_row_mask(n)}[mask]
-        kb = b if k_batch == "own" else 1
-        q = rand_tensor(b, h, n, dh)
-        kt = rand_tensor(kb, h, dh, n)
-        v, = seeded_leaves(20, (kb, h, n, dv))
-        probe = rand_const(b, h, n, dv)
-        results = []
-        for fn in (nm.attention, self.chain):
-            for t in (q, kt, v):
-                t.zero_grad()
-            out = fn(q, kt, v, self.SCALE, mask_add)
-            nm.sum_(nm.mul(out, probe)).backward()
-            results.append((out.data, q.grad, kt.grad, v.grad))
-        for name, got, ref in zip(("out", "dq", "dkt", "dv"), *results):
+        kv_shape = (b, n, h * dh) if k_batch == "own" else (n, h * dh)
+        if k_batch == "broadcast" and mask_add is not None:
+            mask_add = np.tile(mask_add, (b, 1))
+        q, k = RNG.normal(size=(b * n, h * dh)), RNG.normal(size=kv_shape)
+        v = np.random.default_rng(20).normal(size=kv_shape)
+        probe = rand_const(b * n, h * dh).data
+        results = [fn(q, k, v, h, mask_add, probe) for fn in (self.kernel, self.chain)]
+        for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
             assert got.shape == ref.shape, name
             assert np.array_equal(got, ref), name
-        if mask == "encoder":  # row 0 weighs key 3 alone, by exactly 1.0
-            assert np.array_equal(results[0][0][..., 0, :],
-                                  np.broadcast_to(v.data[..., 3, :], (b, h, dv)))
+        if mask == "encoder":  # row 0 of each batch weighs key 3 alone, by exactly 1.0
+            assert np.array_equal(results[0][0][::n],
+                                  np.broadcast_to(v[..., 3, :], (b, h * dh)))
 
     def test_grad_check(self):
-        q = rand_tensor(2, 3, 6, 3)
-        kt = rand_tensor(1, 3, 3, 6)
-        v, = seeded_leaves(21, (1, 3, 6, 2))
-        probe = rand_const(2, 3, 6, 2)
-        mask = one_key_row_mask(6)
-        check(lambda: nm.sum_(nm.mul(nm.attention(q, kt, v, self.SCALE, mask), probe)),
-              {"q": q, "kt": kt, "v": v})
+        q = rand_tensor(12, 9)
+        k = rand_tensor(6, 9)
+        v, = seeded_leaves(21, (6, 9))
+        probe = rand_const(12, 9)
+        mask = np.tile(one_key_row_mask(6), (2, 1))
+        check(lambda: nm.sum_(nm.mul(nm.attention(q, k, v, 3, mask), probe)),
+              {"q": q, "k": k, "v": v})
 
     def test_shape_error_names_the_kernel(self):
-        v, = seeded_leaves(22, (1, 2, 4, 3))
-        with pytest.raises(ShapeError, match="^attention: "):  # q width != key width
-            nm.attention(rand_tensor(1, 2, 4, 3), rand_tensor(1, 2, 4, 4), v, 1.0)
-        q, kt, v = seeded_leaves(23, (1, 2, 4, 3), (1, 2, 3, 5), (1, 2, 4, 3))
-        with pytest.raises(ShapeError, match="^attention: "):  # 5 keys, 4 values
-            nm.attention(q, kt, v, 1.0)
+        for shapes, n_heads in [
+                (((4, 6), (1, 4, 8), (1, 4, 8)), 2),     # q width != key width
+                (((4, 6), (1, 5, 6), (1, 4, 6)), 2),     # 5 keys, 4 values
+                (((5, 6), (2, 4, 6), (2, 4, 6)), 2),     # 5 query rows in 2 key batches
+                (((4, 6), (1, 4, 6), (1, 4, 6)), 4),     # width 6 in 4 heads
+                (((4, 6), (1, 4, 6), (1, 4, 6)), 0),
+                (((2, 2, 6), (1, 4, 6), (1, 4, 6)), 2),  # queries not rows
+                (((4, 6), (1, 1, 4, 6), (1, 1, 4, 6)), 2)]:
+            q, k, v = seeded_leaves(23, *shapes)
+            with pytest.raises(ShapeError, match="^attention: "):
+                nm.attention(q, k, v, n_heads)
 
 
 class TestLinear:
@@ -349,15 +375,13 @@ class TestGradientOwnership:
 
 class TestBandAttention:
     """``band_attention`` against the dense-mask path it replaces in the
-    encoder: softmax(q @ kt * scale + encoder mask) @ v."""
-
-    SCALE = 1.0 / np.sqrt(3.0)
+    encoder: ``attention`` of the same rows under the encoder mask."""
 
     @staticmethod
-    def operands(b, h, n, dh=3, seed=0):
+    def operands(h, n, dh=3, seed=0):
+        """Query, key and value rows [n, h·dh]."""
         rng = np.random.default_rng(seed)
-        return [nm.Tensor(rng.normal(size=shape), requires_grad=True)
-                for shape in ((b, h, n, dh), (b, h, dh, n), (b, h, n, dh))]
+        return [nm.Tensor(rng.normal(size=(n, h * dh)), requires_grad=True) for _ in range(3)]
 
     @pytest.mark.parametrize("n, window, glob", [
         (1, 1, []), (1, 4, [0]), (2, 1, [1]), (5, 2, []), (5, 5, [2]), (5, 9, [0, 4]),
@@ -366,52 +390,54 @@ class TestBandAttention:
         (213, 16, list(range(0, 213, 11))), (130, 7, list(range(0, 130, 2)))])
     @pytest.mark.parametrize("b, h", [(1, 1), (2, 3)])
     def test_matches_the_dense_mask_oracle(self, n, window, glob, b, h):
-        q, kt, v = self.operands(b, h, n)
-        probe = np.random.default_rng(1).normal(size=(b, h, n, 3))
-        results = []
-        for fn in (nm.band_attention, band_attention_oracle):
-            for t in (q, kt, v):
-                t.zero_grad()
-            out = fn(q, kt, v, self.SCALE, window, glob)
-            nm.sum_(nm.mul(out, probe)).backward()
-            results.append((out.data, q.grad, kt.grad, v.grad))
-        for name, got, ref in zip(("out", "dq", "dkt", "dv"), *results):
-            assert got.shape == ref.shape, name
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        for seed in range(b):  # b independent inputs
+            q, k, v = self.operands(h, n, seed=seed)
+            probe = np.random.default_rng(1).normal(size=(n, h * 3))
+            results = []
+            for fn in (nm.band_attention, band_attention_oracle):
+                for t in (q, k, v):
+                    t.zero_grad()
+                out = fn(q, k, v, h, window, glob)
+                nm.sum_(nm.mul(out, probe)).backward()
+                results.append((out.data, q.grad, k.grad, v.grad))
+            for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
+                assert got.shape == ref.shape, name
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
     @pytest.mark.parametrize("window", [2, 4])  # three-block windows; one dense block
     def test_grad_check(self, window):
-        q, kt, v = self.operands(1, 2, 11, seed=3)
-        probe = rand_const(1, 2, 11, 3)
-        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, kt, v, self.SCALE, window,
-                                                       [0, 4, 5, 10]), probe)),
-              {"q": q, "kt": kt, "v": v})
+        q, k, v = self.operands(2, 11, seed=3)
+        probe = rand_const(11, 6)
+        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, k, v, 2, window, [0, 4, 5, 10]),
+                                     probe)),
+              {"q": q, "k": k, "v": v})
 
     @pytest.mark.parametrize("window", [80, 120, 240, 1000])
     def test_wide_window_needs_no_more_memory_than_dense(self, window):
         # from a window of n/3 up, the kernel scores one n x n block
         def peak(fn):
-            q, kt, v = self.operands(1, 2, 240, dh=8)
+            q, k, v = self.operands(2, 240, dh=8)
             tracemalloc.start()
-            nm.sum_(fn(q, kt, v, self.SCALE, window, [0, 120])).backward()
+            nm.sum_(fn(q, k, v, 2, window, [0, 120])).backward()
             got = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             return got
         assert peak(nm.band_attention) <= peak(band_attention_oracle)
 
-    GOOD = ((1, 2, 5, 3), (1, 2, 3, 5), (1, 2, 5, 3))
+    GOOD = ((5, 6), (5, 6), (5, 6))
 
     @pytest.mark.parametrize("shapes, window, glob", [
-        (((1, 2, 5, 3), (1, 2, 3, 4), (1, 2, 5, 3)), 2, []),  # keys of another length
-        (((1, 2, 5, 3), (1, 2, 4, 5), (1, 2, 5, 3)), 2, []),  # keys of another width
-        (((1, 2, 5, 3), (1, 2, 3, 5), (1, 2, 5, 4)), 2, []),  # values of another width
-        (((2, 5, 3), (2, 3, 5), (2, 5, 3)), 2, []),            # no batch axis
-        (((1, 2, 0, 3), (1, 2, 3, 0), (1, 2, 0, 3)), 2, []),  # no rows
-        (GOOD, 0, []), (GOOD, 2, [5]), (GOOD, 2, [-1])])
+        (((5, 6), (4, 6), (5, 6)), 2, []),           # keys of another length
+        (((5, 6), (5, 8), (5, 6)), 2, []),           # keys of another width
+        (((5, 6), (5, 6), (5, 8)), 2, []),           # values of another width
+        (((1, 5, 6), (1, 5, 6), (1, 5, 6)), 2, []),  # a batch axis
+        (((0, 6), (0, 6), (0, 6)), 2, []),           # no rows
+        (GOOD, 0, []), (GOOD, 2, [5]), (GOOD, 2, [-1]),
+        (((5, 5), (5, 5), (5, 5)), 2, [])])          # width 5 in 2 heads
     def test_shape_error_names_the_kernel(self, shapes, window, glob):
-        q, kt, v = (rand_tensor(*s) for s in shapes)
+        q, k, v = (rand_tensor(*s) for s in shapes)
         with pytest.raises(ShapeError, match="band_attention"):
-            nm.band_attention(q, kt, v, 1.0, window, glob)
+            nm.band_attention(q, k, v, 2, window, glob)
 
 
 class TestTapeRelease:

@@ -425,3 +425,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak_mb < 120.0, f"encode_text peaked at {peak_mb:.1f} MB"
+
+    def test_tape_keeps_no_head_split_arrays(self, table_for):
+        """Before backward, the tape of an encoder plus teacher-forced decoder
+        loss holds no node of rank 4: heads are strided views inside the
+        attention kernels, not [B, H, n, dh] nodes kept until backward."""
+        _, vocab, cfg, store, ids, bounds, _ = encode_fixture(table_for,
+                                                              cfg=tiny_cfg(n_layers_dec=2))
+        positions = np.arange(0, len(ids), 2)
+        memory = nm.gather_rows(encode_text(ids, bounds, store, cfg), positions)
+        target = [Vocab.BOS] + ids[1:6]
+        logits = decode_teacher_forced(memory, positions, target, store, cfg)
+        loss = nm.cross_entropy_smoothed(logits, target[1:] + [Vocab.EOS], smoothing=0.1)
+        tape, seen, stack = [], set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                tape.append(t)
+                stack.extend(t._parents)
+        assert len(tape) > 60
+        assert [t.shape for t in tape if t.ndim >= 4] == []

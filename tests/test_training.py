@@ -446,3 +446,12 @@ class TestMemory:
         total, peak_mb = long_step_peak()
         assert np.isfinite(total)
         assert peak_mb < 90.0, f"train_step peaked at {peak_mb:.1f} MB"
+
+    def test_train_step_keeps_no_head_split_copies(self):
+        """The same step stays under 57 MB. A reshape and a transpose copy
+        for each head split of q, k and v and for each head merge, all kept
+        until backward, peaked at 59.6 MB here; attention kernels that take
+        rows and split heads by strided views, at 54.4 MB."""
+        total, peak_mb = long_step_peak()
+        assert np.isfinite(total)
+        assert peak_mb < 57.0, f"train_step peaked at {peak_mb:.1f} MB"
