@@ -2,13 +2,13 @@
 concatenated within a channel, channels concatenated per node, then a shared
 linear transform back to the input width so layers stack.
 
-Attention coefficients are modulated by the stored edge weight:
-d_ij = leaky_relu(e_ij * w^T [W h_i || W h_j]), slope 0.2; softmax runs over
-the typed neighborhood plus a unit-weight self-loop, so nodes without edges
-of a type still produce output. Each channel works on its edge list (CSR
-segments per node), and one ``nm.edge_attention`` call runs all its heads.
-``mgat_encode`` builds every channel's edge list once from the graph's
-``edges``, in canonical node numbering, and all layers reuse it.
+Attention coefficients are modulated by the stored edge weight: head m has
+d_ij = leaky_relu(e_ij * a_m^T [W_m h_i || W_m h_j]), slope 0.2; softmax runs
+over the typed neighborhood plus a unit-weight self-loop, so nodes without
+edges of a type still produce output. A channel's heads are one W [d_in,
+H*d_head] and one a [H, 2*d_head], read by one ``nm.linear`` and one
+``nm.edge_attention`` call over the channel's CSR edge list; ``mgat_encode``
+builds each edge list once, in canonical node numbering, for all layers.
 """
 
 from __future__ import annotations
@@ -45,13 +45,19 @@ class MgatConfig:
 
 
 def add_mgat_params(store: ParamStore, cfg: MgatConfig, rng: np.random.Generator) -> None:
+    """Per layer, each channel's W and a, then U [width, d_in]. Each head is
+    Glorot-drawn over its own (d_head, d_in) fan, head by head, W then a, and
+    U over (d_in, width); the draws are stored as the kernels read them."""
+    dh, d_in = cfg.d_head, cfg.d_in
     for layer in range(cfg.n_layers):
         for ch in cfg.channels:
+            W = store.add(f"mgat{layer}.{ch}.W", (d_in, cfg.n_heads * dh), rng, "zeros")
+            a = store.add(f"mgat{layer}.{ch}.a", (cfg.n_heads, 2 * dh), rng, "zeros")
             for m in range(cfg.n_heads):
-                store.add(f"mgat{layer}.{ch}.h{m}.W", (cfg.d_head, cfg.d_in), rng)
-                store.add(f"mgat{layer}.{ch}.h{m}.w", (2 * cfg.d_head,), rng)
-        width = len(cfg.channels) * cfg.n_heads * cfg.d_head
-        store.add(f"mgat{layer}.U", (cfg.d_in, width), rng)
+                W.data[:, m * dh:(m + 1) * dh] = nm.xavier_uniform((dh, d_in), rng).T
+                a.data[m] = nm.xavier_uniform((2 * dh,), rng)
+        U = store.add(f"mgat{layer}.U", (len(cfg.channels) * cfg.n_heads * dh, d_in), rng, "zeros")
+        U.data[...] = nm.xavier_uniform(U.shape[::-1], rng).T
 
 
 @dataclass(frozen=True)
@@ -90,35 +96,26 @@ def channel_edges(graph: HeteroGraph, channel: str,
     return EdgeIndex(src, dst, w, np.searchsorted(src, np.arange(n + 1)), rev)
 
 
-def channel_attention(node_embs: Tensor, ix: EdgeIndex,
-                      head_params: list[tuple[Tensor, Tensor]]) -> Tensor:
+def channel_attention(node_embs: Tensor, ix: EdgeIndex, W: Tensor, a: Tensor) -> Tensor:
     """Per-node embeddings for one channel: heads concatenated, each head
-    elu(sum_j alpha_ij W h_j) with alpha the softmax, within node i's
+    elu(sum_j alpha_ij W_m h_j) with alpha the softmax, within node i's
     neighbourhood ``ix`` (self-loop weight 1 included), of the
-    edge-weight-modulated coefficients; one matmul and one kernel for all heads."""
+    edge-weight-modulated coefficients; one ``linear`` and one kernel call."""
     n = len(ix.indptr) - 1
     if node_embs.shape[0] != n:
         raise AlignmentError(f"channel_attention: {node_embs.shape[0]} embeddings for "
                              f"{n} nodes")
-    W, w = (nm.concat(list(p), axis=0) if len(p) > 1 else p[0] for p in zip(*head_params))
-    s = nm.matmul(node_embs, nm.transpose(W))                 # [n, H * d_head]
-    heads, d_head = len(head_params), s.shape[1] // len(head_params)
-    out = nm.edge_attention(nm.reshape(s, (n, heads, d_head)),
-                            nm.reshape(w, (heads, 2 * d_head)), ix)
-    return nm.elu(nm.reshape(out, (n, heads * d_head)))
+    return nm.elu(nm.edge_attention(nm.linear(node_embs, W), a, ix))
 
 
 def mgat_layer(node_embs: Tensor, channels: dict[str, EdgeIndex], store: ParamStore,
-               layer: int, cfg: MgatConfig) -> Tensor:
+               layer: int) -> Tensor:
     """One layer: concat the per-channel embeddings, in ``channels`` order,
     and apply the shared U."""
-    blocks = []
-    for ch, ix in channels.items():
-        head_params = [(store[f"mgat{layer}.{ch}.h{m}.W"], store[f"mgat{layer}.{ch}.h{m}.w"])
-                       for m in range(cfg.n_heads)]
-        blocks.append(channel_attention(node_embs, ix, head_params))
+    blocks = [channel_attention(node_embs, ix, store[f"mgat{layer}.{ch}.W"],
+                                store[f"mgat{layer}.{ch}.a"]) for ch, ix in channels.items()]
     stacked = blocks[0] if len(blocks) == 1 else nm.concat(blocks, axis=1)
-    return nm.matmul(stacked, nm.transpose(store[f"mgat{layer}.U"]))
+    return nm.linear(stacked, store[f"mgat{layer}.U"])
 
 
 def mgat_encode(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
@@ -137,6 +134,6 @@ def mgat_encode(node_embs: Tensor, graph: HeteroGraph, store: ParamStore,
     channels = {ch: channel_edges(graph, ch, rank) for ch in cfg.channels}
     h = node_embs if order is None else nm.gather_rows(node_embs, order)
     for layer in range(cfg.n_layers):
-        out = mgat_layer(h, channels, store, layer, cfg)
+        out = mgat_layer(h, channels, store, layer)
         h = nm.add(h, out) if cfg.residual else out
     return h if order is None else nm.gather_rows(h, rank)

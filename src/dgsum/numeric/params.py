@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from .tensor import Tensor, default_dtype
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: one MGAT weight per channel, mgat{l}.{ch}.W / .a
 
 
 def xavier_bound(shape: tuple[int, ...]) -> float:
@@ -19,6 +19,12 @@ def xavier_bound(shape: tuple[int, ...]) -> float:
     else:
         fan_in, fan_out = shape[0], 1
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
+
+
+def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A Glorot uniform draw of ``shape``, in float64."""
+    b = xavier_bound(shape)
+    return rng.uniform(-b, b, size=shape)
 
 
 class ParamStore:
@@ -32,8 +38,7 @@ class ParamStore:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         if init == "xavier":
-            b = xavier_bound(shape)
-            data = rng.uniform(-b, b, size=shape)
+            data = xavier_uniform(shape, rng)
         elif init == "zeros":
             data = np.zeros(shape)
         elif init == "ones":
@@ -58,9 +63,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def total_count(self) -> int:
         return sum(t.size for t in self._params.values())

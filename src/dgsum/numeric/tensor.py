@@ -9,9 +9,9 @@ What the tape holds until backward is each node's output plus what its
 closure saves: most primitives save only their operands, which are other
 nodes' outputs; ``linear`` computes x @ w + b as one node, so no bare product
 is kept; ``elu`` saves its output, from which its derivative follows; the
-attention kernels take query, key and value rows [n, d] and a head count,
-split heads by strided views of those rows, return the attended rows and
-save only their softmax weights, so no head-split copy is kept. A backward
+attention kernels take rows [n, d], split heads by strided views of those
+rows, return the attended rows and save only their softmax weights, so no
+head-split copy is kept. A backward
 hands an array over to ``_accum`` (``own=True``) only when it has just
 computed it and holds it nowhere else; the first gradient of a tensor is
 then that array itself, not a copy. Views of the incoming gradient (add,
@@ -622,36 +622,37 @@ def _edge_sum(coef, vals, ix, dot=None):
     return out, dots
 
 
-def edge_attention(s, w, ix) -> Tensor:
+def edge_attention(s, a, ix) -> Tensor:
     """All heads of one attention channel over ``ix``, a symmetric
-    ``mgat.EdgeIndex``. For s [n, H, dh] and w [H, 2*dh], alpha is the softmax
-    per src segment of leaky_relu((s[src] . w[:, :dh] + s[dst] . w[:, dh:]) *
-    weight), slope 0.2, and the output [n, H, dh] is sum_k alpha_k s[dst_k]. It
-    saves alpha [E, H]; backward regathers s and scatters over dst by ``rev``."""
-    s, w = as_tensor(s), as_tensor(w)
-    n, heads, dh = s.shape
-    if w.shape != (heads, 2 * dh) or len(ix.indptr) != n + 1:
-        raise ShapeError(f"edge_attention: s {s.shape}, w {w.shape}, {len(ix.indptr) - 1} nodes")
+    ``mgat.EdgeIndex``, for node rows s [n, H*dh] and a [H, 2*dh]; head h is the
+    view s[:, h*dh:(h+1)*dh]. Per head, alpha is the softmax per src segment of
+    leaky_relu((s[src] . a[h, :dh] + s[dst] . a[h, dh:]) * weight), slope 0.2,
+    and the output rows are sum_k alpha_k s[dst_k]. It saves alpha [E, H];
+    backward regathers s and scatters over dst by ``rev``."""
+    s, a = as_tensor(s), as_tensor(a)
+    n, heads, dh = len(s.data), len(a.data), a.shape[-1] // 2
+    if s.shape != (n, heads * dh) or a.shape != (heads, 2 * dh) or len(ix.indptr) != n + 1:
+        raise ShapeError(f"edge_attention: s {s.shape}, a {a.shape}, {len(ix.indptr) - 1} nodes")
+    sh, a2 = s.data.reshape(n, heads, dh), a.data.reshape(heads, 2, dh)
     src, dst, rev, starts = ix.src, ix.dst, ix.rev, ix.indptr[:-1]
     ew = ix.weight.astype(s.data.dtype)[:, None]
-    w2 = w.data.reshape(heads, 2, dh)
-    a = np.einsum("nhd,hcd->nhc", s.data, w2)  # a_src, a_dst
-    alpha = (a[src, :, 0] + a[dst, :, 1]) * ew
+    e = np.einsum("nhd,hcd->nhc", sh, a2)  # e_src, e_dst
+    alpha = (e[src, :, 0] + e[dst, :, 1]) * ew
     alpha[alpha <= 0] *= 0.2
     alpha -= np.maximum.reduceat(alpha, starts, axis=0)[src]
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduceat(alpha, starts, axis=0)[src]
 
     def backward(g):
-        ds, dalpha = _edge_sum(alpha[rev], g, ix, dot=s.data)
+        ds, dalpha = _edge_sum(alpha[rev], g.reshape(sh.shape), ix, dot=sh)
         dalpha = dalpha[rev]  # <g[src], s[dst]> per edge
         dz = alpha * (dalpha - np.add.reduceat(alpha * dalpha, starts, axis=0)[src]) * ew
-        dz[(a[src, :, 0] + a[dst, :, 1]) * ew <= 0] *= 0.2
-        da = np.add.reduceat(np.stack([dz, dz[rev]], axis=2), starts, axis=0)  # d a_src, a_dst
-        _accum(s, ds + np.einsum("nhc,hcd->nhd", da, w2), own=True)
-        _accum(w, np.einsum("nhc,nhd->hcd", da, s.data).reshape(w.shape))
+        dz[(e[src, :, 0] + e[dst, :, 1]) * ew <= 0] *= 0.2
+        de = np.add.reduceat(np.stack([dz, dz[rev]], axis=2), starts, axis=0)  # d e_src, e_dst
+        _accum(s, np.add(ds, np.einsum("nhc,hcd->nhd", de, a2), out=ds).reshape(s.shape), own=True)
+        _accum(a, np.einsum("nhc,nhd->hcd", de, sh).reshape(a.shape), own=True)
 
-    return _make(_edge_sum(alpha, s.data, ix)[0], (s, w), backward)
+    return _make(_edge_sum(alpha, sh, ix)[0].reshape(s.shape), (s, a), backward)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

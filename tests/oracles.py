@@ -452,18 +452,33 @@ def segment_sum(a, indptr):
     return _make(data, (a,), backward)
 
 
-def channel_attention_oracle(node_embs, ix, head_params):
+def head_arrays(W, a):
+    """Head m's (W_m [d_head, d_in], a_m [2*d_head]), the per-head layout of
+    the formulas, out of a channel's arrays W [d_in, H*d_head] and a [H, 2*d_head]."""
+    dh = a.shape[1] // 2
+    return [(W[:, m * dh:(m + 1) * dh].T, a[m]) for m in range(len(a))]
+
+
+def _tape_heads(W, a):
+    """Head m's (W_m [d_in, d_head], a_m [2*d_head]) as tape slices of a
+    channel's W and a, so their gradients reach W and a."""
+    dh = a.shape[1] // 2
+    return [(nm.slice_axis(W, 1, m * dh, (m + 1) * dh),
+             nm.reshape(nm.slice_axis(a, 0, m, m + 1), (2 * dh,))) for m in range(a.shape[0])]
+
+
+def channel_attention_oracle(node_embs, ix, W, a):
     """Edge-list channel attention one head at a time from tape primitives:
     per head, gathers of a_src[src], a_dst[dst] and s[dst], a softmax within
     each src segment, and a segment sum; heads concatenated. The fused
     ``nm.edge_attention`` must match it."""
     ew = ix.weight[:, None]
     heads = []
-    for W, w in head_params:
-        s = nm.matmul(node_embs, nm.transpose(W))           # [n, d_head]
+    for W_m, a_m in _tape_heads(W, a):
+        s = nm.matmul(node_embs, W_m)                        # [n, d_head]
         d_head = s.shape[1]
-        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
-        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
+        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(a_m, 0, 0, d_head), (d_head, 1)))
+        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(a_m, 0, d_head, 2 * d_head), (d_head, 1)))
         raw = nm.add(nm.gather_rows(a_src, ix.src), nm.gather_rows(a_dst, ix.dst))  # [E, 1]
         d = nm.leaky_relu(nm.mul(raw, ew))
         shift = np.maximum.reduceat(d.data, ix.indptr[:-1], axis=0)[ix.src]  # constant
@@ -474,16 +489,16 @@ def channel_attention_oracle(node_embs, ix, head_params):
     return heads[0] if len(heads) == 1 else nm.concat(heads, axis=1)
 
 
-def dense_channel_attention_oracle(h, edge_weights, mask, head_params, slope=0.2):
+def dense_channel_attention_oracle(h, edge_weights, mask, W, a, slope=0.2):
     """Channel attention on the tape over dense n x n matrices: a masked
     softmax over each full row, heads concatenated; its gradients are the
     reference for the edge-list channel's."""
     heads = []
-    for W, w in head_params:
-        s = nm.matmul(h, nm.transpose(W))
+    for W_m, a_m in _tape_heads(W, a):
+        s = nm.matmul(h, W_m)
         d_head = s.shape[1]
-        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, 0, d_head), (d_head, 1)))
-        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(w, 0, d_head, 2 * d_head), (d_head, 1)))
+        a_src = nm.matmul(s, nm.reshape(nm.slice_axis(a_m, 0, 0, d_head), (d_head, 1)))
+        a_dst = nm.matmul(s, nm.reshape(nm.slice_axis(a_m, 0, d_head, 2 * d_head), (d_head, 1)))
         raw = nm.add(a_src, nm.transpose(a_dst))
         d = nm.leaky_relu(nm.mul(raw, edge_weights), slope)
         alpha = nm.softmax(nm.masked_fill(d, ~mask, nm.MASK_FILL))

@@ -30,7 +30,8 @@ from dgsum.training import (ModelConfig, Resources, TrainConfig, fit,
                             summarize_bundle, train_step)
 from conftest import all_tokens, cluster_from_texts
 from oracles import (attention_coefficient, decode_greedy, dense_channel_oracle,
-                     enumerate_graph_oracle, graph_to_oracle_form, rouge_l_summary_oracle)
+                     enumerate_graph_oracle, graph_to_oracle_form, head_arrays,
+                     rouge_l_summary_oracle)
 
 import math
 
@@ -223,8 +224,8 @@ def test_criterion_3_gradient_suite(table_for):
             return nm.mean(nm.mul(mgat_encode(h, g, store, cfg), mg_probe))
 
         all_params = dict(store.items())
-        assert all(f"mgat{l}.{c}.h{m}.W" in all_params
-                   for l in range(2) for c in EDGE_TYPES for m in range(2))
+        assert all(f"mgat{l}.{c}.{p}" in all_params
+                   for l in range(2) for c in EDGE_TYPES for p in ("W", "a"))
         all_params["h0"] = h
         assert nm.grad_check(mgat_loss, all_params, max_entries=24) < 1e-5
 
@@ -294,8 +295,7 @@ def test_criterion_4_mgat_properties(table_for):
             h = rng.normal(size=(g.n_nodes, 6))
             for ch in EDGE_TYPES:
                 ew, mask = dense_channel_oracle(g, ch)
-                W = store[f"mgat0.{ch}.h0.W"].data
-                w = store[f"mgat0.{ch}.h0.w"].data
+                W, w = head_arrays(store[f"mgat0.{ch}.W"].data, store[f"mgat0.{ch}.a"].data)[0]
                 s = h @ W.T
                 raw = (s @ w[:3])[:, None] + (s @ w[3:])[None, :]
                 d = np.where(raw * ew > 0, raw * ew, 0.2 * raw * ew)
@@ -315,13 +315,12 @@ def test_criterion_4_mgat_properties(table_for):
         table = table_for([cluster])
         g = build_hetero_graph(cluster, table, MeanWordEmbedder(table), GraphConfig())
         h = Tensor(rng.normal(size=(g.n_nodes, 6)))
-        heads = {ch: [(store[f"mgat0.{ch}.h{m}.W"], store[f"mgat0.{ch}.h{m}.w"])
-                      for m in range(2)] for ch in EDGE_TYPES}
-        before = {ch: channel_attention(h, channel_edges(g, ch), heads[ch]).data
+        params = {ch: (store[f"mgat0.{ch}.W"], store[f"mgat0.{ch}.a"]) for ch in EDGE_TYPES}
+        before = {ch: channel_attention(h, channel_edges(g, ch), *params[ch]).data
                   for ch in EDGE_TYPES}
         stripped = HeteroGraph(g.nodes, {**g.edges, "WO": []})
         for ch in EDGE_TYPES:
-            after = channel_attention(h, channel_edges(stripped, ch), heads[ch]).data
+            after = channel_attention(h, channel_edges(stripped, ch), *params[ch]).data
             if ch == "WO":
                 assert not np.array_equal(after, before[ch])
             else:

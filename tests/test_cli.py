@@ -22,8 +22,8 @@ from dgsum.rouge import corpus_rouge
 from dgsum.text_model import TextModelConfig
 from dgsum.training import ModelConfig, TrainConfig
 from conftest import all_tokens, generated_records, write_cluster_file, write_embedding_file
-from oracles import (rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy, to_dot_oracle,
-                     to_json_oracle)
+from oracles import (head_arrays, rouge_l_summary_oracle, rouge_n_oracle, summarize_greedy,
+                     to_dot_oracle, to_json_oracle)
 
 TOY_FLAGS = ["--d-model", "16", "--n-heads", "2", "--ffn-dim", "24",
              "--n-layers-enc", "1", "--n-layers-dec", "1",
@@ -942,6 +942,32 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert f"{bad}" in err and message in err
         assert "pickle" not in err and "Traceback" not in err
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path, capsys, trained_model,
+                                             toy_corpus_path, toy_embeddings_path):
+        """A checkpoint of the per-head MGAT layout (version 1: mgat{l}.{ch}.h{m}.W
+        [d_head, d_in] and .w [2*d_head], U [d_in, width]) is a data error."""
+        ckpt = trained_model / "checkpoint.npz"
+        old = {"__format_version__": np.asarray([1])}
+        with np.load(ckpt) as new:
+            for name in set(new.files) - {"__format_version__"}:
+                prefix, _, kind = name.rpartition(".")
+                if not name.startswith("mgat"):
+                    old[name] = new[name]
+                elif kind == "U":
+                    old[name] = new[name].T
+                elif kind == "a":
+                    for m, (W, w) in enumerate(head_arrays(new[f"{prefix}.W"], new[name])):
+                        old[f"{prefix}.h{m}.W"], old[f"{prefix}.h{m}.w"] = W, w
+        assert "mgat0.WE.h0.W" in old and "mgat0.WE.W" not in old
+        np.savez(ckpt, **old)
+        out = tmp_path / "hyp.jsonl"
+        assert main(["summarize", "--model", str(trained_model), "--data",
+                     str(toy_corpus_path), "--embeddings", str(toy_embeddings_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: unsupported checkpoint version 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "graph"])
     def test_non_empty_out_is_refused(self, tmp_path, capsys, toy_corpus_path,

@@ -16,7 +16,7 @@ from dgsum.numeric import ParamStore, Tensor
 from conftest import cluster_from_texts
 from oracles import (attention_coefficient, channel_attention_oracle,
                      dense_channel_attention_oracle, dense_channel_oracle,
-                     dense_gat_channel_oracle, union_channel_oracle)
+                     dense_gat_channel_oracle, head_arrays, union_channel_oracle)
 
 RNG = np.random.default_rng(2024)
 
@@ -72,11 +72,11 @@ class TestChannelAttention:
         from dgsum.hetgraph import NodeId
         node = NodeId(kind="document", index=0, doc=0, token_position=0)
         g = HeteroGraph([node], {t: [] for t in EDGE_TYPES})
-        W = Tensor(RNG.normal(size=(3, 5)))
-        w = Tensor(RNG.normal(size=6))
+        W = Tensor(RNG.normal(size=(5, 3)))
+        a = Tensor(RNG.normal(size=(1, 6)))
         h = Tensor(RNG.normal(size=(1, 5)))
-        out = channel_attention(h, channel_edges(g, "WO"), [(W, w)])
-        s = h.data @ W.data.T
+        out = channel_attention(h, channel_edges(g, "WO"), W, a)
+        s = h.data @ W.data
         expected = np.where(s > 0, s, np.expm1(np.minimum(s, 0)))
         assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -106,22 +106,22 @@ class TestChannelAttention:
         g = HeteroGraph(nodes, {**{t: [] for t in EDGE_TYPES},
                                 "WO": [(0, 1, 1.0), (1, 2, 1.0)]})
         rng = np.random.default_rng(9)
-        W = rng.normal(size=(3, 4))
-        w = rng.normal(size=6)
+        W = rng.normal(size=(4, 3))
+        a = rng.normal(size=(1, 6))
         h = rng.normal(size=(3, 4))
-        got = channel_attention(Tensor(h), channel_edges(g, "WO"), [(Tensor(W), Tensor(w))])
+        got = channel_attention(Tensor(h), channel_edges(g, "WO"), Tensor(W), Tensor(a))
         ew, mask = dense_channel_oracle(g, "WO")
-        expected = dense_gat_channel_oracle(h, ew, mask, W, w)
+        expected = dense_gat_channel_oracle(h, ew, mask, W.T, a[0])
         assert np.allclose(got.data, expected, atol=1e-10)
 
     def test_heads_concatenated(self, table_for):
         g = small_graph(table_for)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        heads = [(Tensor(RNG.normal(size=(4, 6))), Tensor(RNG.normal(size=8)))
-                 for _ in range(3)]
-        out = channel_attention(h, channel_edges(g, "SS"), heads)
+        W, a = Tensor(RNG.normal(size=(6, 12))), Tensor(RNG.normal(size=(3, 8)))
+        out = channel_attention(h, channel_edges(g, "SS"), W, a)
         assert out.shape == (g.n_nodes, 12)
-        solo = channel_attention(h, channel_edges(g, "SS"), heads[:1])
+        solo = channel_attention(h, channel_edges(g, "SS"),
+                                 Tensor(W.data[:, :4].copy()), Tensor(a.data[:1]))
         assert np.array_equal(out.data[:, :4], solo.data)
 
 
@@ -159,16 +159,15 @@ class TestEdgeListChannel:
         for n in (7, 23, 40):
             g = random_graph(rng, n)
             h = rng.normal(size=(n, 5))
-            heads = [(rng.normal(size=(3, 5)), rng.normal(size=6)) for _ in range(2)]
+            W, a = rng.normal(size=(5, 6)), rng.normal(size=(2, 6))
             for ch in self.channels():
-                got = channel_attention(Tensor(h), channel_edges(g, ch),
-                                        [(Tensor(W), Tensor(w)) for W, w in heads])
+                got = channel_attention(Tensor(h), channel_edges(g, ch), Tensor(W), Tensor(a))
                 ew, mask = self.dense(g, ch)
-                ref = np.concatenate([dense_gat_channel_oracle(h, ew, mask, W, w)
-                                      for W, w in heads], axis=1)
+                ref = np.concatenate([dense_gat_channel_oracle(h, ew, mask, W_m, a_m)
+                                      for W_m, a_m in head_arrays(W, a)], axis=1)
                 assert rel_err(got.data, ref) <= 1e-12, ch
                 # the edgeless node attends only to itself
-                s_last = np.concatenate([h[-1] @ W.T for W, _ in heads])
+                s_last = h[-1] @ W
                 assert np.allclose(got.data[-1], np.where(s_last > 0, s_last,
                                                           np.expm1(np.minimum(s_last, 0))),
                                    rtol=1e-14, atol=0.0)
@@ -180,9 +179,9 @@ class TestEdgeListChannel:
             probe = rng.normal(size=(n, 6))
             for ch in self.channels():
                 h = Tensor(rng.normal(size=(n, 5)), requires_grad=True)
-                heads = [(Tensor(rng.normal(size=(3, 5)), requires_grad=True),
-                          Tensor(rng.normal(size=6), requires_grad=True)) for _ in range(2)]
-                leaves = [h] + [t for pair in heads for t in pair]
+                W = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+                a = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+                leaves = [h, W, a]
 
                 def grads(out):
                     for t in leaves:
@@ -190,9 +189,9 @@ class TestEdgeListChannel:
                     nm.sum_(nm.mul(out, probe)).backward()
                     return out.data, [t.grad.copy() for t in leaves]
 
-                got_out, got = grads(channel_attention(h, channel_edges(g, ch), heads))
+                got_out, got = grads(channel_attention(h, channel_edges(g, ch), W, a))
                 ew, mask = self.dense(g, ch)
-                ref_out, ref = grads(dense_channel_attention_oracle(h, ew, mask, heads))
+                ref_out, ref = grads(dense_channel_attention_oracle(h, ew, mask, W, a))
                 assert rel_err(got_out, ref_out) <= 1e-12, ch
                 for a, b in zip(got, ref):
                     assert rel_err(a, b) <= 1e-12, ch
@@ -222,7 +221,7 @@ class TestMgatLayer:
         cfg = MgatConfig(n_layers=1, n_heads=2, d_in=6, d_head=3)
         store = tiny_params(cfg)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        out = mgat_layer(h, channels_of(g), store, 0, cfg)
+        out = mgat_layer(h, channels_of(g), store, 0)
         assert out.shape == (g.n_nodes, 6)
 
     def test_zero_u_zero_output(self, table_for):
@@ -231,34 +230,33 @@ class TestMgatLayer:
         store = tiny_params(cfg)
         store["mgat0.U"].data[...] = 0.0
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        out = mgat_layer(h, channels_of(g), store, 0, cfg)
+        out = mgat_layer(h, channels_of(g), store, 0)
         assert np.all(out.data == 0.0)
 
     def test_channel_block_permutation(self, table_for):
-        """Permuting the channel order with matching U column blocks leaves
-        the output unchanged: channels map to fixed blocks of U's input."""
+        """Permuting the channel order with matching U row blocks leaves the
+        output unchanged: channels map to fixed blocks of U's input."""
         g = small_graph(table_for)
         cfg = MgatConfig(n_layers=1, n_heads=1, d_in=6, d_head=3)
         store = tiny_params(cfg, seed=3)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        base = mgat_layer(h, channels_of(g), store, 0, cfg)
+        base = mgat_layer(h, channels_of(g), store, 0)
 
         perm = [3, 0, 5, 1, 4, 2]
         channels = tuple(EDGE_TYPES[i] for i in perm)
         permuted = ParamStore()
         rng = np.random.default_rng(0)
         for ch in channels:
-            for m in range(cfg.n_heads):
-                for suffix in ("W", "w"):
-                    src = store[f"mgat0.{ch}.h{m}.{suffix}"]
-                    t = permuted.add(f"mgat0.{ch}.h{m}.{suffix}", src.shape, rng)
-                    t.data[...] = src.data
+            for suffix in ("W", "a"):
+                src = store[f"mgat0.{ch}.{suffix}"]
+                t = permuted.add(f"mgat0.{ch}.{suffix}", src.shape, rng)
+                t.data[...] = src.data
         width = cfg.d_head * cfg.n_heads
         u = store["mgat0.U"].data
-        blocks = [u[:, i * width:(i + 1) * width] for i in range(6)]
+        blocks = [u[i * width:(i + 1) * width] for i in range(6)]
         t = permuted.add("mgat0.U", u.shape, rng)
-        t.data[...] = np.concatenate([blocks[i] for i in perm], axis=1)
-        out = mgat_layer(h, channels_of(g, channels), permuted, 0, cfg)
+        t.data[...] = np.concatenate([blocks[i] for i in perm], axis=0)
+        out = mgat_layer(h, channels_of(g, channels), permuted, 0)
         assert np.allclose(out.data, base.data, atol=1e-12)
 
 
@@ -291,12 +289,46 @@ class TestMgatEncode:
             blocks = []
             for ch in EDGE_TYPES:
                 ew, mask = dense_channel_oracle(g, ch)
-                blocks.append(dense_gat_channel_oracle(
-                    h, ew, mask, store[f"mgat{layer}.{ch}.h0.W"].data,
-                    store[f"mgat{layer}.{ch}.h0.w"].data))
+                (W, a), = head_arrays(store[f"mgat{layer}.{ch}.W"].data,
+                                      store[f"mgat{layer}.{ch}.a"].data)
+                blocks.append(dense_gat_channel_oracle(h, ew, mask, W, a))
             stacked = np.concatenate(blocks, axis=1)
-            h = h + stacked @ store[f"mgat{layer}.U"].data.T
+            h = h + stacked @ store[f"mgat{layer}.U"].data
         assert np.allclose(got.data, h, atol=1e-9)
+
+    def test_tape_holds_one_projection_kernel_and_elu_per_channel(self, table_for):
+        """A 2-layer loss puts one linear, one edge_attention and one elu per
+        layer and channel on the tape, each reading the stored W and a as they
+        are, and one linear per layer for U: no transpose, reshape or weight
+        concat node."""
+        g = small_graph(table_for)
+        cfg = MgatConfig(n_layers=2, n_heads=2, d_in=6, d_head=3)
+        store = tiny_params(cfg)
+        h = Tensor(RNG.normal(size=(g.n_nodes, 6)), requires_grad=True)
+        nodes, seen, stack = {}, set(), [nm.sum_(mgat_encode(h, g, store, cfg))]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                if t._backward is not None:  # the primitive that made t
+                    nodes.setdefault(t._backward.__qualname__.split(".")[0], []).append(t)
+                stack.extend(t._parents)
+        per_channel = [(layer, ch) for layer in range(2) for ch in EDGE_TYPES]
+        assert {op: len(ts) for op, ts in nodes.items()} == {
+            "linear": len(per_channel) + 2, "edge_attention": len(per_channel),
+            "elu": len(per_channel), "concat": 2, "add": 2, "sum_": 1}
+
+        def ids(tensors):
+            return sorted(map(id, tensors))
+        kernels, elus = nodes["edge_attention"], nodes["elu"]
+        assert ids(t._parents[1] for t in nodes["linear"]) == ids(
+            [store[f"mgat{layer}.{ch}.W"] for layer, ch in per_channel]
+            + [store[f"mgat{layer}.U"] for layer in range(2)])
+        assert ids(t._parents[1] for t in kernels) == ids(
+            store[f"mgat{layer}.{ch}.a"] for layer, ch in per_channel)
+        assert set(ids(t._parents[0] for t in kernels)) <= set(ids(nodes["linear"]))
+        assert ids(t._parents[0] for t in elus) == ids(kernels)
+        assert ids(p for t in nodes["concat"] for p in t._parents) == ids(elus)
 
     def test_alignment_mismatch_error(self, table_for):
         from dgsum.errors import AlignmentError
@@ -346,16 +378,12 @@ class TestProperties:
         cfg = MgatConfig(n_layers=1, n_heads=1, d_in=6, d_head=3)
         store = tiny_params(cfg, seed=2)
         h = Tensor(RNG.normal(size=(g.n_nodes, 6)))
-        blocks_before = {
-            ch: channel_attention(h, channel_edges(g, ch),
-                                  [(store[f"mgat0.{ch}.h0.W"], store[f"mgat0.{ch}.h0.w"])])
-            for ch in EDGE_TYPES
-        }
+        params = {ch: (store[f"mgat0.{ch}.W"], store[f"mgat0.{ch}.a"]) for ch in EDGE_TYPES}
+        blocks_before = {ch: channel_attention(h, channel_edges(g, ch), *params[ch])
+                         for ch in EDGE_TYPES}
         zeroed = HeteroGraph(g.nodes, {**g.edges, "SS": []})
         for ch in EDGE_TYPES:
-            after = channel_attention(
-                h, channel_edges(zeroed, ch),
-                [(store[f"mgat0.{ch}.h0.W"], store[f"mgat0.{ch}.h0.w"])])
+            after = channel_attention(h, channel_edges(zeroed, ch), *params[ch])
             if ch == "SS":
                 assert not np.array_equal(after.data, blocks_before[ch].data)
             else:
@@ -492,10 +520,10 @@ class TestChannelsBuiltOnce:
     def test_embedding_count_is_checked_against_the_index(self, table_for):
         from dgsum.errors import AlignmentError
         g = small_graph(table_for)
-        W, w = Tensor(RNG.normal(size=(3, 6))), Tensor(RNG.normal(size=6))
+        W, a = Tensor(RNG.normal(size=(6, 3))), Tensor(RNG.normal(size=(1, 6)))
         with pytest.raises(AlignmentError, match="embeddings for"):
             channel_attention(Tensor(RNG.normal(size=(g.n_nodes - 1, 6))),
-                              channel_edges(g, "WO"), [(W, w)])
+                              channel_edges(g, "WO"), W, a)
 
 
 def single_node_graph():
@@ -522,11 +550,11 @@ class TestEdgeAttention:
     def test_finite_difference(self):
         rng = np.random.default_rng(71)
         ix = channel_edges(random_graph(rng, 9), UNION_CHANNEL)
-        s = Tensor(rng.normal(size=(9, 2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        probe = rng.normal(size=(9, 2, 3))
-        err = nm.grad_check(lambda: nm.sum_(nm.mul(nm.edge_attention(s, w, ix), probe)),
-                            {"s": s, "w": w})
+        s = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
+        a = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        probe = rng.normal(size=(9, 6))
+        err = nm.grad_check(lambda: nm.sum_(nm.mul(nm.edge_attention(s, a, ix), probe)),
+                            {"s": s, "a": a})
         assert err < 1e-6
 
     @pytest.mark.parametrize("chunk_edges", [
@@ -549,12 +577,11 @@ class TestEdgeAttention:
                     if chunk_edges is not None and n > 1 and ch == UNION_CHANNEL:
                         assert np.diff(ix.indptr).max() > chunk_edges  # a hub overfills
                     h = Tensor(rng.normal(size=(n, d_in)), requires_grad=True)
-                    params = [(Tensor(rng.normal(size=(d_head, d_in)), requires_grad=True),
-                               Tensor(rng.normal(size=2 * d_head), requires_grad=True))
-                              for _ in range(heads)]
-                    leaves = [h] + [t for pair in params for t in pair]
-                    got = tape_grads(channel_attention(h, ix, params), leaves, probe)
-                    ref = tape_grads(channel_attention_oracle(h, ix, params), leaves, probe)
+                    W = Tensor(rng.normal(size=(d_in, heads * d_head)), requires_grad=True)
+                    a = Tensor(rng.normal(size=(heads, 2 * d_head)), requires_grad=True)
+                    leaves = [h, W, a]
+                    got = tape_grads(channel_attention(h, ix, W, a), leaves, probe)
+                    ref = tape_grads(channel_attention_oracle(h, ix, W, a), leaves, probe)
                     for a, b in zip(got, ref):
                         assert within_1e12(a, b), (n, ch, heads)
 
@@ -607,11 +634,11 @@ class TestEdgeAttention:
 
     def test_shape_mismatch_is_rejected(self):
         ix = channel_edges(random_graph(np.random.default_rng(75), 6), "WE")
-        s = Tensor(RNG.normal(size=(6, 2, 3)))
-        for w, n in ((RNG.normal(size=(2, 5)), 6), (RNG.normal(size=(3, 6)), 6),
-                     (RNG.normal(size=(2, 6)), 5)):
+        s = Tensor(RNG.normal(size=(6, 6)))
+        for a, n in ((RNG.normal(size=(2, 5)), 6), (RNG.normal(size=(3, 6)), 6),
+                     (RNG.normal(size=(2, 6)), 5), (RNG.normal(size=12), 6)):
             with pytest.raises(ShapeError, match="edge_attention"):
-                nm.edge_attention(Tensor(s.data[:n]), w, ix)
+                nm.edge_attention(Tensor(s.data[:n]), a, ix)
 
     def test_dense_channel_backward_keeps_no_per_head_edge_arrays(self, monkeypatch):
         """Forward plus backward over a complete WE channel of 300 nodes

@@ -151,8 +151,8 @@ class TestTrainStep:
         _, _, _, _, params, bundle = micro_setup(model_cfg)
         bd, _ = train_step(bundle, params, model_cfg, TrainConfig())
         assert np.isfinite(bd.total)
-        assert "mgat0.ALL.h0.W" in params
-        assert "mgat0.WE.h0.W" not in params
+        assert "mgat0.ALL.W" in params and "mgat0.ALL.a" in params
+        assert "mgat0.WE.W" not in params
 
     def test_single_precision_step_stays_float32(self):
         """Parameters, gradients and Adam moments stay float32 through a
@@ -455,3 +455,12 @@ class TestMemory:
         total, peak_mb = long_step_peak()
         assert np.isfinite(total)
         assert peak_mb < 57.0, f"train_step peaked at {peak_mb:.1f} MB"
+
+    def test_train_step_keeps_no_mgat_weight_copies(self):
+        """The same step stays under 53 MB. MGAT weights stored per head, and
+        concatenated, transposed and reshaped on the tape at every forward,
+        peaked at 54.4 MB here; one W and one a per channel, stored as
+        ``nm.linear`` and ``nm.edge_attention`` read them, at 52.0 MB."""
+        total, peak_mb = long_step_peak()
+        assert np.isfinite(total)
+        assert peak_mb < 53.0, f"train_step peaked at {peak_mb:.1f} MB"
