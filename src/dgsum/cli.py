@@ -20,7 +20,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import numeric as nm
 from . import rouge
 from .compressor import CompressorConfig
 from .corpus import Vocab, build_vocab, load_clusters, read_records
@@ -83,8 +82,6 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ``ConfigError`` on a bad value; the sub-configs built here
         check their own fields."""
-        if self.precision not in ("single", "double"):
-            raise ConfigError(f"precision must be single or double, got {self.precision!r}")
         for name, floor in (("beam_width", 1), ("min_freq", 1), ("embedding_dim", 1),
                             ("seed", 0), ("max_input_len", 16)):  # 16: the serializer's floor
             if getattr(self, name) < floor:
@@ -104,7 +101,7 @@ class RunConfig:
                           residual=self.mgat_residual, single_channel=self.no_mgat)
         comp = CompressorConfig(k=self.k, renorm_mask=self.renorm_mask)
         return ModelConfig(text=text, mgat=mgat, comp=comp,
-                           no_compressor=self.no_compressor)
+                           no_compressor=self.no_compressor, precision=self.precision)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(beta=self.beta, label_smoothing=self.label_smoothing,
@@ -415,13 +412,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
-    caller_precision = None  # handed back however the command ends
     try:
         args = build_parser().parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k in _TYPES}
         cfg = resolve_config(args.config, flags, getattr(args, "model", None))
         _check_out(cfg.out, want_dir=args.command in ("train", "graph"))
-        caller_precision = nm.set_precision(cfg.precision)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "summarize":
@@ -453,9 +448,6 @@ def main(argv: list[str] | None = None) -> int:
     except DgsumError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        if caller_precision is not None:
-            nm.set_precision(caller_precision)
 
 
 if __name__ == "__main__":

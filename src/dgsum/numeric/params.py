@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 CHECKPOINT_VERSION = 2  # 2: one MGAT weight per channel, mgat{l}.{ch}.W / .a
 
@@ -27,10 +27,19 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-b, b, size=shape)
 
 
-class ParamStore:
-    """Ordered name -> Tensor map for every trainable parameter."""
+def set_precision(mode: str) -> None:
+    """What is left of a process-wide precision switch: it accepts "double",
+    the dtype of a default ``ParamStore``, and changes nothing. A model's
+    precision is ``ModelConfig.precision``."""
+    if mode != "double":
+        raise ConfigError(f"precision {mode!r} is set per model: use ModelConfig.precision")
 
-    def __init__(self):
+
+class ParamStore:
+    """Ordered name -> Tensor map of the trainable parameters, all of one dtype."""
+
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
@@ -45,7 +54,7 @@ class ParamStore:
             data = np.ones(shape)
         else:
             raise ConfigError(f"unknown init {init!r}")
-        t = Tensor(np.asarray(data, dtype=default_dtype()), requires_grad=True)
+        t = Tensor(np.asarray(data, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -72,7 +81,7 @@ class ParamStore:
             t.grad = None
 
     def clone(self) -> "ParamStore":
-        out = ParamStore()
+        out = ParamStore(self.dtype)
         for name, t in self._params.items():
             c = Tensor(t.data.copy(), requires_grad=True)
             out._params[name] = c
@@ -99,17 +108,19 @@ class ParamStore:
                 version = int(archive["__format_version__"][0])
                 if version != CHECKPOINT_VERSION:
                     raise DataError(f"{path}: unsupported checkpoint version {version}")
-                out = cls()
-                for name in archive.files:
-                    if name == "__format_version__":
-                        continue
-                    out._params[name] = Tensor(archive[name], requires_grad=True)
+                arrays = [(n, archive[n]) for n in archive.files if n != "__format_version__"]
+                out = cls(arrays[0][1].dtype if arrays else np.float64)
+                for name, a in arrays:  # all of the first parameter's floating dtype
+                    if a.dtype.kind != "f" or a.dtype != out.dtype:
+                        raise DataError(f"{path}: parameter {name!r} is {a.dtype}, not one floating "
+                                        f"dtype with the rest ({arrays[0][0]!r} is {out.dtype})")
+                    out._params[name] = Tensor(a, requires_grad=True)
                 return out
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
             raise DataError(f"cannot read checkpoint {path}: {getattr(e, 'strerror', None) or e}")
 
     def load_data_from(self, path) -> None:
-        """Fill this store's tensors from a checkpoint, validating shapes."""
+        """Fill this store's tensors from a checkpoint, cast to their dtype, validating shapes."""
         loaded = ParamStore.load(path)
         missing = set(self._params) - set(loaded._params)
         extra = set(loaded._params) - set(self._params)

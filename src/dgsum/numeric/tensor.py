@@ -17,8 +17,11 @@ computed it and holds it nowhere else; the first gradient of a tensor is
 then that array itself, not a copy. Views of the incoming gradient (add,
 reshape, transpose, concat, the broadcasts of sum and mean) are copied.
 
-Precision is a process-global switch (``set_precision``): double for
-gradient checking and deterministic reruns, single allowed for training.
+Precision belongs to the operands: a tensor keeps a floating array's
+dtype, and every primitive computes in its operands' dtype, so a model runs
+in the dtype of its parameters (``ParamStore(dtype)``) whatever else the
+process holds. A plain number beside a tensor in ``add``, ``mul`` or ``div``
+takes that tensor's dtype; any other non-floating input becomes float64.
 """
 
 from __future__ import annotations
@@ -32,28 +35,10 @@ import numpy as np
 
 from ..errors import NumericError, ShapeError
 
-_DTYPE = np.float64
 _GRAD_ENABLED = contextvars.ContextVar("dgsum_grad_enabled", default=True)
 _SEQ = itertools.count()
 
 MASK_FILL = -1e9  # additive mask value; exp() underflows to exactly 0.0
-
-
-def set_precision(mode: str) -> str:
-    """Switch the dtype of tensors created afterwards; returns the old mode."""
-    global _DTYPE
-    previous = "single" if _DTYPE == np.float32 else "double"
-    if mode == "double":
-        _DTYPE = np.float64
-    elif mode == "single":
-        _DTYPE = np.float32
-    else:
-        raise NumericError(f"unknown precision mode {mode!r} (use 'single' or 'double')")
-    return previous
-
-
-def default_dtype():
-    return _DTYPE
 
 
 @contextmanager
@@ -74,7 +59,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._parents: tuple = ()
@@ -165,6 +151,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """``a`` and ``b`` as tensors; a plain number takes the dtype of the
+    tensor beside it, so it does not widen that tensor's precision."""
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    elif isinstance(b, (int, float)) and isinstance(a, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return as_tensor(a), as_tensor(b)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -176,7 +172,7 @@ def _make(data, parents, backward) -> Tensor:
 # --- elementwise arithmetic (broadcasting) ---------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -190,7 +186,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -204,7 +200,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     try:
         data = a.data / b.data
     except ValueError:
@@ -718,14 +714,14 @@ def cosine_sim(u, v) -> Tensor:
     nu = np.linalg.norm(u.data)
     nv = np.linalg.norm(v.data)
     if nu < 1e-12 or nv < 1e-12:
-        return Tensor(0.0)
+        return Tensor(np.zeros((), dtype=u.data.dtype))
     c = float(u.data @ v.data) / (nu * nv)
 
     def backward(g):
         _accum(u, g * (v.data / (nu * nv) - c * u.data / (nu * nu)))
         _accum(v, g * (u.data / (nu * nv) - c * v.data / (nv * nv)))
 
-    return _make(np.asarray(c, dtype=_DTYPE), (u, v), backward)
+    return _make(np.asarray(c, dtype=u.data.dtype), (u, v), backward)
 
 
 def cross_entropy_smoothed(logits, targets, smoothing: float = 0.0,
@@ -761,4 +757,4 @@ def cross_entropy_smoothed(logits, targets, smoothing: float = 0.0,
         d = (p - q) * valid[:, None]
         _accum(logits, g * d / n_valid, own=True)
 
-    return _make(np.asarray(loss, dtype=_DTYPE), (logits,), backward)
+    return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)

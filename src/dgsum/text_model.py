@@ -291,7 +291,7 @@ def _cached_step(memory: Tensor, mem_positions: np.ndarray, store: ParamStore,
     """
     with nm.no_grad():
         mem_kv = _memory_kv(memory, mem_positions, store, cfg)
-    empty = np.zeros((1, 0, cfg.d_model), dtype=nm.default_dtype())
+    empty = np.zeros((1, 0, cfg.d_model), dtype=memory.data.dtype)
     cache = [(empty, empty)] * cfg.n_layers_dec
     rows = {(): 0}  # scored prefix -> its cache row
 

@@ -34,10 +34,15 @@ class ModelConfig:
     mgat: MgatConfig
     comp: CompressorConfig = field(default_factory=CompressorConfig)
     no_compressor: bool = False
+    precision: str = "double"  # the parameters' dtype, which every tensor follows
+
+    def __post_init__(self):
+        if self.precision not in ("single", "double"):
+            raise ConfigError(f"precision must be single or double, got {self.precision!r}")
 
     def build_params(self, vocab_size: int, seed: int) -> ParamStore:
         rng = np.random.default_rng(seed)
-        store = ParamStore()
+        store = ParamStore(np.float32 if self.precision == "single" else np.float64)
         add_text_model_params(store, self.text, vocab_size, rng)
         add_mgat_params(store, self.mgat, rng)
         if not self.no_compressor:

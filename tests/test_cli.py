@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import dgsum
-import dgsum.numeric as nm
 from dgsum.cli import RunConfig, build_parser, main, resolve_config
 from dgsum.compressor import CompressorConfig
 from dgsum.errors import ConfigError
@@ -385,8 +384,9 @@ def with_oversized_cluster(records):
 
 
 class TestPrecision:
-    """A command runs at its configured precision and hands the caller's
-    precision back, whether it succeeds or fails."""
+    """A model runs at its configured precision: the checkpoint keeps its
+    dtype, and ``summarize`` casts a checkpoint of the other precision on
+    load."""
 
     def test_single_precision_train_then_summarize(self, tmp_path, toy_corpus_path,
                                                    toy_corpus_records, toy_embeddings_path):
@@ -395,7 +395,6 @@ class TestPrecision:
                    "--embeddings", str(toy_embeddings_path), "--out", str(model),
                    *TOY_FLAGS, "--precision", "single"])
         assert rc == 0
-        assert nm.default_dtype() == np.float64
         with np.load(model / "checkpoint.npz") as ckpt:
             params = [ckpt[name] for name in ckpt.files if name != "__format_version__"]
         assert params and all(a.dtype == np.float32 for a in params)
@@ -404,25 +403,20 @@ class TestPrecision:
         rc = main(["summarize", "--model", str(model), "--data", str(toy_corpus_path),
                    "--embeddings", str(toy_embeddings_path), "--out", str(out)])
         assert rc == 0
-        assert nm.default_dtype() == np.float64
         assert [r["id"] for r in read_jsonl(out)] == [r["id"] for r in toy_corpus_records]
+
+        cast = tmp_path / "double.jsonl"  # the float32 checkpoint cast up on load
+        rc = main(["summarize", "--model", str(model), "--data", str(toy_corpus_path),
+                   "--embeddings", str(toy_embeddings_path), "--out", str(cast),
+                   "--precision", "double"])
+        assert rc == 0
+        assert [r["id"] for r in read_jsonl(cast)] == [r["id"] for r in toy_corpus_records]
 
         data = tmp_path / "mixed.jsonl"
         write_cluster_file(data, with_oversized_cluster(toy_corpus_records))
         rc = main(["summarize", "--model", str(model), "--data", str(data),
                    "--embeddings", str(toy_embeddings_path), "--out", str(tmp_path / "h2.jsonl")])
         assert rc == 2
-        assert nm.default_dtype() == np.float64
-
-    def test_a_single_precision_caller_stays_single(self, tmp_path, capsys):
-        refs = tmp_path / "refs.jsonl"
-        write_cluster_file(refs, [{"id": "a", "summary": "storm floods the town."}])
-        nm.set_precision("single")
-        try:
-            assert main(["eval", "--generated", str(refs), "--references", str(refs)]) == 0
-            assert nm.default_dtype() == np.float32
-        finally:
-            nm.set_precision("double")
 
 
 class TestEval:
@@ -967,6 +961,26 @@ class TestInputFiles:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: unsupported checkpoint version 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.int64, np.float32])
+    def test_checkpoint_of_other_than_one_floating_dtype_is_refused(
+            self, tmp_path, capsys, trained_model, toy_corpus_path, toy_embeddings_path, dtype):
+        """``emb.tok`` rewritten as complex, bool, int64 or, beside float64
+        arrays, float32: a data error naming the file and the parameter."""
+        ckpt = trained_model / "checkpoint.npz"
+        with np.load(ckpt) as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays["emb.tok"] = arrays["emb.tok"].astype(dtype)
+        if dtype is np.complex128:
+            arrays["emb.tok"] += 1j
+        np.savez(ckpt, **arrays)
+        out = tmp_path / "hyp.jsonl"
+        assert main(["summarize", "--model", str(trained_model), "--data",
+                     str(toy_corpus_path), "--embeddings", str(toy_embeddings_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: parameter" in err and "'emb.tok'" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "graph"])

@@ -5,6 +5,8 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import dgsum
 
 ALLOWED = {"numpy", "dgsum"} | set(sys.stdlib_module_names)
@@ -78,3 +80,39 @@ def test_every_tape_primitive_has_a_caller_in_src():
     called = set().union(*(nm_calls(path.read_text(encoding="utf-8"))
                            for path in pkg.rglob("*.py")))
     assert primitives - called == set(UNCALLED_PRIMITIVES)
+
+
+def precision_switches(source: str) -> set[str]:
+    """What would make precision process state in ``source``: calls of
+    ``set_precision``, names a function rebinds with ``global``, and
+    module-level names bound to a numpy dtype (``np.float64``, ``np.dtype(...)``)."""
+    tree = ast.parse(source)
+    found = {"set_precision()" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "set_precision"}
+    found |= {f"global {name}" for node in ast.walk(tree) if isinstance(node, ast.Global)
+              for name in node.names}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value.func if isinstance(node.value, ast.Call) else node.value
+            if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name) \
+                    and value.value.id in ("np", "numpy") \
+                    and (value.attr == "dtype" or value.attr in np.sctypeDict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {ast.unparse(t) for t in targets}
+    return found
+
+
+def test_precision_switches_reads_calls_globals_and_dtype_names():
+    source = ("import numpy as np\n_DTYPE = np.float64\nWIDE: object = np.dtype('f8')\n"
+              "MASK = np.zeros(3)\nEPS = 1e-8\n"
+              "def f(mode):\n    global _DTYPE\n    _DTYPE = np.float32\n"
+              "def g():\n    nm.set_precision('single')\n    set_precision('double')\n")
+    assert precision_switches(source) == {"_DTYPE", "WIDE", "global _DTYPE", "set_precision()"}
+
+
+def test_src_holds_no_process_wide_precision():
+    """No module under ``src/dgsum`` calls ``set_precision`` or defines a
+    module-level dtype switch: a model's precision is its parameters'."""
+    found = {path.name: precision_switches(path.read_text(encoding="utf-8"))
+             for path in Path(dgsum.__file__).parent.rglob("*.py")}
+    assert {name: f for name, f in found.items() if f} == {}

@@ -156,11 +156,15 @@ def rand_const(*shape):
     return nm.Tensor(np.random.default_rng(99).normal(size=shape))
 
 
-def seeded_leaves(seed, *shapes):
+DTYPES = {"double": np.float64, "single": np.float32}
+
+
+def seeded_leaves(seed, *shapes, dtype=np.float64):
     """Leaves from their own generator, so the tests that draw from ``RNG``
     after them see the same values."""
     rng = np.random.default_rng(seed)
-    return [nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    return [nm.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape in shapes]
 
 
 def one_key_row_mask(n):
@@ -271,25 +275,22 @@ class TestLinear:
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
     @pytest.mark.parametrize("bias", [True, False])
     def test_equals_matmul_add_chain(self, precision, x_shape, bias):
-        nm.set_precision(precision)
-        try:
-            x, w, b = seeded_leaves(7, x_shape, (4, 3), (3,))
-            b = b if bias else None
-            leaves = [t for t in (x, w, b) if t is not None]
-            probe = np.random.default_rng(8).normal(size=x_shape[:-1] + (3,))
-            results = []
-            for fn in (nm.linear, self.chain):
-                for t in leaves:
-                    t.zero_grad()
-                y = fn(x, w, b)
-                # relu hands y a gradient with -0.0 entries where probe < 0
-                nm.sum_(nm.mul(nm.relu(y), probe)).backward()
-                results.append([y.data] + [t.grad for t in leaves])
-            for got, ref in zip(*results):
-                assert got.dtype == ref.dtype == nm.default_dtype()
-                assert np.array_equal(got, ref)
-        finally:
-            nm.set_precision("double")
+        dtype = DTYPES[precision]
+        x, w, b = seeded_leaves(7, x_shape, (4, 3), (3,), dtype=dtype)
+        b = b if bias else None
+        leaves = [t for t in (x, w, b) if t is not None]
+        probe = np.random.default_rng(8).normal(size=x_shape[:-1] + (3,)).astype(dtype)
+        results = []
+        for fn in (nm.linear, self.chain):
+            for t in leaves:
+                t.zero_grad()
+            y = fn(x, w, b)
+            # relu hands y a gradient with -0.0 entries where probe < 0
+            nm.sum_(nm.mul(nm.relu(y), probe)).backward()
+            results.append([y.data] + [t.grad for t in leaves])
+        for got, ref in zip(*results):
+            assert got.dtype == ref.dtype == dtype
+            assert np.array_equal(got, ref)
 
     def test_grad_check(self):
         x, w, b = seeded_leaves(3, (2, 5, 4), (4, 3), (3,))
@@ -350,27 +351,24 @@ class TestGradientOwnership:
         """Repeated rows, 1-d and 2-d indices, gathered from a table whose
         gradient does or does not exist yet: the row-sparse scatter gives
         the bits of the full-size one."""
-        nm.set_precision(precision)
-        try:
-            rng = np.random.default_rng(11)
-            table = nm.Tensor(rng.normal(size=(9, 3)), requires_grad=True)
-            rows1, rows2 = np.array([6, 1, 1, 3, 6, 6]), np.array([[1, 5], [1, 1], [8, 5]])
-            probes = [rng.normal(size=s) for s in ((6, 3), (3, 2, 3), (9, 3))]
-            results = []
-            for gather in (nm.gather_rows, gather_rows_dense_oracle):
-                table.zero_grad()
-                g1, g2 = gather(table, rows1), gather(table, rows2)
-                loss = nm.add(nm.sum_(nm.mul(g1, probes[0])), nm.sum_(nm.mul(g2, probes[1])))
-                if prior:  # backward runs the elu first: the table's first gradient
-                    loss = nm.add(loss, nm.sum_(nm.mul(nm.elu(table), probes[2])))
-                loss.backward()
-                results.append(table.grad)
-            assert np.array_equal(*results)
-            assert results[0].dtype == table.data.dtype
-            ungathered = results[0][[0, 2, 4, 7]]
-            assert not np.all(ungathered == 0.0) if prior else np.all(ungathered == 0.0)
-        finally:
-            nm.set_precision("double")
+        dtype = DTYPES[precision]
+        rng = np.random.default_rng(11)
+        table = nm.Tensor(rng.normal(size=(9, 3)).astype(dtype), requires_grad=True)
+        rows1, rows2 = np.array([6, 1, 1, 3, 6, 6]), np.array([[1, 5], [1, 1], [8, 5]])
+        probes = [rng.normal(size=s).astype(dtype) for s in ((6, 3), (3, 2, 3), (9, 3))]
+        results = []
+        for gather in (nm.gather_rows, gather_rows_dense_oracle):
+            table.zero_grad()
+            g1, g2 = gather(table, rows1), gather(table, rows2)
+            loss = nm.add(nm.sum_(nm.mul(g1, probes[0])), nm.sum_(nm.mul(g2, probes[1])))
+            if prior:  # backward runs the elu first: the table's first gradient
+                loss = nm.add(loss, nm.sum_(nm.mul(nm.elu(table), probes[2])))
+            loss.backward()
+            results.append(table.grad)
+        assert np.array_equal(*results)
+        assert results[0].dtype == dtype
+        ungathered = results[0][[0, 2, 4, 7]]
+        assert not np.all(ungathered == 0.0) if prior else np.all(ungathered == 0.0)
 
 
 class TestBandAttention:
@@ -777,29 +775,25 @@ class TestAdam:
         """Three steps over parameters of mixed shapes give the bits of the
         formula with a fresh array per temporary."""
         from dgsum.numeric import ParamStore
-        nm.set_precision(precision)
-        try:
-            store, rng = ParamStore(), np.random.default_rng(5)
-            for i, shape in enumerate([(3, 4), (7,), (2, 3, 5), (1,), (6, 2)]):
-                store.add(f"p{i}", shape, rng)
-            data = {name: t.data.copy() for name, t in store.items()}
-            m = {name: np.zeros_like(d) for name, d in data.items()}
-            v = {name: np.zeros_like(d) for name, d in data.items()}
-            opt = nm.Adam(store, lr=0.01)
-            for step in (1, 2, 3):
-                grads = {name: (rng.normal(size=d.shape) * 10.0 ** rng.integers(-3, 3))
-                         .astype(d.dtype) for name, d in data.items()}
-                for name, t in store.items():
-                    t.grad = grads[name].copy()
-                opt.step()
-                adam_step_oracle(data, grads, m, v, step, 0.01, 0.9, 0.999, 1e-8)
+        store, rng = ParamStore(DTYPES[precision]), np.random.default_rng(5)
+        for i, shape in enumerate([(3, 4), (7,), (2, 3, 5), (1,), (6, 2)]):
+            store.add(f"p{i}", shape, rng)
+        data = {name: t.data.copy() for name, t in store.items()}
+        m = {name: np.zeros_like(d) for name, d in data.items()}
+        v = {name: np.zeros_like(d) for name, d in data.items()}
+        opt = nm.Adam(store, lr=0.01)
+        for step in (1, 2, 3):
+            grads = {name: (rng.normal(size=d.shape) * 10.0 ** rng.integers(-3, 3))
+                     .astype(d.dtype) for name, d in data.items()}
             for name, t in store.items():
-                assert t.data.dtype == data[name].dtype
-                assert np.array_equal(t.data, data[name]), name
-                assert np.array_equal(opt._m[name], m[name]), name
-                assert np.array_equal(opt._v[name], v[name]), name
-        finally:
-            nm.set_precision("double")
+                t.grad = grads[name].copy()
+            opt.step()
+            adam_step_oracle(data, grads, m, v, step, 0.01, 0.9, 0.999, 1e-8)
+        for name, t in store.items():
+            assert t.data.dtype == data[name].dtype == DTYPES[precision]
+            assert np.array_equal(t.data, data[name]), name
+            assert np.array_equal(opt._m[name], m[name]), name
+            assert np.array_equal(opt._v[name], v[name]), name
 
     def test_non_finite_grad_aborts(self):
         store, t = self._single(1.0)
@@ -816,13 +810,9 @@ class TestGradCheckHarness:
         assert err < 1e-9
 
     def test_requires_double(self):
-        nm.set_precision("single")
-        try:
-            w = rand_tensor(2, 2)
-            with pytest.raises(NumericError):
-                nm.grad_check(lambda: nm.sum_(w), {"w": w})
-        finally:
-            nm.set_precision("double")
+        w = nm.Tensor(rand_tensor(2, 2).data.astype(np.float32), requires_grad=True)
+        with pytest.raises(NumericError):
+            nm.grad_check(lambda: nm.sum_(w), {"w": w})
 
     def test_sampling_large_params(self):
         w = rand_tensor(40, 40)  # 1600 entries, sampled

@@ -1,5 +1,6 @@
 """Loss identities, gradient routing, the end-to-end pipeline, and fit."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,7 +11,7 @@ from dgsum import rouge, training
 from dgsum.compressor import CompressorConfig
 from dgsum.corpus import Vocab, build_vocab
 from dgsum.embeddings import EmbeddingTable
-from dgsum.errors import DataError
+from dgsum.errors import ConfigError, DataError
 from dgsum.mgat import MgatConfig
 from dgsum.numeric import Tensor
 from dgsum.text_model import TextModelConfig
@@ -163,16 +164,13 @@ class TestTrainStep:
                                 mgat=MgatConfig(n_layers=2, n_heads=2, d_in=12, d_head=4))
         _, _, _, _, params, bundle = micro_setup(model_cfg)
         want, _ = train_step(bundle, params, model_cfg, TrainConfig())
-        nm.set_precision("single")
-        try:
-            _, _, _, _, params, bundle = micro_setup(model_cfg)
-            got, grads = train_step(bundle, params, model_cfg, TrainConfig())
-            for name, t in params.items():
-                t.grad = grads[name]
-            adam = nm.Adam(params)
-            adam.step()
-        finally:
-            nm.set_precision("double")
+        model_cfg = dataclasses.replace(model_cfg, precision="single")
+        _, _, _, _, params, bundle = micro_setup(model_cfg)
+        got, grads = train_step(bundle, params, model_cfg, TrainConfig())
+        for name, t in params.items():
+            t.grad = grads[name]
+        adam = nm.Adam(params)
+        adam.step()
         for name, t in params.items():
             assert t.data.dtype == grads[name].dtype == np.float32, name
             assert adam._m[name].dtype == adam._v[name].dtype == np.float32, name
@@ -211,6 +209,77 @@ class TestTrainStep:
 
         err = nm.grad_check(loss, dict(params.items()), max_entries=4)
         assert err < 1e-4
+
+
+@pytest.fixture
+def tensor_dtypes(monkeypatch):
+    """The dtype of every tensor made from now on, in order."""
+    made = []
+    init = nm.Tensor.__init__
+
+    def recorded(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        made.append(self.data.dtype)
+
+    monkeypatch.setattr(nm.Tensor, "__init__", recorded)
+    return made
+
+
+class TestPrecision:
+    """Precision is the model's: its parameters' dtype, which every tensor
+    of its steps takes, whatever other model the process holds."""
+
+    def test_single_and_double_models_train_side_by_side(self, tensor_dtypes):
+        """A float32 and a float64 model trained in alternating steps keep
+        their dtypes in every tensor of a step (losses included), gradients
+        and Adam moments, and give the losses each gives when trained alone."""
+
+        def trainer(precision):
+            model_cfg = micro_model_cfg(precision=precision)
+            _, _, _, _, params, bundle = micro_setup(model_cfg)
+            adam = nm.Adam(params)
+
+            def step():
+                bd, grads = train_step(bundle, params, model_cfg, TrainConfig())
+                adam.step()
+                return bd, grads, adam
+
+            return step
+
+        alone = {}
+        for precision in ("single", "double"):
+            step = trainer(precision)
+            alone[precision] = [step()[0] for _ in range(3)]
+        steps = {precision: trainer(precision) for precision in ("single", "double")}
+        together = {"single": [], "double": []}
+        for _ in range(3):
+            for precision, dtype in (("single", np.float32), ("double", np.float64)):
+                tensor_dtypes.clear()
+                bd, grads, adam = steps[precision]()
+                together[precision].append(bd)
+                assert len(tensor_dtypes) > 100 and set(tensor_dtypes) == {np.dtype(dtype)}
+                for name, t in adam.params.items():
+                    assert t.data.dtype == grads[name].dtype == dtype, name
+                    assert adam._m[name].dtype == adam._v[name].dtype == dtype, name
+        assert together == alone
+        assert alone["single"] != alone["double"]
+
+    @pytest.mark.parametrize("beam_width", [1, 3])
+    def test_single_precision_summary_makes_only_float32_tensors(self, tensor_dtypes,
+                                                                beam_width):
+        _, vocab, _, model_cfg, params, bundle = micro_setup(micro_model_cfg(precision="single"))
+        tensor_dtypes.clear()
+        summarize_bundle(bundle, params, model_cfg, vocab, beam_width=beam_width, max_len=4)
+        assert len(tensor_dtypes) > 50 and set(tensor_dtypes) == {np.dtype(np.float32)}
+
+    def test_precision_is_checked_by_the_model_config(self):
+        with pytest.raises(ConfigError, match="precision must be single or double"):
+            micro_model_cfg(precision="half")
+
+    def test_set_precision_accepts_only_double(self):
+        nm.set_precision("double")
+        with pytest.raises(ConfigError, match="ModelConfig.precision"):
+            nm.set_precision("single")
 
 
 class TestSummarizeAndDev:
