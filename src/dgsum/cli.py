@@ -205,17 +205,22 @@ def _read_summaries(path) -> dict[str, str]:
     return out
 
 
-def _bundles(clusters, resources: Resources, model_cfg, need_summary: bool = False) -> list:
-    """``prepare_bundle`` of each cluster; a cluster that raises ``DataError``
-    is named on stderr with the reason and skipped."""
-    bundles = []
+def _each_cluster(clusters, prepare) -> list:
+    """``prepare(c)`` of each cluster; a cluster that raises ``DataError`` is
+    named on stderr with the reason and skipped."""
+    out = []
     for c in clusters:
         try:
-            bundles.append(prepare_bundle(c, resources, model_cfg, need_summary=need_summary))
+            out.append(prepare(c))
         except DataError as e:
             named = str(e) if repr(c.id) in str(e) else f"cluster {c.id!r}: {e}"
             print(f"data error: {named}", file=sys.stderr)
-    return bundles
+    return out
+
+
+def _bundles(clusters, resources: Resources, model_cfg, need_summary: bool = False) -> list:
+    """``prepare_bundle`` of each cluster that ``_each_cluster`` keeps."""
+    return _each_cluster(clusters, lambda c: prepare_bundle(c, resources, model_cfg, need_summary))
 
 
 # --- commands ------------------------------------------------------------
@@ -353,18 +358,20 @@ def cmd_graph(cfg: RunConfig) -> int:
         if not _plain_file_name(cluster.id):
             raise DataError(f"cluster id {cluster.id!r} is not a plain file name")
     out_dir = Path(cfg.out)
-    total_violations = []
-    for cluster in clusters:
+
+    def export(cluster) -> list[str]:
         g = build_hetero_graph(cluster, resources.table, resources.embedder,
                                resources.graph_cfg)
         _write_text(out_dir / f"{cluster.id}.dot", g.to_dot(cluster.id))
         _write_text(out_dir / f"{cluster.id}.json", g.to_json())
-        report = validate_graph(g)
-        total_violations.extend(f"{cluster.id}: {v}" for v in report.violations)
+        return [f"{cluster.id}: {v}" for v in validate_graph(g).violations]
+
+    reports = _each_cluster(clusters, export)
+    total_violations = [v for report in reports for v in report]
     _write_text(out_dir / "validation.txt", "".join(f"{v}\n" for v in total_violations))
-    print(f"exported {len(clusters)} graphs to {out_dir}; "
+    print(f"exported {len(reports)} graphs to {out_dir}; "
           f"{len(total_violations)} validation violations")
-    return 2 if total_violations else 0
+    return 2 if total_violations or len(reports) < len(clusters) else 0
 
 
 # --- argument parsing -------------------------------------------------------

@@ -192,6 +192,7 @@ RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>", "<sent-sep>", "<doc-sep>")
 
 class Vocab:
     PAD, UNK, BOS, EOS, SENT_SEP, DOC_SEP = range(6)
+    DELIMITERS = (SENT_SEP, DOC_SEP)  # the ids the encoder attends to globally
 
     def __init__(self, tokens: list[str]):
         self.id_to_token: list[str] = list(RESERVED) + list(tokens)
@@ -267,9 +268,6 @@ class BoundaryIndex:
     doc_slots: list[tuple[int, int]] = field(default_factory=list)  # (doc idx, DOC_SEP pos)
     sent_slots: list[SentenceSlot] = field(default_factory=list)
     length: int = 0
-
-    def sep_positions(self) -> list[int]:
-        return sorted([p for _, p in self.doc_slots] + [s.sep_pos for s in self.sent_slots])
 
     def retained_sentences(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}

@@ -2,11 +2,12 @@
 search, at configurable small dimensions with random initialization.
 
 Encoder self-attention is local (each position sees a +-window radius) with
-global attention at sentence/document delimiter positions: delimiters attend
-to and are attended by every position, which lets their rows pool their full
-spans. It runs as one banded kernel, ``nm.band_attention`` (Longformer's
-sliding chunks plus global columns and rows), so no n x n array is formed
-unless the window is about n/3 or wider, where one dense block is cheaper.
+global attention at the sentence and document delimiters, found by their ids
+(``Vocab.DELIMITERS``) as in Longformer and PRIMERA: delimiters attend to and
+are attended by every position, which lets their rows pool their full spans.
+It runs as one banded kernel, ``nm.band_attention`` (Longformer's sliding
+chunks plus global columns and rows), so no n x n array is formed unless the
+window is about n/3 or wider, where one dense block is cheaper.
 The decoder is a standard causal transformer with cross-attention over the
 compressed node embeddings, through ``nm.attention`` with a causal mask or
 none; memory rows get positional embeddings by their original token index
@@ -23,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from . import numeric as nm
-from .corpus import BoundaryIndex, Vocab
+from .corpus import Vocab
 from .errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
-from .hetgraph import DOC, SENT, WORD, HeteroGraph
+from .hetgraph import WORD, HeteroGraph
 from .numeric import ParamStore, Tensor
 
 
@@ -121,8 +122,7 @@ def causal_mask(n: int) -> np.ndarray:
     return np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, nm.MASK_FILL)
 
 
-def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
-                cfg: TextModelConfig, train: bool = False,
+def encode_text(ids: list[int], store: ParamStore, cfg: TextModelConfig, train: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
     """The encoder's output rows [len(ids), d_model]."""
     n = len(ids)
@@ -130,9 +130,7 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
         raise DataError("encode_text: empty input")
     if n > cfg.max_in_len:
         raise ShapeError(f"encode_text: input length {n} exceeds max {cfg.max_in_len}")
-    sep = boundaries.sep_positions()
-    if sep and max(sep) >= n:
-        raise AlignmentError(f"boundary position {max(sep)} outside input of length {n}")
+    sep = np.flatnonzero(np.isin(ids, Vocab.DELIMITERS))
     x = nm.add(nm.embedding(store["emb.tok"], np.asarray(ids, dtype=np.intp)),
                nm.gather_rows(store["emb.pos_enc"], np.arange(n)))
     for i in range(cfg.n_layers_enc):
@@ -147,22 +145,25 @@ def encode_text(ids: list[int], boundaries: BoundaryIndex, store: ParamStore,
     return x
 
 
-def unit_embeddings(rows: Tensor, boundaries: BoundaryIndex, graph: HeteroGraph) -> Tensor:
-    """Initial node embeddings from the encoder's output ``rows`` of the
-    input that ``boundaries`` delimits: word nodes take their token row,
-    sentence and document nodes take their delimiter row."""
-    n = rows.shape[0]
-    positions = graph.token_positions()
-    if positions.size and (positions.min() < 0 or positions.max() >= n):
-        raise AlignmentError(f"node token_position outside encoder output of length {n}")
-    sep = set(boundaries.sep_positions())
-    for nd in graph.nodes:
-        is_sep = nd.token_position in sep
-        if nd.kind == WORD and is_sep:
-            raise AlignmentError(f"word node at delimiter position {nd.token_position}")
-        if nd.kind in (SENT, DOC) and not is_sep:
-            raise AlignmentError(f"{nd.kind} node at non-delimiter position "
-                                 f"{nd.token_position}")
+def unit_embeddings(rows: Tensor, ids: list[int], graph: HeteroGraph) -> Tensor:
+    """Initial node embeddings from the encoder's output ``rows`` of ``ids``:
+    word nodes take their token row, sentence and document nodes their
+    delimiter row. A node outside the rows, or whose kind disagrees with the
+    id at its position, is an AlignmentError naming the first such node."""
+    n, positions = len(ids), graph.token_positions()
+    if rows.shape[0] != n:
+        raise AlignmentError(f"encoder output has {rows.shape[0]} rows for {n} ids")
+    inside = (positions >= 0) & (positions < n)
+    on_sep = np.zeros(positions.shape, dtype=bool)
+    on_sep[inside] = np.isin(np.asarray(ids, dtype=np.intp)[positions[inside]], Vocab.DELIMITERS)
+    is_word = np.asarray([nd.kind == WORD for nd in graph.nodes], dtype=bool)
+    bad = np.flatnonzero(~inside | (is_word == on_sep))
+    if bad.size:
+        nd, i = graph.nodes[bad[0]], bad[0]
+        why = (f"outside encoder output of length {n}" if not inside[i] else
+               "on a delimiter id" if is_word[i] else "on a non-delimiter id")
+        raise AlignmentError(f"{nd.kind} node {nd.index} at token position "
+                             f"{nd.token_position}: {why}")
     return nm.gather_rows(rows, positions)
 
 

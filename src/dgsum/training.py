@@ -97,29 +97,30 @@ class LossBreakdown:
 
 @dataclass
 class ClusterBundle:
-    """Static per-cluster artifacts: serializations and graphs do not depend
-    on model parameters, so they are computed once."""
+    """Static per-cluster artifacts, computed once as no parameter touches them.
+    Each side, source and (for training) summary, is its encoder ids plus graph."""
     cluster: DocumentCluster
     src_ids: list[int]
-    src_bounds: object
     src_graph: HeteroGraph
     target_input: list[int] | None = None  # BOS + gold tokens
     target_gold: list[int] | None = None   # gold tokens + EOS
     ref_tokens: list[str] | None = None
     sum_ids: list[int] | None = None
-    sum_bounds: object = None
     sum_graph: HeteroGraph | None = None
+
+
+def _ids_and_graph(cluster: DocumentCluster, resources: Resources,
+                   max_len: int) -> tuple[list[int], HeteroGraph]:
+    """The encoder input ids of ``cluster`` and its graph, on one layout."""
+    ids, bounds = serialize_encoder_input(cluster, resources.vocab, max_len)
+    return ids, build_hetero_graph(cluster, resources.table, resources.embedder,
+                                   resources.graph_cfg, bounds=bounds)
 
 
 def prepare_bundle(cluster: DocumentCluster, resources: Resources,
                    model_cfg: ModelConfig, need_summary: bool = True) -> ClusterBundle:
-    graph_cfg = resources.graph_cfg
     max_in = model_cfg.text.max_in_len
-    src_ids, src_bounds = serialize_encoder_input(cluster, resources.vocab, max_in)
-    src_graph = build_hetero_graph(cluster, resources.table, resources.embedder,
-                                   graph_cfg, bounds=src_bounds)
-    bundle = ClusterBundle(cluster=cluster, src_ids=src_ids, src_bounds=src_bounds,
-                           src_graph=src_graph)
+    bundle = ClusterBundle(cluster, *_ids_and_graph(cluster, resources, max_in))
     if need_summary and cluster.summary:
         tokens = [t for sent in cluster.summary for t in sent.lower]
         tokens = tokens[:model_cfg.text.max_out_len - 1]
@@ -127,38 +128,28 @@ def prepare_bundle(cluster: DocumentCluster, resources: Resources,
         bundle.target_input = [Vocab.BOS] + ids
         bundle.target_gold = ids + [Vocab.EOS]
         bundle.ref_tokens = tokens
-        sum_cluster = summary_as_cluster(cluster)
-        bundle.sum_ids, bundle.sum_bounds = serialize_encoder_input(
-            sum_cluster, resources.vocab, max_in)
-        bundle.sum_graph = build_hetero_graph(sum_cluster, resources.table,
-                                              resources.embedder, graph_cfg,
-                                              bounds=bundle.sum_bounds)
+        bundle.sum_ids, bundle.sum_graph = _ids_and_graph(summary_as_cluster(cluster),
+                                                          resources, max_in)
     return bundle
+
+
+def encode_graph(ids: list[int], graph: HeteroGraph, params: ParamStore, model_cfg: ModelConfig,
+                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """The graph encoding [n_nodes, d_model] of either side of a cluster,
+    source or summary: text encode, each node's row, then MGAT."""
+    rows = encode_text(ids, params, model_cfg.text, train=train, rng=rng)
+    return mgat_encode(unit_embeddings(rows, ids, graph), graph, params, model_cfg.mgat)
 
 
 def encode_compress(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig,
                     train: bool = False, rng: np.random.Generator | None = None):
-    """Source pipeline: text encode -> graph encode -> compress. Returns
-    (Q_p, memory positions, scores-or-None, selection)."""
-    rows = encode_text(bundle.src_ids, bundle.src_bounds, params, model_cfg.text,
-                       train=train, rng=rng)
-    h0 = unit_embeddings(rows, bundle.src_bounds, bundle.src_graph)
-    q_prime = mgat_encode(h0, bundle.src_graph, params, model_cfg.mgat)
+    """Source pipeline: ``encode_graph`` -> compress. Returns (Q_p, memory
+    positions, scores-or-None, selection)."""
+    q_prime = encode_graph(bundle.src_ids, bundle.src_graph, params, model_cfg, train, rng)
     if model_cfg.no_compressor:
         positions = bundle.src_graph.token_positions()
         return q_prime, positions, None, np.arange(bundle.src_graph.n_nodes)
     return compress_graph(q_prime, bundle.src_graph, params, model_cfg.comp)
-
-
-def encode_summary_graph(bundle: ClusterBundle, params: ParamStore,
-                         model_cfg: ModelConfig, train: bool = False,
-                         rng: np.random.Generator | None = None) -> Tensor:
-    """Q'_z: the summary's graph encoding through the same text and graph
-    encoders (one graph encoder processes both sides)."""
-    rows = encode_text(bundle.sum_ids, bundle.sum_bounds, params, model_cfg.text,
-                       train=train, rng=rng)
-    h0 = unit_embeddings(rows, bundle.sum_bounds, bundle.sum_graph)
-    return mgat_encode(h0, bundle.sum_graph, params, model_cfg.mgat)
 
 
 def graph_similarity_loss(q_p: Tensor, q_z: Tensor) -> Tensor:
@@ -191,7 +182,7 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
         l_gs = None
         total = nm.mul(l_ce, beta)
     else:
-        q_z = encode_summary_graph(bundle, params, model_cfg, train=True, rng=rng)
+        q_z = encode_graph(bundle.sum_ids, bundle.sum_graph, params, model_cfg, True, rng)
         l_gs = graph_similarity_loss(q_p, q_z)
         total = nm.add(nm.mul(l_ce, beta), nm.mul(l_gs, 1.0 - beta))
 

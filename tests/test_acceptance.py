@@ -261,13 +261,13 @@ def test_criterion_3_gradient_suite(table_for):
         bundle = prepare_bundle(cl, resources, micro)
 
         def step_loss():
-            from dgsum.training import encode_compress, encode_summary_graph
+            from dgsum.training import encode_compress, encode_graph
             q_p, positions, _, _ = encode_compress(bundle, params, micro)
             logits = decode_teacher_forced(q_p, positions, bundle.target_input,
                                            params, micro.text)
             l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, 0.1,
                                              ignore_index=Vocab.PAD)
-            q_z = encode_summary_graph(bundle, params, micro)
+            q_z = encode_graph(bundle.sum_ids, bundle.sum_graph, params, micro)
             l_gs = graph_similarity_loss(q_p, q_z)
             return nm.add(nm.mul(l_ce, 0.5), nm.mul(l_gs, 0.5))
 

@@ -800,6 +800,26 @@ class TestGraphCommand:
         assert "NaN" not in (out / "c1.json").read_text()
         assert (out / "validation.txt").read_text() == ""
 
+    def test_a_cluster_that_cannot_be_built_is_skipped_and_named(self, tmp_path, capsys,
+                                                                 toy_embeddings_path):
+        """As in ``summarize``: the other clusters' files and validation.txt
+        are written, the bad one is named with its reason, and the exit is 2."""
+        data = tmp_path / "data.jsonl"
+        write_cluster_file(data, [
+            {"id": "c1", "documents": ["storm hits coast."]},
+            {"id": "c2", "documents": [" ".join(["storm"] * 19) + "."]},  # 20 tokens
+            {"id": "c3", "documents": ["team wins the final."]}])
+        out = tmp_path / "graphs"
+        rc = main(["graph", "--data", str(data), "--embeddings", str(toy_embeddings_path),
+                   "--out", str(out), "--embedding-dim", "8", "--max-input-len", "16"])
+        assert rc == 2
+        assert sorted(f.name for f in out.iterdir()) == [
+            "c1.dot", "c1.json", "c3.dot", "c3.json", "validation.txt"]
+        assert (out / "validation.txt").read_text() == ""
+        err = capsys.readouterr().err
+        assert "data error: cluster 'c2': no sentences within the length budget" in err, err
+        assert "'c1'" not in err and "'c3'" not in err
+
     def test_json_counts_match_graph(self, tmp_path, toy_corpus_path,
                                      toy_embeddings_path):
         out = tmp_path / "graphs"

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgsum.corpus import layout, summary_as_cluster, tokenize
+from dgsum.corpus import (Vocab, build_vocab, layout, serialize_encoder_input,
+                          summary_as_cluster, tokenize)
 from dgsum.embeddings import EmbeddingTable, MeanWordEmbedder, cosine
 from dgsum.errors import DataError
 from dgsum.hetgraph import (EDGE_TYPES, Edges, GraphConfig, HeteroGraph, NodeId,
                             build_hetero_graph, noun_candidates, validate_graph)
 from dgsum.mgat import UNION_CHANNEL, channel_edges
 from dgsum.rouge import rouge_avg_f1
-from conftest import cluster_from_texts, generated_records
+from conftest import all_tokens, cluster_from_texts, generated_records
 from oracles import (dense_channel_oracle, enumerate_graph_oracle, graph_to_oracle_form,
                      to_dot_oracle, to_json_oracle, union_channel_oracle)
 
@@ -573,3 +576,42 @@ class TestEdgeIndex:
                 expected[b].append((a, w))
             for i in range(g.n_nodes):
                 assert g.adjacency(etype, i) == sorted(expected[i])
+
+
+# words a generated cluster draws from; the reserved names tokenize to "<",
+# the name and ">", so no text token can take a delimiter id
+WORDS = ("storm", "coast", "flood", "town", "team", "wins", "<sent-sep>", "<doc-sep>", "<pad>")
+SENTENCES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=14).map(
+    lambda words: " ".join(words) + ".")
+DOCUMENTS = st.lists(SENTENCES, min_size=1, max_size=4).map(" ".join)
+
+
+class TestDelimiterAlignment:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(docs=st.lists(DOCUMENTS, min_size=1, max_size=4), max_len=st.integers(16, 90),
+           min_freq=st.integers(1, 2))
+    def test_delimiter_ids_are_the_layout_and_the_graph_nodes(self, docs, max_len, min_freq):
+        """The document and sentence separator ids of the serialized input sit
+        exactly where the layout puts them and where the graph's document and
+        sentence nodes point, for any cluster and length budget."""
+        cluster = cluster_from_texts("p", docs)
+        vocab = build_vocab([cluster], min_freq=min_freq)
+        table = EmbeddingTable.random(all_tokens(cluster), 4, seed=0)
+        graph_cfg = GraphConfig(max_input_len=max_len)
+        if not layout(cluster, max_len).sent_slots:  # the first sentence does not fit
+            with pytest.raises(DataError):
+                serialize_encoder_input(cluster, vocab, max_len)
+            with pytest.raises(DataError):
+                build_hetero_graph(cluster, table, cfg=graph_cfg)
+            return
+        ids, bounds = serialize_encoder_input(cluster, vocab, max_len)
+        g = build_hetero_graph(cluster, table, cfg=graph_cfg)
+        ids = np.asarray(ids)
+        for sep, slots, kind in (
+                (Vocab.DOC_SEP, [p for _, p in bounds.doc_slots], "document"),
+                (Vocab.SENT_SEP, [slot.sep_pos for slot in bounds.sent_slots], "sentence")):
+            at = np.flatnonzero(ids == sep).tolist()
+            assert at == slots
+            assert at == [nd.token_position for nd in g.nodes if nd.kind == kind]
+        words = [nd.token_position for nd in g.nodes if nd.kind == "word"]
+        assert not np.isin(ids[words], (Vocab.DOC_SEP, Vocab.SENT_SEP)).any()

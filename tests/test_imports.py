@@ -116,3 +116,41 @@ def test_src_holds_no_process_wide_precision():
     found = {path.name: precision_switches(path.read_text(encoding="utf-8"))
              for path in Path(dgsum.__file__).parent.rglob("*.py")}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+LAYOUT_NAMES = {"BoundaryIndex", "layout"}
+
+
+def layout_names(source: str) -> set[str]:
+    """Which of ``LAYOUT_NAMES`` ``source`` names as code: a name, an
+    attribute, an import, a definition, a parameter or a keyword argument."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found |= {node.name, node.asname}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        else:
+            found.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                      or getattr(node, "arg", None))
+    return found & LAYOUT_NAMES
+
+
+def test_layout_names_reads_every_naming_form():
+    assert layout_names("from .corpus import BoundaryIndex\n") == {"BoundaryIndex"}
+    assert layout_names("import x as layout\n") == {"layout"}
+    assert layout_names("corpus.layout(c, 16)\n") == {"layout"}
+    assert layout_names("def layout():\n    pass\n") == {"layout"}
+    assert layout_names("def f(layout):\n    pass\n") == {"layout"}
+    assert layout_names("f(layout=1)\n") == {"layout"}
+    assert layout_names("x: BoundaryIndex = None\n") == {"BoundaryIndex"}
+    assert layout_names('"""the head layout"""\nbounds = 1\n') == set()
+
+
+def test_only_serialization_and_graph_construction_name_the_layout():
+    """The boundary index stops at the graph: past ``prepare_bundle`` a side
+    of a cluster is its ids and its graph, and the encoder finds the
+    delimiters in the ids."""
+    found = {path.name: layout_names(path.read_text(encoding="utf-8"))
+             for path in Path(dgsum.__file__).parent.rglob("*.py")}
+    assert {name for name, f in found.items() if f} == {"corpus.py", "hetgraph.py"}

@@ -1,5 +1,7 @@
 """Encoder locality/globality, node-embedding alignment, decoding contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import dgsum.numeric as nm
 from dgsum.corpus import Vocab, build_vocab, serialize_encoder_input
 from dgsum.embeddings import MeanWordEmbedder
 from dgsum.errors import AlignmentError, ConfigError, DataError, NumericError, ShapeError
-from dgsum.hetgraph import GraphConfig, build_hetero_graph
+from dgsum.hetgraph import GraphConfig, HeteroGraph, build_hetero_graph
 from dgsum.numeric import ParamStore, Tensor
 from dgsum.text_model import (TextModelConfig, _cached_step,
                               add_text_model_params, beam_search, causal_mask,
@@ -42,6 +44,11 @@ def encode_fixture(table_for, texts=("storm hits coast. waves flood town.",),
     return cluster, vocab, cfg, store, ids, bounds, graph
 
 
+def sep_positions(bounds):
+    """The delimiter positions of a layout, sorted."""
+    return sorted([p for _, p in bounds.doc_slots] + [s.sep_pos for s in bounds.sent_slots])
+
+
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
@@ -55,13 +62,13 @@ class TestConfig:
 class TestEncoder:
     def test_output_shape(self, table_for):
         _, _, cfg, store, ids, bounds, _ = encode_fixture(table_for)
-        rows = encode_text(ids, bounds, store, cfg)
+        rows = encode_text(ids, store, cfg)
         assert rows.shape == (len(ids), cfg.d_model)
 
     def test_over_length_error(self, table_for):
         _, _, cfg, store, ids, bounds, _ = encode_fixture(table_for)
         with pytest.raises(ShapeError):
-            encode_text(ids * 20, bounds, store, cfg)
+            encode_text(ids * 20, store, cfg)
 
     def test_mask_matrix_oracle(self):
         n, window = 16, 2
@@ -80,7 +87,7 @@ class TestEncoder:
         # re-derive one layer's attention weights from the parameters
         _, _, cfg, store, ids, bounds, _ = encode_fixture(table_for)
         n = len(ids)
-        mask = encoder_mask(n, cfg.attention_window, bounds.sep_positions())
+        mask = encoder_mask(n, cfg.attention_window, sep_positions(bounds))
         x = (store["emb.tok"].data[np.asarray(ids)] +
              store["emb.pos_enc"].data[:n])
         q = x @ store["enc0.attn.wq"].data + store["enc0.attn.bq"].data
@@ -96,7 +103,8 @@ class TestEncoder:
 
     def test_locality_probe_swap_outside_windows(self, table_for):
         """Swapping two far-apart non-delimiter tokens changes only rows
-        within one window of the swapped positions (single layer)."""
+        within one window of the swapped positions and the delimiter rows,
+        which attend to every position (single layer)."""
         texts = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
                  "mu nu xi omicron pi rho",)
         cluster = cluster_from_texts("loc", list(texts))
@@ -105,34 +113,37 @@ class TestEncoder:
         store = make_store(cfg, len(vocab))
         ids, bounds = serialize_encoder_input(cluster, vocab, cfg.max_in_len)
         i, j = 3, 12  # token positions far apart, non-delimiter
-        sep = set(bounds.sep_positions())
+        sep = set(sep_positions(bounds))
         assert i not in sep and j not in sep and abs(i - j) > 2 * cfg.attention_window
-        base = encode_text(ids, bounds, store, cfg).data
+        base = encode_text(ids, store, cfg).data
         swapped = list(ids)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert swapped != ids
-        out = encode_text(swapped, bounds, store, cfg).data
+        out = encode_text(swapped, store, cfg).data
         w = cfg.attention_window
         affected = set(range(i - w, i + w + 1)) | set(range(j - w, j + w + 1)) | sep
         for row in range(len(ids)):
             if row in affected:
                 continue
             assert np.array_equal(out[row], base[row]), f"row {row} changed"
+        assert sep == {0, len(ids) - 1}  # the document and the sentence delimiter
+        for row in sep:
+            assert not np.array_equal(out[row], base[row]), f"delimiter row {row} unchanged"
 
 
 class TestUnitEmbeddings:
     def test_count_and_word_rows(self, table_for):
         _, _, cfg, store, ids, bounds, graph = encode_fixture(table_for)
-        rows = encode_text(ids, bounds, store, cfg)
-        h0 = unit_embeddings(rows, bounds, graph)
+        rows = encode_text(ids, store, cfg)
+        h0 = unit_embeddings(rows, ids, graph)
         assert h0.shape == (graph.n_nodes, cfg.d_model)
         for node_idx, nd in enumerate(graph.nodes):
             assert np.array_equal(h0.data[node_idx], rows.data[nd.token_position])
 
     def test_alignment_against_boundary_oracle(self, table_for):
         _, _, cfg, store, ids, bounds, graph = encode_fixture(table_for)
-        rows = encode_text(ids, bounds, store, cfg)
-        unit_embeddings(rows, bounds, graph)  # must not raise
+        rows = encode_text(ids, store, cfg)
+        unit_embeddings(rows, ids, graph)  # must not raise
         doc_positions = {p for _, p in bounds.doc_slots}
         sent_positions = {s.sep_pos for s in bounds.sent_slots}
         for nd in graph.nodes:
@@ -144,18 +155,70 @@ class TestUnitEmbeddings:
                 assert ids[nd.token_position] >= 6
 
     def test_misaligned_error(self, table_for):
-        _, _, cfg, store, ids, bounds, graph = encode_fixture(table_for)
+        _, _, cfg, _, _, _, graph = encode_fixture(table_for)
         # a shorter cluster's encoding cannot host the original graph's nodes
         cluster2 = cluster_from_texts("short", ["storm hits."])
         vocab2 = build_vocab([cluster2], min_freq=1)
-        ids2, bounds2 = serialize_encoder_input(cluster2, vocab2, cfg.max_in_len)
+        ids2, _ = serialize_encoder_input(cluster2, vocab2, cfg.max_in_len)
         store2 = make_store(cfg, len(vocab2))
-        rows2 = encode_text(ids2, bounds2, store2, cfg)
+        rows2 = encode_text(ids2, store2, cfg)
         with pytest.raises(AlignmentError):
-            unit_embeddings(rows2, bounds2, graph)
-        # boundaries that point past the sequence are rejected up front
-        with pytest.raises(AlignmentError):
-            encode_text(ids2, bounds, store2, cfg)
+            unit_embeddings(rows2, ids2, graph)
+
+    def rows_ids_graph(self, table_for):
+        _, _, _, _, ids, _, graph = encode_fixture(table_for)
+        # DOC_SEP storm hits coast . SENT_SEP waves flood town . SENT_SEP
+        assert ids[0] == Vocab.DOC_SEP and ids[5] == ids[10] == Vocab.SENT_SEP
+        assert not set(ids[1:5] + ids[6:10]) & {Vocab.SENT_SEP, Vocab.DOC_SEP}
+        rows = Tensor(np.random.default_rng(0).normal(size=(len(ids), 4)))
+        return rows, ids, graph
+
+    @staticmethod
+    def moved(graph, kind, position):
+        """``graph`` with its first ``kind`` node moved to ``position``."""
+        i = next(i for i, nd in enumerate(graph.nodes) if nd.kind == kind)
+        nodes = list(graph.nodes)
+        nodes[i] = dataclasses.replace(nodes[i], token_position=position)
+        return HeteroGraph(nodes, graph.edges)
+
+    @pytest.mark.parametrize("kind, position, message", [
+        ("word", 11, "word node 0 at token position 11: outside encoder output of length 11"),
+        ("word", -1, "word node 0 at token position -1: outside encoder output of length 11"),
+        ("word", 5, "word node 0 at token position 5: on a delimiter id"),
+        ("word", 0, "word node 0 at token position 0: on a delimiter id"),
+        ("sentence", 2, "sentence node 0 at token position 2: on a non-delimiter id"),
+        ("document", 7, "document node 0 at token position 7: on a non-delimiter id"),
+    ])
+    def test_misplaced_node_is_named(self, table_for, kind, position, message):
+        """Each node's kind must match the id at its position; the error
+        names the first node that does not."""
+        rows, ids, graph = self.rows_ids_graph(table_for)
+        unit_embeddings(rows, ids, graph)  # the built graph fits
+        with pytest.raises(AlignmentError) as err:
+            unit_embeddings(rows, ids, self.moved(graph, kind, position))
+        assert str(err.value) == message
+
+    def test_first_misplaced_node_is_named(self, table_for):
+        rows, ids, graph = self.rows_ids_graph(table_for)
+        bad = self.moved(self.moved(graph, "word", 5), "sentence", 2)
+        with pytest.raises(AlignmentError, match="^sentence node 0 at"):
+            unit_embeddings(rows, ids, bad)
+
+    def test_rows_must_match_the_ids(self, table_for):
+        rows, ids, graph = self.rows_ids_graph(table_for)
+        with pytest.raises(AlignmentError, match="11 rows for 12 ids"):
+            unit_embeddings(rows, ids + [ids[1]], graph)
+        with pytest.raises(AlignmentError, match="11 rows for 10 ids"):
+            unit_embeddings(rows, ids[:-1], graph)
+
+    def test_rows_follow_a_permuted_node_list(self, table_for):
+        rows, ids, graph = self.rows_ids_graph(table_for)
+        perm = np.random.default_rng(1).permutation(graph.n_nodes)
+        assert not np.array_equal(perm, np.arange(graph.n_nodes))
+        permuted = HeteroGraph([graph.nodes[i] for i in perm], {})
+        h0 = unit_embeddings(rows, ids, permuted)
+        assert np.array_equal(h0.data, rows.data[graph.token_positions()[perm]])
+        assert np.array_equal(h0.data, rows.data[[nd.token_position for nd in permuted.nodes]])
 
 
 class TestTeacherForced:
@@ -357,13 +420,13 @@ class TestGradients:
                               ffn_dim=12, attention_window=2, max_in_len=32,
                               max_out_len=8)
         store = make_store(cfg, len(vocab), seed=3)
-        ids, bounds = serialize_encoder_input(cluster, vocab, cfg.max_in_len)
+        ids, _ = serialize_encoder_input(cluster, vocab, cfg.max_in_len)
         assert len(ids) <= 30
         target = [Vocab.BOS, 6, 7]
         gold = np.array([6, 7, Vocab.EOS])
 
         def loss():
-            rows = encode_text(ids, bounds, store, cfg)
+            rows = encode_text(ids, store, cfg)
             logits = decode_teacher_forced(rows, np.arange(len(ids)), target,
                                            store, cfg)
             return nm.cross_entropy_smoothed(logits, gold, 0.1)
@@ -373,7 +436,7 @@ class TestGradients:
 
 
 def long_encoder_input(n_docs, n_sents, seed=3):
-    """Token ids, boundaries and vocabulary size of a cluster of ``n_docs``
+    """Token ids and vocabulary size of a cluster of ``n_docs``
     documents of ``n_sents`` 17-word sentences."""
     rng = np.random.default_rng(seed)
     syll = ["ka", "lo", "mi", "ren", "tas", "vo", "du", "pel"]
@@ -382,8 +445,8 @@ def long_encoder_input(n_docs, n_sents, seed=3):
         " ".join(" ".join(rng.choice(words, size=17)) + "." for _ in range(n_sents))
         for _ in range(n_docs)])
     vocab = build_vocab([cluster], min_freq=1)
-    ids, bounds = serialize_encoder_input(cluster, vocab, 4096)
-    return ids, bounds, len(vocab)
+    ids, _ = serialize_encoder_input(cluster, vocab, 4096)
+    return ids, len(vocab)
 
 
 class TestBandedEncoder:
@@ -391,7 +454,7 @@ class TestBandedEncoder:
     def test_encoder_matches_the_dense_mask_path(self, window, monkeypatch):
         """encode_text and its parameter gradients, with the banded kernel and
         with the dense-mask oracle in its place."""
-        ids, bounds, v = long_encoder_input(3, 4)
+        ids, v = long_encoder_input(3, 4)
         cfg = tiny_cfg(n_layers_enc=2, attention_window=window, max_in_len=len(ids))
         store = make_store(cfg, v, seed=4)
         probe = np.random.default_rng(2).normal(size=(len(ids), cfg.d_model))
@@ -399,7 +462,7 @@ class TestBandedEncoder:
         for kernel in (nm.band_attention, band_attention_oracle):
             monkeypatch.setattr(nm, "band_attention", kernel)
             store.zero_grads()
-            q = encode_text(ids, bounds, store, cfg)
+            q = encode_text(ids, store, cfg)
             nm.sum_(nm.mul(q, probe)).backward()
             results.append([q.data] + [t.grad for _, t in store.items()
                                        if t.grad is not None])
@@ -414,13 +477,13 @@ class TestMemory:
         size stays under 120 MB of tracemalloc. A dense n x n mask and [H, n, n]
         weights per layer peaked at 167 MB here; the banded kernel at 74 MB."""
         import tracemalloc
-        ids, bounds, v = long_encoder_input(4, 13)
+        ids, v = long_encoder_input(4, 13)
         assert 950 <= len(ids) <= 1050
         cfg = TextModelConfig()
         store = make_store(cfg, v)
         tracemalloc.start()
         try:
-            nm.mean(encode_text(ids, bounds, store, cfg)).backward()
+            nm.mean(encode_text(ids, store, cfg)).backward()
             peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
@@ -433,7 +496,7 @@ class TestMemory:
         _, vocab, cfg, store, ids, bounds, _ = encode_fixture(table_for,
                                                               cfg=tiny_cfg(n_layers_dec=2))
         positions = np.arange(0, len(ids), 2)
-        memory = nm.gather_rows(encode_text(ids, bounds, store, cfg), positions)
+        memory = nm.gather_rows(encode_text(ids, store, cfg), positions)
         target = [Vocab.BOS] + ids[1:6]
         logits = decode_teacher_forced(memory, positions, target, store, cfg)
         loss = nm.cross_entropy_smoothed(logits, target[1:] + [Vocab.EOS], smoothing=0.1)

@@ -196,14 +196,14 @@ class TestTrainStep:
         tc = TrainConfig(beta=0.5, label_smoothing=0.1)
 
         def loss():
-            from dgsum.training import encode_compress, encode_summary_graph
+            from dgsum.training import encode_compress, encode_graph
             from dgsum.text_model import decode_teacher_forced
             q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
             logits = decode_teacher_forced(q_p, positions, bundle.target_input,
                                            params, model_cfg.text)
             l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold,
                                              tc.label_smoothing, ignore_index=Vocab.PAD)
-            q_z = encode_summary_graph(bundle, params, model_cfg)
+            q_z = encode_graph(bundle.sum_ids, bundle.sum_graph, params, model_cfg)
             l_gs = graph_similarity_loss(q_p, q_z)
             return nm.add(nm.mul(l_ce, tc.beta), nm.mul(l_gs, 1.0 - tc.beta))
 
