@@ -10,8 +10,8 @@ from dgsum.text_model import beam_search, causal_mask
 
 # The encoder is local: position i sees i +- window. Delimiter positions are
 # global: they see everything and everything sees them, so sentence and
-# document rows pool their whole span. nm.band_attention scores each block of
-# `window` rows against its own key block and the two beside it, plus the
+# document rows pool their whole span. nm.band_attention is dense attention
+# per block of 32 rows, over the keys within `window` of the block plus the
 # global keys, and gives the global rows a dense softmax over every key.
 n, window = 12, 2
 global_positions = [0, 6]  # pretend DOC_SEP at 0, SENT_SEP at 6

@@ -205,6 +205,15 @@ def _read_summaries(path) -> dict[str, str]:
     return out
 
 
+def _with_summaries(path, purpose: str) -> list:
+    """The clusters of ``path`` that have a summary; a file with none is a
+    data error that names it, before any model work."""
+    clusters = [c for c in load_clusters(path) if c.summary]
+    if not clusters:
+        raise DataError(f"{path}: no clusters with summaries to {purpose}")
+    return clusters
+
+
 def _each_cluster(clusters, prepare) -> list:
     """``prepare(c)`` of each cluster; a cluster that raises ``DataError`` is
     named on stderr with the reason and skipped."""
@@ -230,10 +239,8 @@ def _train_model(cfg: RunConfig):
     ``--dev`` (or the training set). All bundles are prepared first, and any
     bad cluster stops the run with every bad one named. Returns (training
     bundles, vocab, model config, fit result)."""
-    train_set = [c for c in load_clusters(cfg.data) if c.summary]
-    if not train_set:
-        raise DataError(f"{cfg.data}: no clusters with summaries to train on")
-    dev_set = [c for c in load_clusters(cfg.dev) if c.summary] if cfg.dev else []
+    train_set = _with_summaries(cfg.data, "train on")
+    dev_set = _with_summaries(cfg.dev, "score") if cfg.dev else []
     vocab = build_vocab(train_set, min_freq=cfg.min_freq)
     resources = cfg.resources(vocab)
     model_cfg = cfg.model_config()
@@ -293,6 +300,8 @@ def cmd_summarize(cfg: RunConfig, model_dir: str) -> int:
 def cmd_eval(cfg: RunConfig, generated_path: str, references_path: str) -> int:
     generated = _read_summaries(generated_path)
     references = _read_summaries(references_path)
+    if not references:
+        raise DataError(f"{references_path}: no summaries to score")
     report = rouge.corpus_rouge(generated, references)
     print(f"R-1 {100 * report['r1']:.2f}  R-2 {100 * report['r2']:.2f}  "
           f"R-L {100 * report['rl']:.2f}  len {report['mean_length']:.1f}  "
@@ -307,23 +316,25 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> 
         raise ConfigError(f"ksweep needs at least 2 k values, got {k_values}")
     if not cfg.data:
         raise ConfigError("ksweep requires --data")
+    k_cfgs = [dataclasses.replace(cfg, k=k) for k in k_values]
+    for k_cfg in k_cfgs:  # a bad k stops the sweep before any model work
+        k_cfg.model_config()
     n_failed = 0
     if model_dir:  # one model, its clusters and graphs, re-compressed at each k
+        clusters = _with_summaries(cfg.data, "score")
         vocab, model_cfg, params = _load_model(cfg, model_dir)
         resources = cfg.resources(vocab)
-        clusters = [c for c in load_clusters(cfg.data) if c.summary]
         bundles = _bundles(clusters, resources, model_cfg)
         n_failed = len(clusters) - len(bundles)
     rows = []
-    for k in k_values:
-        k_cfg = dataclasses.replace(cfg, k=k)
+    for k_cfg in k_cfgs:
         if model_dir:
             k_model_cfg = k_cfg.model_config()
         else:  # one model per k, trained as `dgsum train` trains it
             bundles, vocab, k_model_cfg, result = _train_model(k_cfg)
             params = result.params
         scores = score_summaries(bundles, params, k_model_cfg, vocab, cfg.beam_width)
-        rows.append({"k": k, "mean_length": scores["mean_length"], "r1": scores["r1"],
+        rows.append({"k": k_cfg.k, "mean_length": scores["mean_length"], "r1": scores["r1"],
                      "r2": scores["r2"], "rl": scores["rl"]})
 
     print(f"{'k':>6}  {'mean_len':>9}  {'R-1':>6}  {'R-2':>6}  {'R-L':>6}")

@@ -11,7 +11,8 @@ nodes' outputs; ``linear`` computes x @ w + b as one node, so no bare product
 is kept; ``elu`` saves its output, from which its derivative follows; the
 attention kernels take rows [n, d], split heads by strided views of those
 rows, return the attended rows and save only their softmax weights, so no
-head-split copy is kept. A backward
+head-split copy is kept; both run one core, ``_attend`` and its backward
+``_attend_grad``, once per block of rows in ``band_attention``. A backward
 hands an array over to ``_accum`` (``own=True``) only when it has just
 computed it and holds it nowhere else; the first gradient of a tensor is
 then that array itself, not a copy. Views of the incoming gradient (add,
@@ -410,20 +411,11 @@ def elu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def _softmax_rows(parts) -> None:
-    """In place, one softmax per row over the last axes of ``parts``
-    [..., rows, cols_i] taken together."""
-    m = parts[0].max(axis=-1, keepdims=True)
-    for p in parts[1:]:
-        if p.shape[-1]:
-            np.maximum(m, p.max(axis=-1, keepdims=True), out=m)
-    z = 0.0
-    for p in parts:
-        p -= m
-        np.exp(p, out=p)
-        z = z + p.sum(axis=-1, keepdims=True)
-    for p in parts:
-        p /= z
+def _softmax_rows(x) -> None:
+    """In place, one softmax per row over the last axis of ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
 
 
 def _softmax_grad(g, w):
@@ -437,7 +429,7 @@ def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = as_tensor(a)
     data = a.data.copy()
-    _softmax_rows([data])
+    _softmax_rows(data)
 
     def backward(g):  # g is this node's own buffer, dropped after the call
         _accum(a, _softmax_grad(g, data), own=True)
@@ -455,6 +447,27 @@ def _rows(x, shape):
     return x.swapaxes(-3, -2).reshape(shape)
 
 
+def _attend(qh, kh, vh, scale, mask_add=None):
+    """The softmax weights w = softmax(qh @ khᵀ * scale + mask_add) of head
+    views [..., H, nq, dh] over [..., H, nk, dh], and the attended values w @ vh."""
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    if mask_add is not None:
+        w += mask_add
+    _softmax_rows(w)
+    return w, w @ vh
+
+
+def _attend_grad(gh, qh, kh, vh, w, scale):
+    """dq, dkᵀ and dv of ``_attend`` in head layout, from the gradient ``gh``
+    of its attended values and its weights ``w``; dkᵀ = qhᵀ @ dw comes as
+    computed, [..., H, dh, nk]."""
+    dv = w.swapaxes(-1, -2) @ gh
+    dw = _softmax_grad(gh @ vh.swapaxes(-1, -2), w)
+    dw *= scale
+    return dw @ kh, qh.swapaxes(-1, -2) @ dw, dv
+
+
 def attention(q, k, v, n_heads: int, mask_add: np.ndarray | None = None) -> Tensor:
     """Multi-head softmax(q @ kᵀ / sqrt(dh) + mask_add) @ v for query rows
     ``q`` [B·nq, d] and key and value rows ``k``, ``v`` [B, nk, d]; keys
@@ -470,21 +483,17 @@ def attention(q, k, v, n_heads: int, mask_add: np.ndarray | None = None) -> Tens
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
     qh, kh, vh = (_heads(x.data, n_heads, (kb,)) for x in (q, k, v))
     scale = qh.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
-    w = qh @ kh.swapaxes(-1, -2)
-    w *= scale
-    if mask_add is not None:
-        w += mask_add
-    _softmax_rows([w])
+    w, out = _attend(qh, kh, vh, scale, mask_add)
 
     def backward(g):
-        gh = _heads(g, n_heads, (kb,))
-        _accum(v, _rows(w.swapaxes(-1, -2) @ gh, v.shape), own=True)
-        dw = _softmax_grad(gh @ vh.swapaxes(-1, -2), w)
-        dw *= scale
-        _accum(q, _rows(dw @ kh, q.shape), own=True)
-        _accum(k, _rows((qh.swapaxes(-1, -2) @ dw).swapaxes(-1, -2), k.shape), own=True)
+        dq, dkt, dv = _attend_grad(_heads(g, n_heads, (kb,)), qh, kh, vh, w, scale)
+        for t, dt in ((v, dv), (q, dq), (k, dkt.swapaxes(-1, -2))):
+            _accum(t, _rows(dt, t.shape), own=True)
 
-    return _make(_rows(w @ vh, q.shape), (q, k, v), backward)
+    return _make(_rows(out, q.shape), (q, k, v), backward)
+
+
+_BLOCK = 32  # query rows per dense block in band_attention
 
 
 def band_attention(q, k, v, n_heads: int, window: int, glob) -> Tensor:
@@ -494,15 +503,12 @@ def band_attention(q, k, v, n_heads: int, window: int, glob) -> Tensor:
     ``attention`` under the encoder mask. Heads are strided views of the rows,
     and the attended values come back as rows [n, d].
 
-    Rows are cut into blocks of ``window``; a block scores its own key block
-    and the two beside it [H, blocks, w, 3w], with keys beyond the window,
-    past either end or in ``glob`` masked, plus every ``glob`` key [H, n, g]
-    unmasked, under one softmax per row. When those blocks would hold as many
-    cells as n x n (a window of n/3 or more), all rows form one block that
-    scores all n keys [H, 1, n, n], as dense attention does. The ``glob``
-    rows take a softmax over all keys [H, g, n] instead. Only these weights
-    are saved; key and value windows are strided views of one padded copy,
-    rebuilt in backward."""
+    Each block of ``_BLOCK`` rows is one dense attention over a span of
+    min(n, _BLOCK + 2 window) keys that holds its rows' windows, masked where
+    |i - j| > window or j is in ``glob``, followed by the g ``glob`` keys. The
+    ``glob`` rows are one dense attention over all n keys, which overwrites
+    theirs. Only the weights are saved. Backward adds each block's gradients
+    into buffers that become the gradients of q, k and v, with no copy."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     glob = np.unique(np.asarray(glob, dtype=np.intp))
     n, d = q.shape if q.ndim == 2 else (0, 0)
@@ -510,86 +516,49 @@ def band_attention(q, k, v, n_heads: int, window: int, glob) -> Tensor:
             or window < 1 or (glob.size and (glob[0] < 0 or glob[-1] >= n)):
         raise ShapeError(f"band_attention: q {q.shape}, k {k.shape}, v {v.shape}, "
                          f"{n_heads} heads, window {window}, global positions {glob.tolist()}")
-    h, dh = n_heads, d // n_heads
-    w = min(window, n)
-    nb = -(-n // w)
-    pieces = 3  # key blocks per row block: its own and the two beside it
-    if n * n <= nb * w * 3 * w:
-        w, nb, pieces = n, 1, 1
-    lead = w * (pieces // 2)  # zero key rows before the first block's window
-    scale = q.data.dtype.type(1.0 / np.sqrt(dh))
-    i = np.arange(nb * w).reshape(nb, w, 1)
-    j = np.arange(-lead, pieces * w - lead) + w * np.arange(nb)[:, None, None]
-    off = (np.abs(i - j) > window) | (j < 0) | (j >= n) | np.isin(j, glob)
+    qh, kh, vh = (_heads(x.data, n_heads) for x in (q, k, v))
+    scale = qh.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+    span = min(n, _BLOCK + 2 * window)
+    starts = [(i0, min(max(0, i0 - window), n - span)) for i0 in range(0, n, _BLOCK)]
+    kb, vb = (np.concatenate([x[:, :span], x[:, glob]], axis=1) for x in (kh, vh))
+    is_glob = np.isin(np.arange(n), glob)
 
-    def padded(x, before=0, after=nb * w - n):  # x [h, n, dh] between zero rows
-        out = np.zeros((h, before + n + after, dh), dtype=x.dtype)
-        out[:, before:before + n] = x
-        return out
+    def keys(lo):  # a block's key and value heads: the span from lo, then the glob keys
+        kb[:, :span], vb[:, :span] = kh[:, lo:lo + span], vh[:, lo:lo + span]
+        return kb, vb
 
-    def windows(x):  # key rows j of block c [h, nb, pieces*w, dh], a view
-        xp = padded(x, lead, (nb + pieces - 1) * w - lead - n)
-        return np.lib.stride_tricks.sliding_window_view(xp, pieces * w, axis=1)[:, ::w] \
-            .swapaxes(-1, -2)
-
-    def unpad_windows(d):  # sum the [h, nb, pieces*w, dh] window gradients into rows
-        out = np.zeros((h, nb + pieces - 1, w, dh), dtype=d.dtype)
-        d = d.reshape(h, nb, pieces, w, dh)
-        for o in range(pieces):
-            out[:, o:o + nb] += d[:, :, o]
-        return out.reshape(h, -1, dh)[:, lead:lead + n]
-
-    qh, kh, vh = (_heads(x.data, h) for x in (q, k, v))
-    qp = padded(qh)  # [h, nb*w, dh]
-    kg, vg = kh[:, glob], vh[:, glob]
-    band = qp.reshape(h, nb, w, dh) @ windows(kh).swapaxes(-1, -2)
-    band *= scale
-    np.copyto(band, MASK_FILL, where=off)
-    cols = qp @ kg.swapaxes(-1, -2)
-    cols *= scale
-    _softmax_rows([band.reshape(h, nb * w, pieces * w), cols])
-    rows = qh[:, glob] @ kh.swapaxes(-1, -2)
-    rows *= scale
-    _softmax_rows([rows])
-    out = (band @ windows(vh)).reshape(h, nb * w, dh)
-    out += cols @ vg
-    out = out[:, :n]
-    out[:, glob] = rows @ vh
+    out = np.empty((n, d), dtype=qh.dtype)
+    oh, weights = _heads(out, n_heads), []
+    for i0, lo in starts:
+        i, j = np.arange(i0, min(n, i0 + _BLOCK))[:, None], np.arange(lo, lo + span)
+        mask = np.zeros((len(i), span + glob.size), dtype=out.dtype)
+        np.copyto(mask[:, :span], MASK_FILL, where=(np.abs(i - j) > window) | is_glob[j])
+        wb, oh[:, i0:i0 + _BLOCK] = _attend(qh[:, i0:i0 + _BLOCK], *keys(lo), scale, mask)
+        weights.append(wb)
+    wg, oh[:, glob] = _attend(qh[:, glob], kh, vh, scale)
 
     def backward(g):
-        g = _heads(g, h)
-        gp = padded(g)
-        gp[:, glob] = 0.0  # global rows take their gradient from ``rows`` alone
-        gb = gp.reshape(h, nb, w, dh)
-        dband = gb @ windows(vh).swapaxes(-1, -2)
-        dcols = gp @ vg.swapaxes(-1, -2)
-        inner = np.einsum("...k,...k->...", dband, band).reshape(h, -1, 1)
-        inner += np.einsum("...k,...k->...", dcols, cols)[..., None]
-        dband -= inner.reshape(h, nb, w, 1)
-        dband *= band
-        dband *= scale
-        dcols -= inner
-        dcols *= cols
-        dcols *= scale
-        grow = g[:, glob]
-        drows = grow @ vh.swapaxes(-1, -2)
-        drows -= np.einsum("...k,...k->...", drows, rows)[..., None]
-        drows *= rows
-        drows *= scale
-        dq = (dband @ windows(kh)).reshape(h, nb * w, dh)
-        dq += dcols @ kg
-        dq = dq[:, :n]
-        dq[:, glob] += drows @ kh
-        dk = unpad_windows(dband.swapaxes(-1, -2) @ qp.reshape(h, nb, w, dh))
-        dk[:, glob] += dcols.swapaxes(-1, -2) @ qp
-        dk += drows.swapaxes(-1, -2) @ qh[:, glob]
-        dv = unpad_windows(band.swapaxes(-1, -2) @ gb)
-        dv[:, glob] += cols.swapaxes(-1, -2) @ gp
-        dv += rows.swapaxes(-1, -2) @ grow
-        for t, dt in ((q, dq), (k, dk), (v, dv)):
-            _accum(t, _rows(dt, t.shape), own=True)
+        gh = _heads(g, n_heads)
+        dq, dv = np.empty_like(out), np.empty_like(out)  # rows [n, d]
+        dqh, dvh = _heads(dq, n_heads), _heads(dv, n_heads)
+        # the dense pass gives k's gradient buffer: kᵀ's heads [H, dh, n], as dkᵀ comes
+        dq_glob, dkt, dvh[:] = _attend_grad(gh[:, glob], qh[:, glob], kh, vh, wg, scale)
+        gh[:, glob] = 0.0  # the glob rows take their gradient from their dense pass alone
+        dkt_glob, dv_glob = np.zeros_like(dkt[..., :glob.size]), np.zeros_like(vb[:, span:])
+        for (i0, lo), wb in zip(starts, weights):
+            dqh[:, i0:i0 + _BLOCK], bkt, bv = _attend_grad(  # each row is in one block
+                gh[:, i0:i0 + _BLOCK], qh[:, i0:i0 + _BLOCK], *keys(lo), wb, scale)
+            dkt[..., lo:lo + span] += bkt[..., :span]
+            dvh[:, lo:lo + span] += bv[:, :span]
+            dkt_glob += bkt[..., span:]
+            dv_glob += bv[:, span:]
+        dqh[:, glob] += dq_glob
+        dkt[..., glob] += dkt_glob
+        dvh[:, glob] += dv_glob
+        for t, dt in ((q, dq), (k, dkt.reshape(d, n).T), (v, dv)):
+            _accum(t, dt, own=True)
 
-    return _make(_rows(out, q.shape), (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
 
 
 _MAX_CELLS = 1 << 20  # cells of one [edges, H, d_head] chunk in edge_attention

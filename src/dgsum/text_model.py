@@ -5,9 +5,9 @@ Encoder self-attention is local (each position sees a +-window radius) with
 global attention at the sentence and document delimiters, found by their ids
 (``Vocab.DELIMITERS``) as in Longformer and PRIMERA: delimiters attend to and
 are attended by every position, which lets their rows pool their full spans.
-It runs as one banded kernel, ``nm.band_attention`` (Longformer's sliding
-chunks plus global columns and rows), so no n x n array is formed unless the
-window is about n/3 or wider, where one dense block is cheaper.
+It runs as one kernel, ``nm.band_attention``: dense attention per block of
+rows over the keys within the window of the block plus the delimiter keys,
+and one dense pass for the delimiter rows, so no n x n array is formed.
 The decoder is a standard causal transformer with cross-attention over the
 compressed node embeddings, through ``nm.attention`` with a causal mask or
 none; memory rows get positional embeddings by their original token index

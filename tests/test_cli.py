@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dgsum
+from dgsum import cli
 from dgsum.cli import RunConfig, build_parser, main, resolve_config
 from dgsum.compressor import CompressorConfig
 from dgsum.errors import ConfigError
@@ -261,6 +262,21 @@ class TestTrain:
             assert "'oversized'" in err and "'oversized2'" in err, argv[0]
         assert not out.exists()
 
+    def test_a_dev_set_with_no_summaries_is_a_data_error_before_training(
+            self, tmp_path, toy_corpus_path, toy_corpus_records, toy_embeddings_path,
+            capsys, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **kw: fitted.append(a))
+        dev = tmp_path / "unsummarized.jsonl"
+        write_cluster_file(dev, [{k: v for k, v in r.items() if k != "summary"}
+                                 for r in toy_corpus_records])
+        out = tmp_path / "model"
+        assert main(["train", "--data", str(toy_corpus_path), "--dev", str(dev),
+                     "--embeddings", str(toy_embeddings_path), "--out", str(out),
+                     *TOY_FLAGS]) == 2
+        assert f"{dev}: no clusters with summaries to score" in capsys.readouterr().err
+        assert fitted == [] and not out.exists()
+
     def test_resolved_config_echo_reproduces(self, tmp_path, toy_corpus_path,
                                              toy_embeddings_path, trained_model):
         echoed = trained_model / "config.json"
@@ -474,6 +490,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert "gen.jsonl:2: cluster 'b': 'summary' must be a string" in err
 
+    def test_an_empty_reference_set_is_a_data_error(self, tmp_path, capsys):
+        p1 = tmp_path / "gen.jsonl"
+        p2 = tmp_path / "ref.jsonl"
+        p1.write_text("")
+        p2.write_text("")
+        assert main(["eval", "--generated", str(p1), "--references", str(p2)]) == 2
+        captured = capsys.readouterr()
+        assert f"{p2}: no summaries to score" in captured.err and captured.out == ""
+
     def test_id_mismatch_is_data_error(self, tmp_path):
         p1 = tmp_path / "gen.jsonl"
         p2 = tmp_path / "ref.jsonl"
@@ -503,6 +528,37 @@ class TestKsweep:
         rc = main(["ksweep", "--data", str(toy_corpus_path),
                    "--embeddings", str(toy_embeddings_path), "--k-values", "1.0"])
         assert rc == 1
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_every_k_is_checked_before_any_work(self, tmp_path, toy_corpus_path,
+                                                toy_embeddings_path, capsys, monkeypatch,
+                                                request, with_model):
+        model = ["--model", str(request.getfixturevalue("trained_model"))] if with_model else []
+        work = []
+        for name in ("_load_model", "_train_model", "score_summaries"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _f=getattr(cli, name):
+                                work.append(_name) or _f(*a))
+        out = tmp_path / "sweep.jsonl"
+        assert main(["ksweep", *model, "--data", str(toy_corpus_path),
+                     "--embeddings", str(toy_embeddings_path), *TOY_FLAGS,
+                     "--k-values", "0.5,0.7,1.5", "--out", str(out)]) == 1
+        assert "compression ratio k must be in (0, 1], got 1.5" in capsys.readouterr().err
+        assert work == [] and not out.exists()
+
+    def test_a_scoring_set_with_no_summaries_is_a_data_error(
+            self, tmp_path, trained_model, toy_corpus_records, toy_embeddings_path, capsys,
+            monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "_load_model", lambda *a: loaded.append(a))
+        data = tmp_path / "unsummarized.jsonl"
+        write_cluster_file(data, [{k: v for k, v in r.items() if k != "summary"}
+                                  for r in toy_corpus_records])
+        out = tmp_path / "sweep.jsonl"
+        assert main(["ksweep", "--model", str(trained_model), "--data", str(data),
+                     "--embeddings", str(toy_embeddings_path), "--k-values", "0.3,0.7",
+                     "--out", str(out)]) == 2
+        assert f"{data}: no clusters with summaries to score" in capsys.readouterr().err
+        assert loaded == [] and not out.exists()
 
     def test_rows_match_k_list(self, tmp_path, trained_model, toy_corpus_path,
                                toy_embeddings_path, capsys):

@@ -154,3 +154,38 @@ def test_only_serialization_and_graph_construction_name_the_layout():
     found = {path.name: layout_names(path.read_text(encoding="utf-8"))
              for path in Path(dgsum.__file__).parent.rglob("*.py")}
     assert {name for name, f in found.items() if f} == {"corpus.py", "hetgraph.py"}
+
+
+SOFTMAX_CORE = {"_softmax_rows", "_softmax_grad"}
+
+
+def callers_of(source: str, names: set[str]) -> set[str]:
+    """Names of the top-level functions and classes in ``source`` that call
+    one of ``names``, by name or as an attribute, at any depth; a call
+    outside them counts as ``<module>``."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found |= {owner for n in ast.walk(node) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) in names}
+    return found
+
+
+def test_callers_of_reads_calls_at_any_depth_and_by_attribute():
+    source = ("def a(x):\n    _softmax_rows(x)\n"
+              "def b(x):\n    def inner():\n        return tensor._softmax_grad(x, x)\n"
+              "    return inner\n"
+              "class C:\n    def f(self, x):\n        _softmax_rows(x)\n"
+              "def d(x):\n    return softmax_rows(_softmax_grad)\n"
+              "_softmax_rows(y)\n")
+    assert callers_of(source, SOFTMAX_CORE) == {"a", "b", "C", "<module>"}
+
+
+def test_only_softmax_and_the_attention_core_call_the_row_softmax():
+    """``softmax`` and ``_attend``/``_attend_grad``, the one dense attention
+    that both text kernels run, are the only callers of the in-place row
+    softmax and its backward: no kernel keeps a softmax path of its own."""
+    found = {path.name: callers_of(path.read_text(encoding="utf-8"), SOFTMAX_CORE)
+             for path in Path(dgsum.__file__).parent.rglob("*.py")}
+    assert {name: f for name, f in found.items() if f} == {
+        "tensor.py": {"softmax", "_attend", "_attend_grad"}}

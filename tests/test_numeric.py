@@ -385,7 +385,11 @@ class TestBandAttention:
         (1, 1, []), (1, 4, [0]), (2, 1, [1]), (5, 2, []), (5, 5, [2]), (5, 9, [0, 4]),
         (16, 2, [0, 7]), (17, 3, [0, 1, 2, 16]), (24, 4, [5, 6, 7, 12]), (31, 1, [30]),
         (40, 4, [0, 5, 6, 39]), (64, 16, [0, 63]), (100, 40, [3, 50]),
-        (213, 16, list(range(0, 213, 11))), (130, 7, list(range(0, 130, 2)))])
+        (213, 16, list(range(0, 213, 11))), (130, 7, list(range(0, 130, 2))),
+        # about the 32-row blocks: rows on either side of a block edge, windows
+        # of one row and wider than a block, delimiters on block edges or none
+        (31, 40, [0, 30]), (32, 1, []), (32, 40, [31]), (33, 1, [32]), (33, 5, []),
+        (65, 1, [31, 32, 63, 64]), (65, 40, [0, 32, 64]), (65, 7, [])])
     @pytest.mark.parametrize("b, h", [(1, 1), (2, 3)])
     def test_matches_the_dense_mask_oracle(self, n, window, glob, b, h):
         for seed in range(b):  # b independent inputs
@@ -402,17 +406,21 @@ class TestBandAttention:
                 assert got.shape == ref.shape, name
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
-    @pytest.mark.parametrize("window", [2, 4])  # three-block windows; one dense block
-    def test_grad_check(self, window):
-        q, k, v = self.operands(2, 11, seed=3)
-        probe = rand_const(11, 6)
-        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, k, v, 2, window, [0, 4, 5, 10]),
-                                     probe)),
+    @pytest.mark.parametrize("n, window, glob", [
+        pytest.param(11, 2, [0, 4, 5, 10], id="2"),  # one block of rows
+        pytest.param(11, 4, [0, 4, 5, 10], id="4"),
+        pytest.param(70, 3, [0, 31, 32, 64, 69], id="three-blocks")])
+    def test_grad_check(self, n, window, glob):
+        q, k, v = self.operands(2, n, seed=3)
+        probe = rand_const(n, 6)
+        check(lambda: nm.sum_(nm.mul(nm.band_attention(q, k, v, 2, window, glob), probe)),
               {"q": q, "k": k, "v": v})
 
     @pytest.mark.parametrize("window", [80, 120, 240, 1000])
     def test_wide_window_needs_no_more_memory_than_dense(self, window):
-        # from a window of n/3 up, the kernel scores one n x n block
+        # a block of rows scores at most all n keys and the global ones, so
+        # however wide the window, the blocks together hold about as many
+        # weights as the dense n x n path
         def peak(fn):
             q, k, v = self.operands(2, 240, dh=8)
             tracemalloc.start()
