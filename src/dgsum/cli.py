@@ -234,40 +234,48 @@ def _bundles(clusters, resources: Resources, model_cfg, need_summary: bool = Fal
 
 # --- commands ------------------------------------------------------------
 
-def _train_model(cfg: RunConfig):
-    """``fit`` on the clusters of ``--data`` that have summaries, selecting on
-    ``--dev`` (or the training set). All bundles are prepared first, and any
-    bad cluster stops the run with every bad one named. Returns (training
-    bundles, vocab, model config, fit result)."""
+def _prepare_training(cfg: RunConfig):
+    """The vocabulary and resources of the clusters of ``--data`` that have
+    summaries, and the training and dev bundles (the dev set is ``--dev``, or
+    the training set). The bundles read no compression ratio, so they serve
+    every k. Any bad cluster stops the run with every bad one named. Returns
+    (resources, training bundles, dev bundles)."""
     train_set = _with_summaries(cfg.data, "train on")
     dev_set = _with_summaries(cfg.dev, "score") if cfg.dev else []
-    vocab = build_vocab(train_set, min_freq=cfg.min_freq)
-    resources = cfg.resources(vocab)
+    resources = cfg.resources(build_vocab(train_set, min_freq=cfg.min_freq))
     model_cfg = cfg.model_config()
     train_bundles = _bundles(train_set, resources, model_cfg, need_summary=True)
     dev_bundles = _bundles(dev_set, resources, model_cfg, need_summary=True)
     n_bad = len(train_set) + len(dev_set) - len(train_bundles) - len(dev_bundles)
     if n_bad:
         raise DataError(f"{n_bad} cluster(s) could not be prepared; nothing was trained")
-    params = model_cfg.build_params(len(vocab), cfg.seed)
-    result = fit(train_bundles, dev_bundles if cfg.dev else train_bundles, params,
-                 model_cfg, cfg.train_config(), resources)
-    return train_bundles, vocab, model_cfg, result
+    return resources, train_bundles, dev_bundles or train_bundles
+
+
+def _train_model(cfg: RunConfig, resources: Resources, train_bundles, dev_bundles):
+    """``fit`` of a fresh model of ``cfg`` on prepared bundles."""
+    model_cfg = cfg.model_config()
+    params = model_cfg.build_params(len(resources.vocab), cfg.seed)
+    return fit(train_bundles, dev_bundles, params, model_cfg, cfg.train_config(), resources)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     if not cfg.data or not cfg.out:
         raise ConfigError("train requires --data and --out")
     out_dir = Path(cfg.out)
-    _, vocab, _, result = _train_model(cfg)
+    resources, train_bundles, dev_bundles = _prepare_training(cfg)
+    result = _train_model(cfg, resources, train_bundles, dev_bundles)
 
     _write_text(out_dir / "config.json",
                 json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     result.params.save(out_dir / "checkpoint.npz")
-    vocab.save(out_dir / "vocab.json")
+    resources.vocab.save(out_dir / "vocab.json")
     _write_jsonl(out_dir / "metrics.jsonl", result.log)
-    print(f"trained {result.steps} steps; best dev R-L {result.best_dev_rl:.4f}; "
-          f"artifacts in {out_dir}")
+    if any(rec["kind"] == "dev" for rec in result.log):
+        selected = f"best dev R-L {result.best_dev_rl:.4f}"
+    else:
+        selected = "no dev evaluation ran, so the last parameters were kept"
+    print(f"trained {result.steps} steps; {selected}; artifacts in {out_dir}")
     return 0
 
 
@@ -326,14 +334,14 @@ def cmd_ksweep(cfg: RunConfig, k_values: list[float], model_dir: str | None) -> 
         resources = cfg.resources(vocab)
         bundles = _bundles(clusters, resources, model_cfg)
         n_failed = len(clusters) - len(bundles)
+    else:  # one model per k, trained as `dgsum train` trains it, on one preparation
+        resources, bundles, dev_bundles = _prepare_training(cfg)
     rows = []
     for k_cfg in k_cfgs:
-        if model_dir:
-            k_model_cfg = k_cfg.model_config()
-        else:  # one model per k, trained as `dgsum train` trains it
-            bundles, vocab, k_model_cfg, result = _train_model(k_cfg)
-            params = result.params
-        scores = score_summaries(bundles, params, k_model_cfg, vocab, cfg.beam_width)
+        if not model_dir:
+            params = _train_model(k_cfg, resources, bundles, dev_bundles).params
+        scores = score_summaries(bundles, params, k_cfg.model_config(), resources.vocab,
+                                 cfg.beam_width)
         rows.append({"k": k_cfg.k, "mean_length": scores["mean_length"], "r1": scores["r1"],
                      "r2": scores["r2"], "rl": scores["rl"]})
 

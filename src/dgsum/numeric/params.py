@@ -114,6 +114,8 @@ class ParamStore:
                     if a.dtype.kind != "f" or a.dtype != out.dtype:
                         raise DataError(f"{path}: parameter {name!r} is {a.dtype}, not one floating "
                                         f"dtype with the rest ({arrays[0][0]!r} is {out.dtype})")
+                    if not np.isfinite(a).all():
+                        raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
                     out._params[name] = Tensor(a, requires_grad=True)
                 return out
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
@@ -125,11 +127,11 @@ class ParamStore:
         missing = set(self._params) - set(loaded._params)
         extra = set(loaded._params) - set(self._params)
         if missing or extra:
-            raise ConfigError(
-                f"checkpoint mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
+            raise ConfigError(f"{path}: checkpoint mismatch: missing {sorted(missing)}, "
+                              f"unexpected {sorted(extra)}")
         for name, t in self._params.items():
             src = loaded[name]
             if src.shape != t.shape:
-                raise ConfigError(
-                    f"checkpoint parameter {name!r}: shape {src.shape} != expected {t.shape}")
+                raise ConfigError(f"{path}: checkpoint parameter {name!r}: shape {src.shape} "
+                                  f"!= expected {t.shape}")
             t.data[...] = src.data

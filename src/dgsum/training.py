@@ -253,37 +253,9 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
 
     rng = np.random.default_rng(train_cfg.seed)
     optimizer = Adam(params, lr=train_cfg.lr)
-    best: ParamStore | None = None  # set by the first dev eval or at the end
-    best_rl = -1.0
-    bad_evals = 0
+    best, best_rl, bad_evals = None, -1.0, 0  # best is set by the first dev eval
     log_records: list[dict] = []
-    step = 0
-    acc: dict | None = None
-    acc_count = 0
-    stop = False
-
-    def apply_accumulated():
-        nonlocal acc, acc_count
-        for name, t in params.items():
-            t.grad = acc[name] / acc_count
-        optimizer.step()
-        params.zero_grads()
-        acc, acc_count = None, 0
-
-    def run_dev_eval():
-        nonlocal best, best_rl, bad_evals, stop
-        metrics = evaluate_dev(dev_bundles, params, model_cfg, resources.vocab)
-        improved = metrics["rl"] > best_rl
-        if improved:
-            best_rl = metrics["rl"]
-            best = params.clone()
-            bad_evals = 0
-        else:
-            bad_evals += 1
-            if bad_evals >= train_cfg.patience:
-                stop = True
-        log_records.append({"kind": "dev", "step": step, **metrics, "best": improved})
-
+    step, acc, acc_count = 0, None, 0
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(train_bundles))
         for pos, bi in enumerate(order, 1):
@@ -295,17 +267,25 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
                                 "total": breakdown.total})
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
             acc_count += 1
-            if acc_count >= train_cfg.accum or pos == len(order):  # a group ends with its epoch
-                apply_accumulated()
-            if train_cfg.eval_every and step % train_cfg.eval_every == 0:
-                run_dev_eval()
-                if stop:
-                    break
-        if not stop and not train_cfg.eval_every:
-            run_dev_eval()
-        if stop:
-            break
+            epoch_end = pos == len(order)
+            if acc_count == train_cfg.accum or epoch_end:  # a group ends with its epoch
+                for name, t in params.items():
+                    t.grad = acc[name] / acc_count
+                optimizer.step()
+                params.zero_grads()
+                acc, acc_count = None, 0
+            if (step % train_cfg.eval_every == 0) if train_cfg.eval_every else epoch_end:
+                metrics = evaluate_dev(dev_bundles, params, model_cfg, resources.vocab)
+                improved = metrics["rl"] > best_rl
+                log_records.append({"kind": "dev", "step": step, **metrics, "best": improved})
+                if improved:
+                    best, best_rl, bad_evals = params.clone(), metrics["rl"], 0
+                else:
+                    bad_evals += 1
+                    if bad_evals == train_cfg.patience:
+                        return FitResult(params=best, log=log_records, best_dev_rl=best_rl,
+                                         steps=step)
 
-    if best_rl < 0:  # no dev evaluation ever ran
+    if best is None:  # no dev evaluation ran
         best, best_rl = params.clone(), 0.0
     return FitResult(params=best, log=log_records, best_dev_rl=best_rl, steps=step)

@@ -277,6 +277,19 @@ class TestTrain:
         assert f"{dev}: no clusters with summaries to score" in capsys.readouterr().err
         assert fitted == [] and not out.exists()
 
+    @pytest.mark.parametrize("flags, said", [
+        ([], "best dev R-L "),
+        (["--epochs", "0"], "no dev evaluation ran, so the last parameters were kept"),
+        (["--eval-every", "9"], "no dev evaluation ran, so the last parameters were kept")])
+    def test_the_summary_line_says_whether_a_dev_evaluation_ran(
+            self, tmp_path, toy_corpus_path, toy_embeddings_path, capsys, flags, said):
+        out = tmp_path / "model"
+        assert main(["train", "--data", str(toy_corpus_path), "--embeddings",
+                     str(toy_embeddings_path), "--out", str(out), *TOY_FLAGS, *flags]) == 0
+        assert said in capsys.readouterr().out
+        evals = [r for r in read_jsonl(out / "metrics.jsonl") if r["kind"] == "dev"]
+        assert bool(evals) == (flags == [])
+
     def test_resolved_config_echo_reproduces(self, tmp_path, toy_corpus_path,
                                              toy_embeddings_path, trained_model):
         echoed = trained_model / "config.json"
@@ -630,6 +643,28 @@ class TestKsweep:
                                               toy_embeddings_path, row["k"])
             assert row == {"k": row["k"], **{key: report[key] for key in
                                              ("mean_length", "r1", "r2", "rl")}}
+
+    def test_a_training_sweep_prepares_its_clusters_once(self, tmp_path, toy_corpus_path,
+                                                         toy_embeddings_path, monkeypatch):
+        # only the compressor's k differs between the models of a sweep, so
+        # the clusters, embeddings and bundles serve every k
+        calls = {"prepare_bundle": 0, "load_clusters": 0, "load": 0}
+
+        def counted(f):
+            def wrapper(*a, **kw):
+                calls[f.__name__] += 1
+                return f(*a, **kw)
+            return wrapper
+        monkeypatch.setattr(cli, "prepare_bundle", counted(cli.prepare_bundle))
+        monkeypatch.setattr(cli, "load_clusters", counted(cli.load_clusters))
+        monkeypatch.setattr(cli.EmbeddingTable, "load", counted(cli.EmbeddingTable.load))
+        out = tmp_path / "sweep.jsonl"
+        assert main(["ksweep", "--data", str(toy_corpus_path),
+                     "--embeddings", str(toy_embeddings_path), *TOY_FLAGS,
+                     "--k-values", "0.3,0.5,0.7", "--out", str(out)]) == 0
+        assert [r["k"] for r in read_jsonl(out)] == [0.3, 0.5, 0.7]
+        assert calls == {"prepare_bundle": len(read_jsonl(toy_corpus_path)), "load_clusters": 1,
+                         "load": 1}
 
     def test_k1_equals_no_compressor_except_soft_mask(self, trained_model,
                                                       toy_corpus_path,
@@ -1058,6 +1093,29 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert f"{ckpt}: parameter" in err and "'emb.tok'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "ksweep"])
+    @pytest.mark.parametrize("name, value", [("dec0.ffn.w1", np.nan), ("enc0.attn.wq", np.inf)])
+    def test_non_finite_checkpoint_is_refused_before_any_cluster_is_prepared(
+            self, tmp_path, capsys, recwarn, monkeypatch, trained_model, toy_corpus_path,
+            toy_embeddings_path, command, name, value):
+        ckpt = trained_model / "checkpoint.npz"
+        with np.load(ckpt) as saved:
+            arrays = {n: saved[n].copy() for n in saved.files}
+        arrays[name].flat[3] = value
+        np.savez(ckpt, **arrays)
+        prepared = []
+        monkeypatch.setattr(cli, "prepare_bundle", lambda *a, **kw: prepared.append(a))
+        out = tmp_path / "out.jsonl"
+        k_values = ["--k-values", "0.3,0.7"] if command == "ksweep" else []
+        assert main([command, "--model", str(trained_model), "--data", str(toy_corpus_path),
+                     "--embeddings", str(toy_embeddings_path), *k_values,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: parameter {name!r} holds a non-finite value" in err
+        assert "Traceback" not in err
+        assert prepared == [] and not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["train", "graph"])
     def test_non_empty_out_is_refused(self, tmp_path, capsys, toy_corpus_path,

@@ -734,8 +734,14 @@ class TestInitAndParams:
         store.save(path)
         other = ParamStore()
         other.add("layer.w", (7, 4), np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="layer.w"):
+        with pytest.raises(ConfigError) as err:
             other.load_data_from(path)
+        assert f"{path}: checkpoint parameter 'layer.w'" in str(err.value)
+        renamed = ParamStore()
+        renamed.add("layer.v", (7, 3), np.random.default_rng(0))
+        with pytest.raises(ConfigError) as err:
+            renamed.load_data_from(path)
+        assert f"{path}: checkpoint mismatch: missing ['layer.v']" in str(err.value)
 
     def test_checkpoint_missing_header(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -743,6 +749,19 @@ class TestInitAndParams:
         from dgsum.numeric import ParamStore
         with pytest.raises(DataError):
             ParamStore.load(path)
+
+    def test_non_finite_checkpoint_names_the_first_such_parameter(self, tmp_path):
+        from dgsum.numeric import ParamStore
+        store = ParamStore()
+        for name in ("a", "b", "c"):
+            store.add(name, (2, 3), np.random.default_rng(0))
+        store["b"].data[1, 2] = -np.inf
+        store["c"].data[0, 0] = np.nan
+        path = tmp_path / "ckpt.npz"
+        store.save(path)
+        with pytest.raises(DataError) as err:
+            ParamStore.load(path)
+        assert str(err.value) == f"{path}: parameter 'b' holds a non-finite value"
 
 
 class TestAdam:

@@ -446,6 +446,40 @@ class TestFit:
         for name, t in result.params.items():
             assert np.array_equal(t.data, expected[name].data), name
 
+    @pytest.mark.parametrize("eval_every, eval_steps", [
+        # three bundles, an eval every 2 steps: fit stops at step 8, in the
+        # middle of epoch 3
+        (2, [2, 4, 6, 8]),
+        # an eval at each epoch's end: fit stops at step 12, the end of epoch 4
+        (None, [3, 6, 9, 12])])
+    def test_patience_stops_at_the_patience_th_eval_without_improvement(
+            self, monkeypatch, eval_every, eval_steps):
+        # R-L 0.2 and 0.5 improve; a tie and a fall are the two evals
+        # without improvement that patience 2 allows
+        rls, bests = [0.2, 0.5, 0.5, 0.1], [True, True, False, False]
+        resources, model_cfg, params, bundles = self.accumulation_setup()
+        seen = []  # the parameters at each dev eval
+
+        def scripted_dev(dev_bundles, params, model_cfg, vocab):
+            seen.append({n: t.data.copy() for n, t in params.items()})
+            rl = rls[len(seen) - 1]
+            return {"r1": rl, "r2": rl, "rl": rl}
+        monkeypatch.setattr(training, "evaluate_dev", scripted_dev)
+        tc = TrainConfig(epochs=10, eval_every=eval_every, patience=2)
+        result = fit(bundles, bundles, params, model_cfg, tc, resources)
+
+        assert len(seen) == 4
+        assert result.steps == eval_steps[-1]
+        assert len([r for r in result.log if r["kind"] == "step"]) == result.steps
+        dev = [r for r in result.log if r["kind"] == "dev"]
+        assert [(r["step"], r["rl"], r["best"]) for r in dev] == list(zip(eval_steps, rls, bests))
+        assert result.log[-1] is dev[-1]
+        assert result.best_dev_rl == 0.5
+        for name, t in result.params.items():
+            assert np.array_equal(t.data, seen[1][name]), name
+        assert any(not np.array_equal(t.data, seen[-1][name])
+                   for name, t in result.params.items())
+
     def test_dev_log_records(self):
         cluster, vocab, resources, model_cfg, params, bundle = micro_setup()
         tc = TrainConfig(epochs=2, eval_every=None, patience=50)
