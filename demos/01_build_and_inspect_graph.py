@@ -19,11 +19,11 @@ cluster = DocumentCluster(
 )
 for d, doc in enumerate(cluster.documents):
     for s, sent in enumerate(doc.sentences):
-        print(f"doc {d} sent {s}: {sent.lower}")
+        print(f"doc {d} sent {s}: {sent.tokens}")
 
 # Static word vectors drive the WE and SS edge weights. Real runs load a
 # GloVe-format text file; here random-but-deterministic vectors suffice.
-tokens = {t for doc in cluster.documents for s in doc.sentences for t in s.lower}
+tokens = {t for doc in cluster.documents for s in doc.sentences for t in s.tokens}
 table = EmbeddingTable.random(tokens, dimension=16, seed=0)
 
 graph = build_hetero_graph(cluster, table, MeanWordEmbedder(table),

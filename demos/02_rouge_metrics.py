@@ -10,8 +10,8 @@ from dgsum.rouge import rouge_avg_f1, rouge_l_summary, rouge_n
 candidate = "police killed the gunman near the station."
 reference = "the gunman was killed by police at the station."
 
-cand_sents = [s.lower for s in tokenize(candidate)]
-ref_sents = [s.lower for s in tokenize(reference)]
+cand_sents = [s.tokens for s in tokenize(candidate)]
+ref_sents = [s.tokens for s in tokenize(reference)]
 cand_flat = [t for s in cand_sents for t in s]
 ref_flat = [t for s in ref_sents for t in s]
 
@@ -31,6 +31,6 @@ reordered = [two_sent[1], two_sent[0]]
 print("reordered F1:", rouge_l_summary(reordered, two_sent).f1)
 
 # The document-document edge weight is the mean of the three F1 values.
-doc_a = [s.lower for s in tokenize("A storm hit the coast. Waves flooded town.")]
-doc_b = [s.lower for s in tokenize("The storm neared the coast by evening.")]
+doc_a = [s.tokens for s in tokenize("A storm hit the coast. Waves flooded town.")]
+doc_b = [s.tokens for s in tokenize("The storm neared the coast by evening.")]
 print("document edge weight:", round(rouge_avg_f1(doc_a, doc_b), 4))

@@ -37,8 +37,8 @@ clusters = [
 
 vocab = build_vocab(clusters, min_freq=1)
 tokens = {t for c in clusters for d in c.documents for s in d.sentences
-          for t in s.lower}
-tokens |= {t for c in clusters for s in c.summary for t in s.lower}
+          for t in s.tokens}
+tokens |= {t for c in clusters for s in c.summary for t in s.tokens}
 table = EmbeddingTable.random(tokens, dimension=8, seed=1)
 resources = Resources.default(vocab, table)
 
@@ -64,7 +64,7 @@ print(f"trained {len(steps)} steps; "
 print("\ngenerated vs reference (beam width 5):")
 for bundle in bundles:
     hyp = summarize_bundle(bundle, result.params, model_cfg, vocab, beam_width=5)
-    ref = bundle.ref_tokens
+    ref = [t for s in bundle.reference for t in s][:model_cfg.text.max_out_len - 1]
     rl = corpus_rouge({"c": " ".join(hyp)}, {"c": " ".join(ref)})["rl"]  # as dgsum eval
     mark = "=" if hyp == ref else "~"
     print(f"  [{mark}] R-L {rl:.2f} | {' '.join(hyp)}")

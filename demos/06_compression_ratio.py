@@ -18,7 +18,7 @@ texts = [
 ]
 cluster = DocumentCluster(
     id="k-demo", documents=[Document(sentences=tokenize(t)) for t in texts])
-tokens = {t for d in cluster.documents for s in d.sentences for t in s.lower}
+tokens = {t for d in cluster.documents for s in d.sentences for t in s.tokens}
 table = EmbeddingTable.random(tokens, dimension=8, seed=3)
 graph = build_hetero_graph(cluster, table, MeanWordEmbedder(table), GraphConfig())
 

@@ -237,15 +237,16 @@ def _bundles(clusters, resources: Resources, model_cfg, need_summary: bool = Fal
 def _prepare_training(cfg: RunConfig):
     """The vocabulary and resources of the clusters of ``--data`` that have
     summaries, and the training and dev bundles (the dev set is ``--dev``, or
-    the training set). The bundles read no compression ratio, so they serve
-    every k. Any bad cluster stops the run with every bad one named. Returns
-    (resources, training bundles, dev bundles)."""
+    the training set). A dev cluster is prepared as ``summarize`` prepares
+    one, plus its reference. The bundles read no compression ratio, so they
+    serve every k. Any bad cluster stops the run with every bad one named.
+    Returns (resources, training bundles, dev bundles)."""
     train_set = _with_summaries(cfg.data, "train on")
     dev_set = _with_summaries(cfg.dev, "score") if cfg.dev else []
     resources = cfg.resources(build_vocab(train_set, min_freq=cfg.min_freq))
     model_cfg = cfg.model_config()
     train_bundles = _bundles(train_set, resources, model_cfg, need_summary=True)
-    dev_bundles = _bundles(dev_set, resources, model_cfg, need_summary=True)
+    dev_bundles = _bundles(dev_set, resources, model_cfg)
     n_bad = len(train_set) + len(dev_set) - len(train_bundles) - len(dev_bundles)
     if n_bad:
         raise DataError(f"{n_bad} cluster(s) could not be prepared; nothing was trained")
@@ -299,7 +300,7 @@ def cmd_summarize(cfg: RunConfig, model_dir: str) -> int:
     for bundle in bundles:
         tokens = summarize_bundle(bundle, params, model_cfg, vocab,
                                   beam_width=cfg.beam_width)
-        records.append({"id": bundle.cluster.id, "summary": " ".join(tokens)})
+        records.append({"id": bundle.id, "summary": " ".join(tokens)})
     _write_jsonl(cfg.out, records)
     print(f"wrote {len(records)} summaries to {cfg.out}")
     return 2 if len(bundles) < len(clusters) else 0

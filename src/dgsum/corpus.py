@@ -25,9 +25,7 @@ _PUNCT = set(string.punctuation)
 
 @dataclass
 class Sentence:
-    tokens: list[str]
-    lower: list[str]
-    char_span: tuple[int, int]
+    tokens: list[str]  # lowercased
     pos: list[str] | None = None
 
     def __len__(self) -> int:
@@ -62,29 +60,15 @@ def _split_chunk(chunk: str) -> list[str]:
 def tokenize(text: str) -> list[Sentence]:
     """Split text into sentences on terminal punctuation followed by
     whitespace (or end of text), then whitespace-tokenize with edge
-    punctuation detached. Empty text gives an empty list."""
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for m in _SENT_END.finditer(text):
-        end = m.end()
-        if text[start:end].strip():
-            spans.append((start, end))
-        start = end
-    if text[start:].strip():
-        spans.append((start, len(text)))
-
+    punctuation detached, lowercasing each token. Empty text gives an empty
+    list."""
     sentences = []
-    for raw_start, raw_end in spans:
-        seg = text[raw_start:raw_end]
-        lead = len(seg) - len(seg.lstrip())
-        trail = len(seg) - len(seg.rstrip())
-        s, e = raw_start + lead, raw_end - trail
-        tokens = []
-        for chunk in text[s:e].split():
-            tokens.extend(_split_chunk(chunk))
+    start = 0
+    for end in [m.end() for m in _SENT_END.finditer(text)] + [len(text)]:
+        tokens = [t.lower() for chunk in text[start:end].split() for t in _split_chunk(chunk)]
         if tokens:
-            sentences.append(Sentence(tokens=tokens, lower=[t.lower() for t in tokens],
-                                      char_span=(s, e)))
+            sentences.append(Sentence(tokens=tokens))
+        start = end
     return sentences
 
 
@@ -235,7 +219,7 @@ class Vocab:
 
 
 def build_vocab(clusters: list[DocumentCluster], min_freq: int = 2) -> Vocab:
-    """Count lowercased tokens over documents and summaries; keep those with
+    """Count tokens over documents and summaries; keep those with
     frequency >= min_freq, ordered by frequency desc then lexicographic."""
     if not clusters:
         raise DataError("build_vocab: no clusters")
@@ -245,7 +229,7 @@ def build_vocab(clusters: list[DocumentCluster], min_freq: int = 2) -> Vocab:
         if cluster.summary:
             sents.extend(cluster.summary)
         for sent in sents:
-            for tok in sent.lower:
+            for tok in sent.tokens:
                 freq[tok] = freq.get(tok, 0) + 1
     kept = sorted((t for t, c in freq.items() if c >= min_freq),
                   key=lambda t: (-freq[t], t))
@@ -259,8 +243,7 @@ class SentenceSlot:
     doc: int        # document index within the cluster
     sent: int       # sentence index within the document
     tok_start: int  # first token position in the serialized sequence
-    tok_end: int    # one past the last token position
-    sep_pos: int    # position of this sentence's SENT_SEP
+    sep_pos: int    # position of this sentence's SENT_SEP, one past its last token
 
 
 @dataclass
@@ -299,7 +282,7 @@ def layout(cluster: DocumentCluster, max_len: int) -> BoundaryIndex:
             tok_start = pos
             pos += len(sent)
             idx.sent_slots.append(SentenceSlot(doc=di, sent=si, tok_start=tok_start,
-                                               tok_end=pos, sep_pos=pos))
+                                               sep_pos=pos))
             pos += 1
         if stop:
             break
@@ -320,7 +303,7 @@ def serialize_encoder_input(cluster: DocumentCluster, vocab: Vocab,
     for slot in bounds.sent_slots:
         ids[slot.sep_pos] = Vocab.SENT_SEP
         sent = cluster.documents[slot.doc].sentences[slot.sent]
-        for k, tok in enumerate(sent.lower):
+        for k, tok in enumerate(sent.tokens):
             ids[slot.tok_start + k] = vocab.encode(tok)
     return ids, bounds
 

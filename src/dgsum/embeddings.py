@@ -97,14 +97,9 @@ class EmbeddingTable:
             vec = self.vectors.get(token.lower())
         return self.unk_vector if vec is None else vec
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors or token.lower() in self.vectors
-
 
 class MeanWordEmbedder:
     """Default sentence embedder: mean of the sentence's word vectors."""
-
-    mode = "mean-of-words"
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
@@ -113,13 +108,11 @@ class MeanWordEmbedder:
     def embed(self, sentence: Sentence, key: tuple | None = None) -> np.ndarray:
         if not sentence.tokens:
             raise DataError("cannot embed an empty sentence")
-        return np.mean([self.table.get(t) for t in sentence.lower], axis=0)
+        return np.mean([self.table.get(t) for t in sentence.tokens], axis=0)
 
 
 class PrecomputedEmbedder:
     """Sentence vectors read from a file keyed by cluster/doc/sentence."""
-
-    mode = "precomputed-file"
 
     def __init__(self, path, dimension: int):
         self._vectors = _parse_vector_file(path, dimension, "sentence embeddings")

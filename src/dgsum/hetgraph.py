@@ -124,7 +124,7 @@ def noun_candidates(sentence: Sentence) -> set[int]:
     carries POS annotations, otherwise alphabetic tokens outside the
     closed-class list."""
     if sentence.pos is None:
-        return {i for i, tok in enumerate(sentence.lower)
+        return {i for i, tok in enumerate(sentence.tokens)
                 if tok.isalpha() and tok not in STOPWORDS}
     if len(sentence.pos) != len(sentence.tokens):
         raise DataError(f"POS annotations: {len(sentence.pos)} tags for "
@@ -283,7 +283,7 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
     edges["DS"] = Edges(ds, sent_ids, np.ones(n_sents))
 
     # WE: noun occurrences across the whole cluster
-    nouns = [(start + k, sent.lower[k])
+    nouns = [(start + k, sent.tokens[k])
              for start, sent in zip(first_word.tolist(), sents) for k in noun_candidates(sent)]
     edges["WE"] = _cosine_edges([i for i, _ in nouns], [table.get(t) for _, t in nouns],
                                 cfg.we_threshold or None)
@@ -297,7 +297,7 @@ def build_hetero_graph(cluster: DocumentCluster, table: EmbeddingTable,
     # in one batch; the lower-index document is the candidate, so a weight
     # depends on document order
     retained = bounds.retained_sentences()
-    texts = [[cluster.documents[di].sentences[si].lower for si in retained[di]]
+    texts = [[cluster.documents[di].sentences[si].tokens for si in retained[di]]
              for di, _ in bounds.doc_slots]  # in document order, as the nodes are
     i, j = np.triu_indices(n_docs, 1)  # row-major
     weights = rouge.rouge_avg_f1_batch(texts, list(zip(i.tolist(), j.tolist())))

@@ -693,37 +693,29 @@ def cosine_sim(u, v) -> Tensor:
     return _make(np.asarray(c, dtype=u.data.dtype), (u, v), backward)
 
 
-def cross_entropy_smoothed(logits, targets, smoothing: float = 0.0,
-                           ignore_index: int | None = None) -> Tensor:
-    """Mean label-smoothed negative log-likelihood.
+def cross_entropy_smoothed(logits, targets, smoothing: float = 0.0) -> Tensor:
+    """Mean label-smoothed negative log-likelihood over the steps.
 
     The target distribution puts 1-smoothing on the gold class and spreads
-    smoothing uniformly over the remaining V-1 classes. Steps whose target
-    equals ``ignore_index`` contribute nothing.
+    smoothing uniformly over the remaining V-1 classes.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
     if logits.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
     t, v = logits.shape
-    valid = np.ones(t, dtype=bool) if ignore_index is None else targets != ignore_index
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ShapeError("cross_entropy: every step is ignored")
+    if t == 0:
+        raise ShapeError("cross_entropy: no steps")
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
 
-    q = np.zeros((t, v), dtype=logits.data.dtype)
-    rest = smoothing / (v - 1) if v > 1 else 0.0
-    q[valid] = rest
-    q[np.arange(t)[valid], targets[valid]] = 1.0 - smoothing
-    loss = -(q * logp).sum() / n_valid
+    q = np.full((t, v), smoothing / (v - 1) if v > 1 else 0.0, dtype=logits.data.dtype)
+    q[np.arange(t), targets] = 1.0 - smoothing
+    loss = -(q * logp).sum() / t
 
     def backward(g):
-        p = np.exp(logp)
-        d = (p - q) * valid[:, None]
-        _accum(logits, g * d / n_valid, own=True)
+        _accum(logits, g * (np.exp(logp) - q) / t, own=True)
 
     return _make(np.asarray(loss, dtype=logits.data.dtype), (logits,), backward)

@@ -183,7 +183,7 @@ def rouge_avg_f1(text_a: SentenceList, text_b: SentenceList) -> float:
 def sentences(text: str) -> SentenceList:
     """Lowercased sentence token lists of ``text``, split by the package
     tokenizer."""
-    return [s.lower for s in tokenize(text)]
+    return [s.tokens for s in tokenize(text)]
 
 
 def mean_rouge(pairs: list[tuple[SentenceList, SentenceList]]) -> dict:

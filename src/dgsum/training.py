@@ -98,13 +98,13 @@ class LossBreakdown:
 @dataclass
 class ClusterBundle:
     """Static per-cluster artifacts, computed once as no parameter touches them.
-    Each side, source and (for training) summary, is its encoder ids plus graph."""
-    cluster: DocumentCluster
+    Each side, source and (for training) summary, is its encoder ids plus graph;
+    the parsed cluster itself is not kept."""
+    id: str
     src_ids: list[int]
     src_graph: HeteroGraph
-    target_input: list[int] | None = None  # BOS + gold tokens
-    target_gold: list[int] | None = None   # gold tokens + EOS
-    ref_tokens: list[str] | None = None
+    reference: list[list[str]] | None = None  # the summary's sentence tokens
+    target: list[int] | None = None  # gold ids, at most max_out_len - 1
     sum_ids: list[int] | None = None
     sum_graph: HeteroGraph | None = None
 
@@ -119,17 +119,18 @@ def _ids_and_graph(cluster: DocumentCluster, resources: Resources,
 
 def prepare_bundle(cluster: DocumentCluster, resources: Resources,
                    model_cfg: ModelConfig, need_summary: bool = True) -> ClusterBundle:
+    """The source side of ``cluster``, its reference when it has a summary,
+    and with ``need_summary`` its training target and summary side."""
     max_in = model_cfg.text.max_in_len
-    bundle = ClusterBundle(cluster, *_ids_and_graph(cluster, resources, max_in))
-    if need_summary and cluster.summary:
-        tokens = [t for sent in cluster.summary for t in sent.lower]
-        tokens = tokens[:model_cfg.text.max_out_len - 1]
-        ids = [resources.vocab.encode(t) for t in tokens]
-        bundle.target_input = [Vocab.BOS] + ids
-        bundle.target_gold = ids + [Vocab.EOS]
-        bundle.ref_tokens = tokens
-        bundle.sum_ids, bundle.sum_graph = _ids_and_graph(summary_as_cluster(cluster),
-                                                          resources, max_in)
+    bundle = ClusterBundle(cluster.id, *_ids_and_graph(cluster, resources, max_in))
+    if cluster.summary:
+        bundle.reference = [sent.tokens for sent in cluster.summary]
+        if need_summary:
+            tokens = [t for sent in bundle.reference for t in sent]
+            bundle.target = [resources.vocab.encode(t)
+                             for t in tokens[:model_cfg.text.max_out_len - 1]]
+            bundle.sum_ids, bundle.sum_graph = _ids_and_graph(summary_as_cluster(cluster),
+                                                              resources, max_in)
     return bundle
 
 
@@ -167,16 +168,16 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
                rng: np.random.Generator | None = None) -> tuple[LossBreakdown, dict]:
     """Forward both objectives, backward on the weighted total, and return
     the loss breakdown plus a name->gradient dict."""
-    if bundle.target_input is None:
-        raise DataError(f"cluster {bundle.cluster.id!r} has no summary to train on")
+    if bundle.target is None:
+        raise DataError(f"cluster {bundle.id!r} has no summary to train on")
     rng = rng or np.random.default_rng(train_cfg.seed)
     beta = float(train_cfg.beta)
 
     q_p, positions, _, _ = encode_compress(bundle, params, model_cfg, train=True, rng=rng)
-    logits = decode_teacher_forced(q_p, positions, bundle.target_input, params,
+    logits = decode_teacher_forced(q_p, positions, [Vocab.BOS] + bundle.target, params,
                                    model_cfg.text, train=True, rng=rng)
-    l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, train_cfg.label_smoothing,
-                                     ignore_index=Vocab.PAD)
+    l_ce = nm.cross_entropy_smoothed(logits, bundle.target + [Vocab.EOS],
+                                     train_cfg.label_smoothing)
 
     if beta == 1.0:
         l_gs = None
@@ -190,7 +191,7 @@ def train_step(bundle: ClusterBundle, params: ParamStore, model_cfg: ModelConfig
     try:
         total.backward()
     except NumericError as e:
-        raise NumericError(f"cluster {bundle.cluster.id!r}: {e}") from e
+        raise NumericError(f"cluster {bundle.id!r}: {e}") from e
     # the parameters' own arrays: zero_grads() above makes the next backward
     # allocate new ones
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -226,10 +227,9 @@ def score_summaries(bundles: list[ClusterBundle], params: ParamStore,
     have a reference, as ``dgsum eval`` would score them."""
     pairs = []
     for bundle in bundles:
-        if bundle.cluster.summary:
+        if bundle.reference:
             tokens = summarize_bundle(bundle, params, model_cfg, vocab, beam_width)
-            pairs.append((rouge.sentences(" ".join(tokens)),
-                          [s.lower for s in bundle.cluster.summary]))
+            pairs.append((rouge.sentences(" ".join(tokens)), bundle.reference))
     return rouge.mean_rouge(pairs)
 
 
@@ -262,7 +262,7 @@ def fit(train_bundles: list[ClusterBundle], dev_bundles: list[ClusterBundle],
             bundle = train_bundles[int(bi)]
             breakdown, grads = train_step(bundle, params, model_cfg, train_cfg, rng=rng)
             step += 1
-            log_records.append({"kind": "step", "step": step, "cluster": bundle.cluster.id,
+            log_records.append({"kind": "step", "step": step, "cluster": bundle.id,
                                 "l_ce": breakdown.l_ce, "l_gs": breakdown.l_gs,
                                 "total": breakdown.total})
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}

@@ -16,9 +16,9 @@ def cluster_from_texts(cid, doc_texts, summary=""):
 
 
 def all_tokens(cluster):
-    toks = {t for d in cluster.documents for s in d.sentences for t in s.lower}
+    toks = {t for d in cluster.documents for s in d.sentences for t in s.tokens}
     if cluster.summary:
-        toks |= {t for s in cluster.summary for t in s.lower}
+        toks |= {t for s in cluster.summary for t in s.tokens}
     return toks
 
 
@@ -42,10 +42,9 @@ def micro_cluster():
         "storm floods town.")
 
 
-def sentence_from_tokens(tokens, start=0):
+def sentence_from_tokens(tokens):
     from dgsum.corpus import Sentence
-    return Sentence(tokens=list(tokens), lower=[t.lower() for t in tokens],
-                    char_span=(start, start + len(" ".join(tokens))))
+    return Sentence(tokens=list(tokens))
 
 
 @pytest.fixture
@@ -53,8 +52,7 @@ def fixture_2x2x2():
     """2 documents x 2 sentences x 2 tokens, no nouns under the heuristic
     tagger (all tokens are closed-class words)."""
     def doc(pairs):
-        return Document(sentences=[sentence_from_tokens(p, i * 24)
-                                   for i, p in enumerate(pairs)])
+        return Document(sentences=[sentence_from_tokens(p) for p in pairs])
     return DocumentCluster(
         id="f222",
         documents=[doc(((["went", "there"]), ["came", "here"])),
@@ -139,9 +137,9 @@ def toy_embeddings_path(tmp_path, toy_corpus_records):
     for rec in toy_corpus_records:
         for doc in rec["documents"]:
             for s in tokenize(doc):
-                toks |= set(s.lower)
+                toks |= set(s.tokens)
         for s in tokenize(rec["summary"]):
-            toks |= set(s.lower)
+            toks |= set(s.tokens)
     p = tmp_path / "vectors.txt"
     write_embedding_file(p, toks, dim=8, seed=1)
     return p

@@ -169,7 +169,7 @@ def enumerate_graph_oracle(cluster, table, layout_bounds, we_threshold=0.5,
         sent = cluster.documents[slot.doc].sentences[slot.sent]
         for k in sorted(noun_fn(sent)):
             nouns.append((node_of_word[(slot.doc, slot.sent, k)],
-                          np.asarray(table.get(sent.lower[k]))))
+                          np.asarray(table.get(sent.tokens[k]))))
     for i in range(len(nouns)):
         for j in range(i + 1, len(nouns)):
             sim = cosine_oracle(nouns[i][1], nouns[j][1])
@@ -180,7 +180,7 @@ def enumerate_graph_oracle(cluster, table, layout_bounds, we_threshold=0.5,
     sent_vecs = []
     for slot in sents:
         sent = cluster.documents[slot.doc].sentences[slot.sent]
-        vecs = np.stack([np.asarray(table.get(t)) for t in sent.lower])
+        vecs = np.stack([np.asarray(table.get(t)) for t in sent.tokens])
         sent_vecs.append((node_of_sent[(slot.doc, slot.sent)], vecs.mean(axis=0)))
     for i in range(len(sent_vecs)):
         for j in range(i + 1, len(sent_vecs)):
@@ -193,7 +193,7 @@ def enumerate_graph_oracle(cluster, table, layout_bounds, we_threshold=0.5,
     retained = {}
     for slot in sents:
         retained.setdefault(slot.doc, []).append(
-            cluster.documents[slot.doc].sentences[slot.sent].lower)
+            cluster.documents[slot.doc].sentences[slot.sent].tokens)
     for i in range(len(doc_list)):
         for j in range(i + 1, len(doc_list)):
             w = dd_weight_fn(retained[doc_list[i]], retained[doc_list[j]])

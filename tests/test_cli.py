@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dgsum
-from dgsum import cli
+from dgsum import cli, training
 from dgsum.cli import RunConfig, build_parser, main, resolve_config
 from dgsum.compressor import CompressorConfig
 from dgsum.errors import ConfigError
@@ -277,6 +277,23 @@ class TestTrain:
         assert f"{dev}: no clusters with summaries to score" in capsys.readouterr().err
         assert fitted == [] and not out.exists()
 
+    def test_a_dev_cluster_is_prepared_as_summarize_prepares_it(
+            self, tmp_path, toy_corpus_path, toy_corpus_records, toy_embeddings_path,
+            monkeypatch):
+        built = []
+        build = training.build_hetero_graph
+        monkeypatch.setattr(training, "build_hetero_graph",
+                            lambda c, *a, **kw: built.append(c.id) or build(c, *a, **kw))
+        dev = tmp_path / "dev.jsonl"
+        write_cluster_file(dev, [dict(r, id=f"dev-{r['id']}") for r in toy_corpus_records[:3]])
+        assert main(["train", "--data", str(toy_corpus_path), "--dev", str(dev),
+                     "--embeddings", str(toy_embeddings_path), "--out", str(tmp_path / "m"),
+                     *TOY_FLAGS, "--epochs", "0"]) == 0
+        # a training cluster builds its source and summary graphs, a dev one its source's
+        assert len(built) == 2 * len(toy_corpus_records) + 3
+        assert [c for c in built if c.startswith("dev-")] == ["dev-" + r["id"]
+                                                              for r in toy_corpus_records[:3]]
+
     @pytest.mark.parametrize("flags, said", [
         ([], "best dev R-L "),
         (["--epochs", "0"], "no dev evaluation ran, so the last parameters were kept"),
@@ -526,8 +543,8 @@ class TestEval:
         from dgsum.corpus import tokenize
         r1s, rls = [], []
         for cid in generated:
-            hyp = [s.lower for s in tokenize(generated[cid])]
-            ref = [s.lower for s in tokenize(references[cid])]
+            hyp = [s.tokens for s in tokenize(generated[cid])]
+            ref = [s.tokens for s in tokenize(references[cid])]
             flat_h = [t for s in hyp for t in s]
             flat_r = [t for s in ref for t in s]
             r1s.append(rouge_n_oracle(flat_h, flat_r, 1)[2])

@@ -26,8 +26,8 @@ class TestTokenize:
     def test_two_sentence_fixture(self):
         sents = tokenize("Police killed the gunman. He fled.")
         assert len(sents) == 2
-        assert sents[0].lower == ["police", "killed", "the", "gunman", "."]
-        assert sents[1].lower == ["he", "fled", "."]
+        assert sents[0].tokens == ["police", "killed", "the", "gunman", "."]
+        assert sents[1].tokens == ["he", "fled", "."]
 
     def test_empty(self):
         assert tokenize("") == []
@@ -38,29 +38,16 @@ class TestTokenize:
         assert len(sents) == 1
         assert sents[0].tokens == ["a.b"]
 
-    def test_original_case_retained(self):
-        sents = tokenize("Police fled.")
-        assert sents[0].tokens == ["Police", "fled", "."]
-        assert sents[0].lower == ["police", "fled", "."]
-
-    def test_char_spans_ordered_non_overlapping(self):
-        text = "First one. Second here!  Third?"
-        sents = tokenize(text)
-        assert len(sents) == 3
-        prev_end = -1
-        for s in sents:
-            start, end = s.char_span
-            assert start > prev_end
-            assert text[start:end].strip() == text[start:end]
-            prev_end = end
+    def test_tokens_are_lowercased(self):
+        assert tokenize("Police fled.")[0].tokens == ["police", "fled", "."]
 
     def test_punctuation_detached(self):
         sents = tokenize('He said "stop," twice.')
-        assert sents[0].tokens == ["He", "said", '"', "stop", ",", '"', "twice", "."]
+        assert sents[0].tokens == ["he", "said", '"', "stop", ",", '"', "twice", "."]
 
     def test_question_exclamation(self):
         sents = tokenize("Really? Yes! Fine.")
-        assert [s.lower[0] for s in sents] == ["really", "yes", "fine"]
+        assert [s.tokens[0] for s in sents] == ["really", "yes", "fine"]
 
 
 class TestReadRecords:
@@ -145,7 +132,7 @@ class TestLoadClusters:
         write_jsonl(p, [make_cluster("c", ["Doc text here."], "A summary.")])
         c = load_clusters(p)[0]
         assert c.summary is not None
-        assert c.summary[0].lower == ["a", "summary", "."]
+        assert c.summary[0].tokens == ["a", "summary", "."]
 
     def test_empty_summary_is_none(self, tmp_path):
         p = tmp_path / "data.jsonl"
@@ -287,7 +274,7 @@ class TestSerialize:
         for slot in bounds.sent_slots:
             assert ids[slot.sep_pos] == Vocab.SENT_SEP
             sent = cluster.documents[slot.doc].sentences[slot.sent]
-            assert slot.tok_end - slot.tok_start == len(sent)
+            assert slot.sep_pos - slot.tok_start == len(sent)
         for _, pos in bounds.doc_slots:
             assert ids[pos] == Vocab.DOC_SEP
 
@@ -297,7 +284,7 @@ class TestSerialize:
         ids, bounds = serialize_encoder_input(cluster, vocab, 64)
         covered = set()
         for slot in bounds.sent_slots:
-            rng = set(range(slot.tok_start, slot.tok_end))
+            rng = set(range(slot.tok_start, slot.sep_pos))
             assert not rng & covered
             covered |= rng
         delims = {p for _, p in bounds.doc_slots} | {s.sep_pos for s in bounds.sent_slots}
@@ -341,7 +328,7 @@ class TestSerialize:
         vocab = self._vocab(cluster)
         ids, bounds = serialize_encoder_input(cluster, vocab, 64)
         decoded = [vocab.decode(i) for i in ids if i >= 6]
-        stream = [t for d in cluster.documents for s in d.sentences for t in s.lower]
+        stream = [t for d in cluster.documents for s in d.sentences for t in s.tokens]
         assert decoded == stream
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -362,7 +349,7 @@ class TestSerialize:
         wrapped = summary_as_cluster(cluster)
         assert wrapped.id == "c:summary"
         assert len(wrapped.documents) == 1
-        assert wrapped.documents[0].sentences[0].lower == ["short", "summary", "."]
+        assert wrapped.documents[0].sentences[0].tokens == ["short", "summary", "."]
         no_sum = load_clusters(p)[0]
         no_sum.summary = None
         with pytest.raises(DataError):
@@ -382,6 +369,6 @@ def test_round_trip_property(texts):
     vocab = build_vocab([cluster], min_freq=1)
     ids, bounds = serialize_encoder_input(cluster, vocab, 4096)
     decoded = [vocab.decode(i) for i in ids if i >= 6]
-    stream = [t for d in cluster.documents for s in d.sentences for t in s.lower]
+    stream = [t for d in cluster.documents for s in d.sentences for t in s.tokens]
     assert decoded == stream
     assert len(bounds.sent_slots) == sum(len(d.sentences) for d in cluster.documents)

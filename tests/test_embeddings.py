@@ -127,7 +127,6 @@ class TestSentenceEmbedding:
     def test_mean_embedder_dimension(self):
         emb = MeanWordEmbedder(self._table())
         assert emb.dimension == 2
-        assert emb.mode == "mean-of-words"
 
 
 class TestCosine:

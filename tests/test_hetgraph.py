@@ -351,7 +351,7 @@ class TestInvariants:
         # summary-level ROUGE-L is reference-sided, so the DD weight depends on
         # document order: the lower-index document is the candidate
         split, joined = "storm hits. storm hits.", "storm hits storm hits."
-        sents = {t: [s.lower for s in tokenize(t)] for t in (split, joined)}
+        sents = {t: [s.tokens for s in tokenize(t)] for t in (split, joined)}
         forward = rouge_avg_f1(sents[split], sents[joined])
         backward = rouge_avg_f1(sents[joined], sents[split])
         assert forward != pytest.approx(backward, abs=1e-3)
@@ -401,7 +401,7 @@ def expected_cosine_edges(cluster, table, cfg, g):
         sent = cluster.documents[nd.doc].sentences[nd.sent]
         for k in noun_candidates(sent):
             nouns.append(word_node[(nd.doc, nd.sent, k)])
-            noun_vecs.append(table.get(sent.lower[k]))
+            noun_vecs.append(table.get(sent.tokens[k]))
         sent_vecs.append(MeanWordEmbedder(table).embed(sent))
     return {"WE": pair_loop_edges(nouns, noun_vecs, cfg.we_threshold or None),
             "SS": pair_loop_edges(sent_ids, sent_vecs, cfg.ss_threshold)}

@@ -3,11 +3,14 @@
 
 import ast
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 import dgsum
+from dgsum import corpus, training
 
 ALLOWED = {"numpy", "dgsum"} | set(sys.stdlib_module_names)
 
@@ -189,3 +192,22 @@ def test_only_softmax_and_the_attention_core_call_the_row_softmax():
              for path in Path(dgsum.__file__).parent.rglob("*.py")}
     assert {name: f for name, f in found.items() if f} == {
         "tensor.py": {"softmax", "_attend", "_attend_grad"}}
+
+
+def named_types(hint) -> set:
+    """The types a type hint names, at any depth."""
+    args = typing.get_args(hint)
+    return {typing.get_origin(hint)}.union(*map(named_types, args)) if args else {hint}
+
+
+def test_named_types_reads_nested_hints():
+    assert named_types(list[list[str]] | None) == {types.UnionType, list, str, type(None)}
+    assert named_types(dict[str, tuple[int, float]]) == {dict, tuple, str, int, float}
+
+
+def test_a_bundle_holds_no_parsed_text():
+    """Past ``prepare_bundle`` a cluster is ids, graphs and token lists: no
+    ``ClusterBundle`` field holds a parsed cluster, document or sentence."""
+    hints = typing.get_type_hints(training.ClusterBundle)
+    named = set().union(*map(named_types, hints.values()))
+    assert not named & {corpus.DocumentCluster, corpus.Document, corpus.Sentence}

@@ -670,15 +670,6 @@ class TestCrossEntropyValues:
         loss = nm.cross_entropy_smoothed(nm.Tensor(logits), targets, eps)
         assert abs(loss.item() - expected) < 1e-12
 
-    def test_pad_positions_excluded(self):
-        logits = np.zeros((3, 4))
-        logits[0, 1] = 5.0
-        with_pad = nm.cross_entropy_smoothed(
-            nm.Tensor(logits), np.array([1, 0, 0]), 0.0, ignore_index=0)
-        alone = nm.cross_entropy_smoothed(
-            nm.Tensor(logits[:1]), np.array([1]), 0.0)
-        assert abs(with_pad.item() - alone.item()) < 1e-12
-
 
 class TestInitAndParams:
     def test_same_seed_identical(self):

@@ -256,7 +256,7 @@ class TestBatchedKernel:
                     for _ in range(int(rng.integers(2, 6)))]
             cluster = cluster_from_texts("dd", docs)
             g = build_hetero_graph(cluster, table_for([cluster]))
-            texts = [[s.lower for s in d.sentences] for d in cluster.documents]
+            texts = [[s.tokens for s in d.sentences] for d in cluster.documents]
             doc_node = {nd.doc: k for k, nd in enumerate(g.nodes) if nd.kind == "document"}
             expected = [(doc_node[i], doc_node[j], rouge_avg_f1_oracle(texts[i], texts[j]))
                         for i in range(len(texts)) for j in range(i + 1, len(texts))]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -109,10 +111,9 @@ class TestTrainStep:
         rng = np.random.default_rng(TrainConfig().seed)
         q_p, positions, _, _ = encode_compress(bundle, params, model_cfg,
                                                train=True, rng=rng)
-        logits = decode_teacher_forced(q_p, positions, bundle.target_input, params,
+        logits = decode_teacher_forced(q_p, positions, [Vocab.BOS] + bundle.target, params,
                                        model_cfg.text, train=True, rng=rng)
-        l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold, 0.1,
-                                         ignore_index=Vocab.PAD)
+        l_ce = nm.cross_entropy_smoothed(logits, bundle.target + [Vocab.EOS], 0.1)
         params.zero_grads()
         l_ce.backward()
         assert np.allclose(params["comp.r"].grad, grads["comp.r"], atol=1e-12)
@@ -199,10 +200,10 @@ class TestTrainStep:
             from dgsum.training import encode_compress, encode_graph
             from dgsum.text_model import decode_teacher_forced
             q_p, positions, _, _ = encode_compress(bundle, params, model_cfg)
-            logits = decode_teacher_forced(q_p, positions, bundle.target_input,
+            logits = decode_teacher_forced(q_p, positions, [Vocab.BOS] + bundle.target,
                                            params, model_cfg.text)
-            l_ce = nm.cross_entropy_smoothed(logits, bundle.target_gold,
-                                             tc.label_smoothing, ignore_index=Vocab.PAD)
+            l_ce = nm.cross_entropy_smoothed(logits, bundle.target + [Vocab.EOS],
+                                             tc.label_smoothing)
             q_z = encode_graph(bundle.sum_ids, bundle.sum_graph, params, model_cfg)
             l_gs = graph_similarity_loss(q_p, q_z)
             return nm.add(nm.mul(l_ce, tc.beta), nm.mul(l_gs, 1.0 - tc.beta))
@@ -280,6 +281,21 @@ class TestPrecision:
         nm.set_precision("double")
         with pytest.raises(ConfigError, match="ModelConfig.precision"):
             nm.set_precision("single")
+
+
+class TestPrepareBundle:
+    def test_a_bundle_keeps_its_summary_as_token_lists(self):
+        _, vocab, _, _, _, bundle = micro_setup()
+        assert bundle.id == "m"
+        assert bundle.reference == [["storm", "floods", "town", "."]]
+        assert bundle.target == [vocab.encode(t) for t in ["storm", "floods", "town", "."]]
+
+    def test_a_bundle_does_not_keep_its_cluster(self):
+        cluster, _, _, _, _, bundle = micro_setup()
+        parsed = weakref.ref(cluster)
+        del cluster
+        gc.collect()
+        assert parsed() is None and bundle.sum_graph is not None
 
 
 class TestSummarizeAndDev:
